@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-smoke serve-smoke attack-smoke examples reproduce lint coverage clean
+.PHONY: install test bench bench-smoke serve-smoke attack-smoke perf-selftest examples reproduce lint coverage clean
 
 install:
 	pip install -e '.[dev]' --no-build-isolation
@@ -38,6 +38,16 @@ serve-smoke:
 # subcommands (enumerate / masks / simulate / crossover).
 attack-smoke:
 	PYTHONPATH=src python tools/attack_smoke.py
+
+# Toy-scale self-test of the end-to-end benchmark (perfbench/, the
+# harness BENCHMARK.json runs): every workload end to end, then one
+# planted fault per output check.  It exercises program surface no
+# other target does: repro.core.shm.mp_context, the `repro serve`
+# banner, the parser.cache.* / meter.batch.* / trie.compile.seconds /
+# meter.frozen.build.seconds probes, and FuzzyPSM.train_streaming,
+# probability_many, attack_engine and frozen_grammar.
+perf-selftest:
+	python3 perfbench/selftest.py
 
 examples:
 	@for script in examples/*.py; do \
@@ -80,4 +90,5 @@ coverage:
 clean:
 	rm -rf .pytest_cache .benchmarks build *.egg-info .coverage htmlcov coverage.xml
 	rm -f .repro_lint_cache.json lint.sarif
+	rm -rf .perfbench
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -46,7 +46,7 @@ def test_ablation_update_phase(benchmark, material, capsys):
             base_dictionary=base_words, training=list(leak.items())
         )
         for password, count in update_stream.items():
-            adaptive.accept(password, count)
+            adaptive.update(password, count)
         results = {}
         for label, meter in (("static", static), ("adaptive", adaptive)):
             curves, _ = evaluate_meters([meter], test, min_frequency=4)
@@ -75,7 +75,7 @@ def test_ablation_update_reaches_new_trends(benchmark, material, capsys):
         trend = "xinniankuaile2026!"
         before = meter.probability(trend)
         for _ in range(25):
-            meter.accept(trend)
+            meter.update(trend)
         return before, meter.probability(trend)
 
     before, after = benchmark.pedantic(run, rounds=1, iterations=1)

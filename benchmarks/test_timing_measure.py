@@ -97,7 +97,7 @@ def test_timing_update_phase(benchmark, meter, capsys):
     index = iter(range(10 ** 9))
 
     def accept_one():
-        meter.accept(passwords[next(index) % len(passwords)])
+        meter.update(passwords[next(index) % len(passwords)])
 
     benchmark(accept_one)
     mean_seconds = benchmark.stats["mean"]
@@ -180,10 +180,13 @@ def test_timing_compiled_vs_pointer_parse(meter, csdn_quarters, capsys):
     """
     _, test = csdn_quarters
     probes = test.unique_passwords()
-    pointer_parser = FuzzyParser(meter.trie, use_compiled=False,
-                                 parse_cache_size=0)
-    compiled_parser = FuzzyParser(meter.trie, use_compiled=True,
-                                  parse_cache_size=0)
+    # The pointer trie is only ever a reference now: the parser takes
+    # it as its matcher through from_compiled (same longest_fuzzy_match).
+    pointer_parser = FuzzyParser.from_compiled(
+        meter.trie, None, meter.trie.min_length, meter.parser.flags,
+        parse_cache_size=0,
+    )
+    compiled_parser = FuzzyParser(meter.trie, parse_cache_size=0)
     compiled_parser.parse("warmup")  # build the compiled snapshot
 
     def best_of_three(parser):

@@ -55,6 +55,6 @@ trend = "eras-tour-2026"
 print(f"\nadaptive update: {trend!r}")
 print(f"  before: p = {meter.probability(trend):.3e}")
 for _ in range(25):
-    meter.accept(trend)
+    meter.update(trend)
 print(f"  after 25 registrations: p = {meter.probability(trend):.3e}")
 print("  -> the meter now warns the 26th user picking the same fad.")

@@ -59,7 +59,7 @@ for user, password in SIGNUPS:
     if feedback.accepted:
         accepted += 1
         # The update phase: accepted passwords shift the distribution.
-        meter.accept(password)
+        meter.update(password)
 
 print(f"\n{accepted}/{len(SIGNUPS)} signups accepted")
 
@@ -68,7 +68,7 @@ print(f"\n{accepted}/{len(SIGNUPS)} signups accepted")
 fad = "sunshine99"
 before = bucketed.label(fad)
 for _ in range(200):
-    meter.accept(fad)
+    meter.update(fad)
 after = bucketed.label(fad)
 print(f"\nadaptive drift for {fad!r}: {before} -> {after} "
       "after 200 more users pick it")

@@ -3,7 +3,7 @@ picklable multiprocessing workers.
 
 The reproduction's headline guarantees — identical experiment output
 for identical seeds, and byte-identical serial/parallel training (see
-:meth:`repro.core.grammar.FuzzyGrammar.merge`) — are easy to break
+:meth:`repro.core.deltas.DeltaMerger.apply`) — are easy to break
 with one careless call: a module-level ``random.random()``, a ``for``
 loop over a ``set`` inside ``to_dict``, or a lambda handed to a
 ``multiprocessing.Pool``.  These rules make each of those a lint

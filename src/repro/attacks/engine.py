@@ -234,16 +234,11 @@ class _SnapshotMeter:
             self.allow_allcaps = bool(flags.get("allow_allcaps"))
 
     def __init__(self, state: MaterializedScoringState) -> None:
-        if state.frozen is None:
-            raise ValueError(
-                "segment carries no grammar tables "
-                "(trie-only training segment?)"
-            )
+        self._frozen = state.require_frozen()
         self.name = "fuzzypsm"
         self.trie = state.forward
         self.config = _SnapshotMeter._Flags(state.flags)
         self._parser = state.build_parser()
-        self._frozen = state.frozen
 
     @property
     def grammar(self) -> FrozenGrammar:

@@ -124,11 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
              "count tables are merged exactly (fuzzyPSM)",
     )
     train.add_argument(
-        "--no-compile", action="store_true",
-        help="walk the pointer trie instead of the compiled "
-             "flat-array trie (fuzzyPSM escape hatch)",
-    )
-    train.add_argument(
         "--parse-cache-size", type=int, default=None, metavar="N",
         help="capacity of the LRU parse cache used for bulk scoring "
              "(fuzzyPSM; default 65536)",
@@ -508,7 +503,6 @@ def _fuzzy_config(args: argparse.Namespace):
     fuzzy_options = {
         "allow_reverse": args.allow_reverse,
         "allow_allcaps": args.allow_allcaps,
-        "use_compiled_trie": not args.no_compile,
     }
     if args.parse_cache_size is not None:
         fuzzy_options["parse_cache_size"] = args.parse_cache_size

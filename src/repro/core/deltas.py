@@ -237,5 +237,5 @@ class DeltaMerger:
             table.add(True, leet[2 * index])
             table.add(False, leet[2 * index + 1])
         if bump:
-            # One epoch tick per applied delta, mirroring merge().
+            # One epoch tick per applied delta, like one observe().
             grammar._epoch += 1

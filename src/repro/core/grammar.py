@@ -157,10 +157,11 @@ class FuzzyGrammar:
     """
 
     def __init__(self) -> None:
-        #: Mutation counter: bumped by :meth:`observe` and :meth:`merge`
-        #: (the two mutation verbs of the training/update lifecycle), so
-        #: derived snapshots — the :class:`~repro.core.frozen.FrozenGrammar`
-        #: scoring kernel — can detect staleness lazily instead of being
+        #: Mutation counter: bumped by :meth:`observe` and by
+        #: :meth:`repro.core.deltas.DeltaMerger.apply` (the mutation
+        #: verbs of the training/update lifecycle), so derived snapshots
+        #: — the :class:`~repro.core.frozen.FrozenGrammar` scoring
+        #: kernel — can detect staleness lazily instead of being
         #: invalidated eagerly on every accepted password.
         self._epoch = 0
         self.structures: FrequencyDistribution[Structure] = FrequencyDistribution()
@@ -203,28 +204,6 @@ class FuzzyGrammar:
                 rule = leet_rule_for_char(ch)
                 if rule is not None:
                     self.leet[rule].add(offset in toggled, count)
-
-    # --- merging (parallel training) -----------------------------------
-
-    def merge(self, other: "FuzzyGrammar") -> None:
-        """Fold another grammar's count tables into this one, in place.
-
-        Because every table stores raw counts and counting commutes,
-        ``merge`` is exact: training chunks in parallel and merging the
-        per-chunk grammars produces the same grammar as one serial pass
-        over the whole corpus.  This is the reduction step of
-        ``train_grammar(..., jobs=N)``.
-        """
-        self._epoch += 1
-        self.structures.merge(other.structures)
-        for length, table in other.terminals.items():
-            own = self.terminals.setdefault(length, FrequencyDistribution())
-            own.merge(table)
-        self.capitalization.merge(other.capitalization)
-        self.reverse.merge(other.reverse)
-        self.allcaps.merge(other.allcaps)
-        for rule, table in other.leet.items():
-            self.leet[rule].merge(table)
 
     def __eq__(self, other: object) -> bool:
         """True when every count table is identical."""

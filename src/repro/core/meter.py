@@ -17,9 +17,8 @@ tool, paper footnote 6) and be sampled for Monte-Carlo guess numbers.
 from __future__ import annotations
 
 import random
-import warnings
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -47,6 +46,7 @@ from repro.core.parser import (
     ParsedPassword,
 )
 from repro.core.shm import (
+    MaterializedScoringState,
     SharedScoringSegment,
     _worker_attach_state,
     mp_context,
@@ -90,17 +90,12 @@ class FuzzyPSMConfig:
         auto_update: when True, :meth:`FuzzyPSM.probability` feeds every
             measured password back through the update phase.  The paper
             updates on *accepted* passwords, so this defaults to False
-            and :meth:`FuzzyPSM.accept` is the explicit entry point.
-        use_compiled_trie: parse against the flat-array
-            :class:`~repro.core.compiled_trie.CompiledTrie` snapshot
-            instead of walking pointer-trie nodes (``--no-compile`` on
-            the CLI turns this off).  Purely an execution-strategy
-            switch — parses are bit-for-bit identical either way.
+            and :meth:`FuzzyPSM.update` is the explicit entry point.
         parse_cache_size: capacity of the parser's LRU parse cache
             (``--parse-cache-size`` on the CLI).  Bulk scoring of
             Zipf-shaped streams hits this cache for the popular head;
             raise it for wide sweeps, shrink it for memory-constrained
-            deployments.  Another pure execution-strategy knob.
+            deployments.  A pure execution-strategy knob.
     """
 
     min_base_length: int = 3
@@ -109,8 +104,21 @@ class FuzzyPSMConfig:
     allow_reverse: bool = False
     allow_allcaps: bool = False
     auto_update: bool = False
-    use_compiled_trie: bool = True
     parse_cache_size: int = DEFAULT_PARSE_CACHE_SIZE
+
+
+def _load_config(saved: Dict[str, Any]) -> FuzzyPSMConfig:
+    """The :class:`FuzzyPSMConfig` of a saved model.
+
+    Only keys naming a current field are read.  Model files written
+    before an option was retired still carry its key (older files name
+    the trie matcher, which never changed a parse); it is dropped here,
+    so such files load and re-save without it.
+    """
+    known = {option.name for option in fields(FuzzyPSMConfig)}
+    return FuzzyPSMConfig(**{
+        key: value for key, value in saved.items() if key in known
+    })
 
 
 @dataclass(frozen=True)
@@ -141,9 +149,49 @@ def _build_parser(trie: PrefixTrie, config: FuzzyPSMConfig) -> FuzzyParser:
         allow_leet=config.allow_leet,
         allow_reverse=config.allow_reverse,
         allow_allcaps=config.allow_allcaps,
-        use_compiled=config.use_compiled_trie,
         parse_cache_size=config.parse_cache_size,
     )
+
+
+def score_many(
+    parser: FuzzyParser, frozen: FrozenGrammar, passwords: Iterable[str]
+) -> List[float]:
+    """The batch scoring loop: one probability per input, in order.
+
+    Real password streams are heavily repetitive (Zipf-shaped), so
+    parses go through the parser's LRU cache, the final probability is
+    memoised per distinct password within the batch, and derivations
+    are evaluated against the frozen scoring kernel.  Values are
+    bit-identical to per-call :meth:`FuzzyPSM.probability`.  This is
+    the only copy of the loop: :meth:`FuzzyPSM.probability_many`, the
+    scoring-pool worker and the serve workers all call it.
+    """
+    telemetry = obs.get()
+    parse = parser.parse_cached
+    score = frozen.derivation_probability
+    batch: Dict[str, float] = {}
+    out: List[float] = []
+    # Probes stay at batch granularity: per-item telemetry in this
+    # loop would eat into the very speedup the batch path exists for
+    # (per-score cost is ~3 us on cache hits).
+    with telemetry.timer("meter.batch.seconds"):
+        for password in passwords:
+            probability = batch.get(password)
+            if probability is None:
+                if password:
+                    probability = score(
+                        parse(password).to_derivation()
+                    )
+                else:
+                    probability = 0.0
+                batch[password] = probability
+            out.append(probability)
+    if telemetry.enabled:
+        telemetry.incr("meter.batch.calls")
+        telemetry.incr("meter.batch.scores", len(out))
+        telemetry.incr("meter.batch.distinct", len(batch))
+        telemetry.observe("meter.batch.size", float(len(out)))
+    return out
 
 
 #: Distinct-password cutoff below which ``jobs > 1`` still scores
@@ -176,12 +224,8 @@ def _worker_init_shared(segment_name: str) -> None:
     """
     global _SCORE_PARSER, _SCORE_FROZEN
     state = _worker_attach_state(segment_name)
-    if state.frozen is None:
-        raise ValueError(
-            f"segment {segment_name!r} carries no grammar tables"
-        )
+    _SCORE_FROZEN = state.require_frozen()
     _SCORE_PARSER = state.build_parser()
-    _SCORE_FROZEN = state.frozen
 
 
 def _score_chunk(chunk: List[str]) -> Tuple[List[float], float]:
@@ -197,12 +241,7 @@ def _score_chunk(chunk: List[str]) -> Tuple[List[float], float]:
     assert parser is not None and frozen is not None, \
         "_worker_init_shared did not run"
     start = _now()
-    parse = parser.parse
-    score = frozen.derivation_probability
-    values = [
-        score(parse(password).to_derivation()) if password else 0.0
-        for password in chunk
-    ]
+    values = score_many(parser, frozen, chunk)
     return values, _now() - start
 
 
@@ -359,32 +398,36 @@ class FuzzyPSM(ProbabilisticMeter):
                 telemetry.incr("meter.frozen.builds")
         return frozen
 
+    def scoring_state(self) -> MaterializedScoringState:
+        """The scoring snapshot at the current epoch.
+
+        The compiled matchers, the frozen grammar and the parser
+        configuration — everything a scorer in another thread or
+        process needs, and nothing mutable.  This is what
+        :meth:`shared_segment` publishes and what ``repro serve``
+        hands its worker pool.
+        """
+        return MaterializedScoringState.from_parser(
+            self._parser, self.frozen_grammar()
+        )
+
     def shared_segment(self) -> SharedScoringSegment:
         """The published snapshot segment for the current epoch.
 
-        Packs the compiled matchers and the frozen grammar into one
-        shared-memory segment (created lazily, cached by epoch) that
-        scoring pools, serve workers and attack tooling attach to by
-        name in milliseconds.  Publishing a new epoch unlinks the
-        retired segment — attached processes keep their mappings until
-        they drop them, late attachers fail fast.
+        Packs :meth:`scoring_state` into one shared-memory segment
+        (created lazily, cached by epoch) that scoring pools, serve
+        workers and attack tooling attach to by name in milliseconds.
+        Publishing a new epoch unlinks the retired segment — attached
+        processes keep their mappings until they drop them, late
+        attachers fail fast.
         """
         segment = self._shared_segment
-        frozen = self.frozen_grammar()
-        if segment is not None and segment.epoch == frozen.epoch:
+        if segment is not None \
+                and segment.epoch == self.frozen_grammar().epoch:
             return segment
-        forward, reversed_matcher = self._parser.ensure_compiled_matchers()
         telemetry = obs.get()
         with telemetry.timer("shm.segment.publish.seconds"):
-            fresh = SharedScoringSegment.create(
-                epoch=frozen.epoch,
-                forward=forward,
-                min_length=self._trie.min_length,
-                flags=self._parser.flags,
-                parse_cache_size=self._config.parse_cache_size,
-                reversed_matcher=reversed_matcher,
-                frozen=frozen,
-            )
+            fresh = SharedScoringSegment.create(self.scoring_state())
         if segment is not None:
             segment.unlink()
         self._shared_segment = fresh
@@ -446,23 +489,20 @@ class FuzzyPSM(ProbabilisticMeter):
     ) -> List[float]:
         """Bulk :meth:`probability`, returning one value per input.
 
-        Real password streams are heavily repetitive (Zipf-shaped), so
-        bulk scoring routes parses through the parser's LRU cache,
-        memoises the final probability per distinct password within the
-        batch, and evaluates derivations against the frozen scoring
-        kernel (:meth:`frozen_grammar`).  Results are exactly the
-        per-call values, in order.
+        Scores run through :func:`score_many` — parse cache,
+        per-batch distinct memo, frozen scoring kernel
+        (:meth:`frozen_grammar`).  Results are exactly the per-call
+        values, in order.
 
         Args:
             passwords: the stream to score.
             jobs: worker processes; ``None``/``0``/``1`` score in this
                 process.  ``N > 1`` deduplicates the stream and fans
                 chunks of distinct passwords to a pool whose workers
-                receive the compiled matchers + frozen grammar once at
+                attach the meter's shared snapshot segment once at
                 start-up.  Batches with fewer distinct passwords than
-                the threshold — or meters parsing without the compiled
-                trie — fall back to the serial path automatically
-                (``meter.parallel.fallback.serial``).
+                the threshold fall back to the serial path
+                automatically (``meter.parallel.fallback.serial``).
             parallel_threshold: distinct-count cutoff for that fallback
                 (default :data:`PARALLEL_MIN_DISTINCT`).
 
@@ -480,42 +520,14 @@ class FuzzyPSM(ProbabilisticMeter):
                 PARALLEL_MIN_DISTINCT if parallel_threshold is None
                 else parallel_threshold
             )
-            if (
-                len(distinct) >= threshold
-                and self._config.use_compiled_trie
-            ):
+            if len(distinct) >= threshold:
                 return self._probability_many_parallel(
                     stream, distinct, jobs
                 )
             if telemetry.enabled:
                 telemetry.incr("meter.parallel.fallback.serial")
             passwords = stream
-        frozen = self.frozen_grammar()
-        parse = self._parser.parse_cached
-        score = frozen.derivation_probability
-        batch: Dict[str, float] = {}
-        out: List[float] = []
-        # Probes stay at batch granularity: per-item telemetry in this
-        # loop would eat into the very speedup the batch path exists
-        # for (per-score cost is ~3 us on cache hits).
-        with telemetry.timer("meter.batch.seconds"):
-            for password in passwords:
-                probability = batch.get(password)
-                if probability is None:
-                    if password:
-                        probability = score(
-                            parse(password).to_derivation()
-                        )
-                    else:
-                        probability = 0.0
-                    batch[password] = probability
-                out.append(probability)
-        if telemetry.enabled:
-            telemetry.incr("meter.batch.calls")
-            telemetry.incr("meter.batch.scores", len(out))
-            telemetry.incr("meter.batch.distinct", len(batch))
-            telemetry.observe("meter.batch.size", float(len(out)))
-        return out
+        return score_many(self._parser, self.frozen_grammar(), passwords)
 
     def entropy_many(
         self,
@@ -626,15 +638,6 @@ class FuzzyPSM(ProbabilisticMeter):
         parsed = self.parse(password)
         self._grammar.observe(parsed.to_derivation(), count)
 
-    def accept(self, password: str, count: int = 1) -> None:
-        """Deprecated spelling of :meth:`update`."""
-        warnings.warn(
-            "FuzzyPSM.accept() is deprecated; use update()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.update(password, count)
-
     # --- serialisation -----------------------------------------------------
 
     def base_words(self) -> List[str]:
@@ -654,23 +657,14 @@ class FuzzyPSM(ProbabilisticMeter):
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serialisable snapshot: base trie, grammar and config."""
         return {
-            "config": {
-                "min_base_length": self._config.min_base_length,
-                "allow_capitalization": self._config.allow_capitalization,
-                "allow_leet": self._config.allow_leet,
-                "allow_reverse": self._config.allow_reverse,
-                "allow_allcaps": self._config.allow_allcaps,
-                "auto_update": self._config.auto_update,
-                "use_compiled_trie": self._config.use_compiled_trie,
-                "parse_cache_size": self._config.parse_cache_size,
-            },
+            "config": asdict(self._config),
             "base_words": self.base_words(),
             "grammar": self._grammar.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FuzzyPSM":
-        config = FuzzyPSMConfig(**data["config"])
+        config = _load_config(data["config"])
         trie = PrefixTrie(
             data["base_words"], min_length=config.min_base_length
         )
@@ -694,19 +688,7 @@ class FuzzyPSM(ProbabilisticMeter):
             "base_lens": base_lens,
         }
         sections.update(self._grammar.to_arrays())
-        meta = {
-            "config": {
-                "min_base_length": self._config.min_base_length,
-                "allow_capitalization": self._config.allow_capitalization,
-                "allow_leet": self._config.allow_leet,
-                "allow_reverse": self._config.allow_reverse,
-                "allow_allcaps": self._config.allow_allcaps,
-                "auto_update": self._config.auto_update,
-                "use_compiled_trie": self._config.use_compiled_trie,
-                "parse_cache_size": self._config.parse_cache_size,
-            },
-        }
-        return meta, sections
+        return {"config": asdict(self._config)}, sections
 
     @classmethod
     def from_buffers(
@@ -719,7 +701,7 @@ class FuzzyPSM(ProbabilisticMeter):
         is rebuilt from the word blob.  A binary round trip yields a
         meter whose :meth:`to_dict` is byte-identical to the source.
         """
-        config = FuzzyPSMConfig(**meta["config"])
+        config = _load_config(meta["config"])
         blob = sections["base_blob"]
         words: List[str] = []
         offset = 0

@@ -18,8 +18,11 @@ whose probability the grammar can evaluate.
 Performance notes (see DESIGN.md "Performance architecture"):
 
 * dictionary matching runs against a :class:`CompiledTrie` — the
-  flat-array snapshot of the base trie — built lazily on first parse
-  (``use_compiled=False`` restores the pointer trie);
+  flat-array snapshot of the base trie — built lazily on first parse.
+  It is the only matcher a parse ever consults; the pointer
+  :class:`PrefixTrie` is build input, and (through
+  :meth:`FuzzyParser.from_compiled`, which accepts either trie) the
+  reference the parse-level differential tests compare against;
 * the reversed-word trie of the ``allow_reverse`` extension is also
   built lazily, on the first parse that needs it, so deserialising a
   reverse-enabled grammar that never parses costs nothing;
@@ -43,6 +46,10 @@ from repro.util.charclasses import first_run
 
 #: Default capacity of the per-parser LRU parse cache.
 DEFAULT_PARSE_CACHE_SIZE = 65_536
+
+#: A dictionary matcher: the compiled trie every production parse uses,
+#: or a pointer trie standing in for it as a test-side reference.
+Matcher = Union[CompiledTrie, PrefixTrie]
 
 
 class SegmentKind(enum.Enum):
@@ -187,14 +194,12 @@ class FuzzyParser:
                  allow_leet: bool = True,
                  allow_reverse: bool = False,
                  allow_allcaps: bool = False,
-                 use_compiled: bool = True,
                  parse_cache_size: int = DEFAULT_PARSE_CACHE_SIZE) -> None:
         self._trie = trie
         self._allow_capitalization = allow_capitalization
         self._allow_leet = allow_leet
         self._allow_reverse = allow_reverse
         self._allow_allcaps = allow_allcaps
-        self._use_compiled = use_compiled
         # The forward matcher (compiled trie) and the reverse-rule trie
         # are both built lazily: ``__init__`` must stay cheap because a
         # parser is created every time a meter is deserialised, and a
@@ -204,11 +209,8 @@ class FuzzyParser:
         # over the reversed words answers those queries in the same
         # left-to-right pass.  Palindromes are excluded: their reversed
         # reading is indistinguishable from the plain one.
-        self._compiled: Optional[CompiledTrie] = None
-        self._reversed_trie: Optional[PrefixTrie] = None
-        self._reversed_matcher: Optional[
-            Union[PrefixTrie, CompiledTrie]
-        ] = None
+        self._compiled: Optional[Matcher] = None
+        self._reversed_matcher: Optional[Matcher] = None
         self._parse_cache: "OrderedDict[str, ParsedPassword]" = OrderedDict()
         self._parse_cache_size = parse_cache_size
 
@@ -221,10 +223,6 @@ class FuzzyParser:
         return self._allow_reverse
 
     @property
-    def use_compiled(self) -> bool:
-        return self._use_compiled
-
-    @property
     def flags(self) -> Dict[str, bool]:
         """Constructor keywords reproducing this parser's behaviour
         (used to rebuild equivalent parsers in worker processes)."""
@@ -233,7 +231,6 @@ class FuzzyParser:
             "allow_leet": self._allow_leet,
             "allow_reverse": self._allow_reverse,
             "allow_allcaps": self._allow_allcaps,
-            "use_compiled": self._use_compiled,
         }
 
     def config_key(self) -> Tuple:
@@ -260,8 +257,8 @@ class FuzzyParser:
     # --- lazy matcher construction ------------------------------------
 
     @property
-    def compiled_trie(self) -> Optional[CompiledTrie]:
-        """The compiled forward matcher, or None when not (yet) built."""
+    def compiled_trie(self) -> Optional[Matcher]:
+        """The forward matcher, or None when not (yet) built."""
         return self._compiled
 
     def ensure_compiled_matchers(
@@ -275,14 +272,9 @@ class FuzzyParser:
         pointer trie — rebuilding tries per worker is what made small
         parallel training runs slower than serial (DESIGN.md §7).
         Returns ``(forward, reversed_or_None)``; the reversed matcher is
-        built only when the reverse extension is on.  Requires
-        ``use_compiled=True`` — the pointer trie is deliberately not
-        broadcast.
+        built only when the reverse extension is on.  A reference
+        parser built around pointer tries is never broadcast.
         """
-        if not self._use_compiled:
-            raise ValueError(
-                "compiled matcher broadcast requires use_compiled=True"
-            )
         forward = self._forward_matcher()
         assert isinstance(forward, CompiledTrie)
         reversed_matcher: Optional[CompiledTrie] = None
@@ -295,30 +287,29 @@ class FuzzyParser:
     @classmethod
     def from_compiled(
         cls,
-        forward: CompiledTrie,
-        reversed_matcher: Optional[CompiledTrie],
+        forward: Matcher,
+        reversed_matcher: Optional[Matcher],
         min_length: int,
         flags: Dict[str, bool],
         parse_cache_size: int = DEFAULT_PARSE_CACHE_SIZE,
     ) -> "FuzzyParser":
-        """Rebuild a parser around already-compiled matchers.
+        """Rebuild a parser around already-built matchers.
 
         The worker-side half of :meth:`ensure_compiled_matchers`: the
         pool initializer receives the compiled snapshots and ``flags``
         (the :attr:`flags` dict of the parent parser) and reconstructs
         a parser that parses identically without ever touching a
         pointer trie.  The backing :class:`PrefixTrie` is an empty
-        husk — only the compiled matchers are consulted.
+        husk — only the given matchers are consulted.  Both trie types
+        expose the same ``longest_fuzzy_match``, so passing
+        :class:`PrefixTrie` matchers yields the pointer-walk reference
+        parser the differential tests compare against.
         """
         parser = cls(
             PrefixTrie(min_length=min_length),
             parse_cache_size=parse_cache_size,
             **flags,
         )
-        if not parser._use_compiled:
-            raise ValueError(
-                "from_compiled requires flags with use_compiled=True"
-            )
         parser._compiled = forward
         if flags.get("allow_reverse"):
             if reversed_matcher is None:
@@ -333,24 +324,18 @@ class FuzzyParser:
         """True once the reverse-rule trie has been materialised."""
         return self._reversed_matcher is not None
 
-    def _forward_matcher(self) -> Union[PrefixTrie, CompiledTrie]:
-        if not self._use_compiled:
-            return self._trie
+    def _forward_matcher(self) -> Matcher:
         if self._compiled is None:
             self._compiled = self._trie.compile()
         return self._compiled
 
-    def _reverse_matcher(self) -> Union[PrefixTrie, CompiledTrie]:
+    def _reverse_matcher(self) -> Matcher:
         if self._reversed_matcher is None:
             reversed_trie = PrefixTrie(min_length=self._trie.min_length)
             for word in self._trie.iter_words():
                 if word != word[::-1]:
                     reversed_trie.insert(word[::-1])
-            self._reversed_trie = reversed_trie
-            self._reversed_matcher = (
-                reversed_trie.compile() if self._use_compiled
-                else reversed_trie
-            )
+            self._reversed_matcher = reversed_trie.compile()
         return self._reversed_matcher
 
     # --- parsing -------------------------------------------------------
@@ -408,20 +393,12 @@ class FuzzyParser:
         transformations (the reverse flag counts as one), then the
         forward reading, then lexicographic base — fully deterministic.
         """
-        matcher = self._forward_matcher()
-        if isinstance(matcher, CompiledTrie):
-            forward = matcher.longest_fuzzy_match(
-                password,
-                allow_capitalization=self._allow_capitalization,
-                allow_leet=self._allow_leet,
-                start=position,
-            )
-        else:
-            forward = matcher.longest_fuzzy_match(
-                password[position:],
-                allow_capitalization=self._allow_capitalization,
-                allow_leet=self._allow_leet,
-            )
+        forward = self._forward_matcher().longest_fuzzy_match(
+            password,
+            allow_capitalization=self._allow_capitalization,
+            allow_leet=self._allow_leet,
+            start=position,
+        )
         if forward is not None and not self._allow_reverse \
                 and not self._allow_allcaps:
             # Fast path: with the extensions off there is exactly one

@@ -17,10 +17,13 @@ milliseconds and score against the *same* physical bytes:
   segment; ``attach`` opens it by name; ``materialize`` rebuilds
   scoring objects whose numeric columns are ``memoryview`` casts
   straight into the mapping (no copy, bit-identical scores).
-* :class:`MaterializedScoringState` — what a worker scores with: the
-  compiled matchers, the (lazily decoded) frozen grammar, and the
-  parser configuration needed to rebuild a byte-identical
-  :class:`~repro.core.parser.FuzzyParser`.
+* :class:`MaterializedScoringState` — the one scoring-snapshot type:
+  the compiled matchers, the frozen grammar, and the parser
+  configuration needed to rebuild a byte-identical
+  :class:`~repro.core.parser.FuzzyParser`.  The publishing side builds
+  it from a live parser (:meth:`~MaterializedScoringState.from_parser`,
+  via ``FuzzyPSM.scoring_state``), ``create`` packs it, and
+  ``materialize`` rebuilds it over an attached segment.
 * :func:`mp_context` — the repo-wide start-method policy: ``fork``
   where available, overridable via ``REPRO_START_METHOD`` (``spawn``
   CI legs run every pool through here).
@@ -50,7 +53,7 @@ import os
 import uuid
 from multiprocessing import resource_tracker, shared_memory
 from multiprocessing.context import BaseContext
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro import obs
 from repro.core.compiled_trie import CompiledTrie
@@ -96,11 +99,16 @@ def mp_context(method: Optional[str] = None) -> BaseContext:
 
 
 class MaterializedScoringState:
-    """Scoring objects rebuilt from one attached segment.
+    """Everything a scorer needs, frozen at one grammar epoch.
 
-    Numeric columns inside ``forward``/``reversed_matcher``/``frozen``
-    are zero-copy views into the segment mapping: keep the state (or
-    its parser) alive only while the segment is attached.
+    Built from a live parser by :meth:`from_parser` (what
+    :meth:`SharedScoringSegment.create` publishes), or rebuilt from an
+    attached segment by :meth:`SharedScoringSegment.materialize` — in
+    which case the numeric columns inside
+    ``forward``/``reversed_matcher``/``frozen`` are zero-copy views
+    into the mapping: keep the state (or its parser) alive only while
+    the segment is attached.  ``frozen`` is ``None`` for trie-only
+    training segments.
     """
 
     __slots__ = (
@@ -126,6 +134,26 @@ class MaterializedScoringState:
         self.flags = flags
         self.parse_cache_size = parse_cache_size
 
+    @classmethod
+    def from_parser(
+        cls, parser: FuzzyParser, frozen: Optional[FrozenGrammar] = None
+    ) -> "MaterializedScoringState":
+        """Snapshot ``parser``'s compiled matchers (and ``frozen``).
+
+        The epoch is the frozen grammar's; a trie-only state (training
+        workers parse, they do not score) is stamped epoch 0.
+        """
+        forward, reversed_matcher = parser.ensure_compiled_matchers()
+        return cls(
+            frozen.epoch if frozen is not None else 0,
+            forward,
+            reversed_matcher,
+            frozen,
+            parser.trie.min_length,
+            parser.flags,
+            parser.cache_info()["capacity"],
+        )
+
     def build_parser(self) -> FuzzyParser:
         """A parser that parses byte-identically to the publisher's."""
         return FuzzyParser.from_compiled(
@@ -135,6 +163,15 @@ class MaterializedScoringState:
             dict(self.flags),
             parse_cache_size=self.parse_cache_size,
         )
+
+    def require_frozen(self) -> FrozenGrammar:
+        """The scoring kernel; trie-only states are rejected."""
+        if self.frozen is None:
+            raise ValueError(
+                f"snapshot at epoch {self.epoch} carries no grammar "
+                "tables (trie-only training segment?)"
+            )
+        return self.frozen
 
 
 #: Segments created (hence owned) by this process, by name.  The
@@ -177,35 +214,28 @@ class SharedScoringSegment:
 
     @classmethod
     def create(
-        cls,
-        *,
-        epoch: int,
-        forward: CompiledTrie,
-        min_length: int,
-        flags: Mapping[str, bool],
-        parse_cache_size: int,
-        reversed_matcher: Optional[CompiledTrie] = None,
-        frozen: Optional[FrozenGrammar] = None,
+        cls, state: MaterializedScoringState
     ) -> "SharedScoringSegment":
         """Pack a scoring snapshot into a fresh shared segment.
 
-        ``frozen`` is optional so the training engine can publish
-        trie-only segments (workers there parse, they do not score).
+        A state without a frozen grammar yields a trie-only segment
+        (the training engine's: workers there parse, they do not
+        score).
         """
-        trie_meta, trie_sections = forward.to_arrays()
+        trie_meta, trie_sections = state.forward.to_arrays()
         sections: Dict[str, Any] = {
             f"t.{name}": value for name, value in trie_sections.items()
         }
         parts: Dict[str, Any] = {"t": trie_meta}
-        if reversed_matcher is not None:
-            rev_meta, rev_sections = reversed_matcher.to_arrays()
+        if state.reversed_matcher is not None:
+            rev_meta, rev_sections = state.reversed_matcher.to_arrays()
             parts["r"] = rev_meta
             sections.update(
                 (f"r.{name}", value)
                 for name, value in rev_sections.items()
             )
-        if frozen is not None:
-            grammar_meta, grammar_sections = frozen.to_tables()
+        if state.frozen is not None:
+            grammar_meta, grammar_sections = state.frozen.to_tables()
             parts["g"] = grammar_meta
             sections.update(
                 (f"g.{name}", value)
@@ -214,10 +244,10 @@ class SharedScoringSegment:
         image = pack(
             MAGIC,
             {
-                "epoch": epoch,
-                "min_length": min_length,
-                "flags": dict(flags),
-                "parse_cache_size": parse_cache_size,
+                "epoch": state.epoch,
+                "min_length": state.min_length,
+                "flags": dict(state.flags),
+                "parse_cache_size": state.parse_cache_size,
                 "parts": parts,
             },
             sections,
@@ -234,7 +264,7 @@ class SharedScoringSegment:
             except FileExistsError:  # pragma: no cover - uuid collision
                 continue
         shm.buf[: len(image)] = image
-        segment = cls(shm, epoch, owner_pid=os.getpid())
+        segment = cls(shm, state.epoch, owner_pid=os.getpid())
         _OWNED[segment.name] = segment
         telemetry = obs.get()
         if telemetry.enabled:

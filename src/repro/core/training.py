@@ -46,7 +46,12 @@ from repro.obs.core import now as _now
 from repro.core.deltas import DeltaBuilder, DeltaMerger, GrammarDelta
 from repro.core.grammar import FuzzyGrammar
 from repro.core.parser import FuzzyParser
-from repro.core.shm import SharedScoringSegment, _worker_attach_state, mp_context
+from repro.core.shm import (
+    MaterializedScoringState,
+    SharedScoringSegment,
+    _worker_attach_state,
+    mp_context,
+)
 from repro.core.trie import PrefixTrie
 
 #: Training entries may carry a multiplicity, e.g. from a frequency file.
@@ -165,20 +170,6 @@ _WORKER_PARSER: Optional[FuzzyParser] = None
 _WORKER_BUILDER: Optional[DeltaBuilder] = None
 
 
-def _worker_init(
-    words: List[str], min_length: int, flags: Dict[str, bool]
-) -> None:
-    """Fallback pool initialiser: rebuild the trie locally from words.
-
-    Used only when the parent parser runs with ``use_compiled=False``
-    (ablations); the normal path is :func:`_worker_init_compiled`.
-    """
-    global _WORKER_PARSER, _WORKER_BUILDER
-    trie = PrefixTrie(words, min_length=min_length)
-    _WORKER_PARSER = FuzzyParser(trie, **flags)
-    _WORKER_BUILDER = DeltaBuilder(worker_id=os.getpid())
-
-
 def _worker_init_shared(segment_name: str) -> None:
     """Pool initialiser: attach the parent's snapshot segment by name.
 
@@ -221,42 +212,25 @@ def _training_pool(
 ) -> Iterator[multiprocessing.pool.Pool]:
     """The persistent worker pool for ``parser``, with segment lifetime.
 
-    Compiled parsers publish their flat-array matchers into a
-    trie-only shared-memory segment (no grammar tables — training
-    workers parse, they do not score) and hand every worker just the
-    segment name; the segment is unlinked when the pool winds down.
-    The ``use_compiled=False`` ablation falls back to shipping the
-    word list and rebuilding per worker.  Both paths build the pool
+    The parser's flat-array matchers are published into a trie-only
+    shared-memory segment (no grammar tables — training workers parse,
+    they do not score) and every worker gets just the segment name;
+    the segment is unlinked when the pool winds down.  The pool comes
     from :func:`repro.core.shm.mp_context`, so ``REPRO_START_METHOD``
     governs training exactly like scoring and serving.
     """
-    if parser.flags.get("use_compiled"):
-        forward, reversed_matcher = parser.ensure_compiled_matchers()
-        segment = SharedScoringSegment.create(
-            epoch=0,
-            forward=forward,
-            min_length=parser.trie.min_length,
-            flags=parser.flags,
-            parse_cache_size=parser.cache_info()["capacity"],
-            reversed_matcher=reversed_matcher,
-        )
-        try:
-            with mp_context().Pool(
-                processes=jobs,
-                initializer=_worker_init_shared,
-                initargs=(segment.name,),
-            ) as pool:
-                yield pool
-        finally:
-            segment.unlink()
-        return
-    trie = parser.trie
-    with mp_context().Pool(
-        processes=jobs,
-        initializer=_worker_init,
-        initargs=(list(trie.iter_words()), trie.min_length, parser.flags),
-    ) as pool:
-        yield pool
+    segment = SharedScoringSegment.create(
+        MaterializedScoringState.from_parser(parser)
+    )
+    try:
+        with mp_context().Pool(
+            processes=jobs,
+            initializer=_worker_init_shared,
+            initargs=(segment.name,),
+        ) as pool:
+            yield pool
+    finally:
+        segment.unlink()
 
 
 def train_grammar(training_passwords: Iterable[PasswordEntry],

@@ -243,14 +243,18 @@ class PrefixTrie:
 
     def longest_fuzzy_match(self, text: str,
                             allow_capitalization: bool = True,
-                            allow_leet: bool = True) -> Optional[FuzzyMatch]:
-        """The preferred match: longest, then fewest transformations.
+                            allow_leet: bool = True,
+                            start: int = 0) -> Optional[FuzzyMatch]:
+        """The preferred match on ``text[start:]``: longest, then fewest
+        transformations.
 
         Ties after both criteria are broken lexicographically on the
-        base word so that parsing is fully deterministic.
+        base word so that parsing is fully deterministic.  The signature
+        is :meth:`CompiledTrie.longest_fuzzy_match`'s, so a pointer trie
+        can stand in for the compiled one as a parse-level reference.
         """
         matches = self.fuzzy_matches(
-            text,
+            text[start:] if start else text,
             allow_capitalization=allow_capitalization,
             allow_leet=allow_leet,
         )

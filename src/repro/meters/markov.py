@@ -27,7 +27,6 @@ import enum
 import math
 import random
 import string
-import warnings
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.meters.base import ProbabilisticMeter
@@ -157,15 +156,6 @@ class MarkovMeter(ProbabilisticMeter):
                 table.add(successor, count)
         self._counts_of_counts = None  # invalidate Good-Turing cache
         self._successor_cache.clear()
-
-    def observe(self, password: str, count: int = 1) -> None:
-        """Deprecated spelling of :meth:`update`."""
-        warnings.warn(
-            "MarkovMeter.observe() is deprecated; use update()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.update(password, count)
 
     # --- probabilities -----------------------------------------------------
 

@@ -16,7 +16,6 @@ guesses in decreasing probability (used for Table III and Fig. 10).
 from __future__ import annotations
 
 import random
-import warnings
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.meters.base import ProbabilisticMeter
@@ -107,15 +106,6 @@ class PCFGMeter(ProbabilisticMeter):
         for slot, segment in zip(slots, segments):
             table = self._segments.setdefault(slot, FrequencyDistribution())
             table.add(segment.text, count)
-
-    def observe(self, password: str, count: int = 1) -> None:
-        """Deprecated spelling of :meth:`update`."""
-        warnings.warn(
-            "PCFGMeter.observe() is deprecated; use update()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.update(password, count)
 
     # --- measuring ---------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""The asyncio HTTP server composing snapshots, workers and batchers.
+"""The asyncio HTTP server composing workers and batchers per model.
 
 :class:`ReproServer` is the online face of the meter (DESIGN.md §14):
 
@@ -25,6 +25,13 @@ default executor; without workers they run ``probability_many`` in the
 executor (parallel-scorable meters) or inline per password.  Worker
 mode requires the ``PARALLEL_SCORABLE`` registry capability — gating
 is by capability, never by concrete meter type.
+
+Every use of a model's meter — in-process scoring together with the
+epoch it reports, ``/accept``'s update and snapshot rebuild,
+``/suggest`` — holds that model's lock, across the executor call.  The
+meter's grammar, frozen kernel and parse cache are not thread-safe, so
+without it an ``/accept`` could mutate the grammar under a running
+batch.
 
 The server owns a private :class:`~repro.obs.core.Telemetry` backend,
 so ``/metrics`` is always live even when the process-global backend is
@@ -54,7 +61,6 @@ from repro.serve.http import (
     MAX_HEADER_BYTES, HttpError, Request, read_request, render_response,
 )
 from repro.serve.registry import SnapshotRegistry
-from repro.serve.snapshot import ServingSnapshot
 from repro.serve.workers import WorkerPool
 
 #: Routes the server answers, for 404-vs-405 discrimination.
@@ -104,14 +110,20 @@ class ServeConfig:
 
 
 class _ModelRuntime:
-    """Per-model serving state: meter, capabilities, pool, batcher."""
+    """Per-model serving state: meter, capabilities, pool, batcher.
+
+    ``lock`` guards every use of ``meter`` (see the module docstring).
+    """
 
     __slots__ = ("name", "meter", "parallel", "updatable", "pool",
-                 "batcher")
+                 "batcher", "lock")
 
     def __init__(self, name: str, meter: Any) -> None:
         self.name = name
         self.meter = meter
+        # Created by ReproServer.start, on the serving event loop:
+        # Python 3.9 binds an asyncio.Lock to a loop when it is built.
+        self.lock: asyncio.Lock
         spec = spec_for(meter)
         self.parallel = (
             spec is not None and spec.has(Capability.PARALLEL_SCORABLE)
@@ -230,10 +242,11 @@ class ReproServer:
             raise RuntimeError("server already started")
         config = self._config
         for runtime in self._runtimes.values():
+            runtime.lock = asyncio.Lock()
             if config.workers > 0:
-                snapshot = ServingSnapshot.from_meter(runtime.meter)
                 runtime.pool = WorkerPool(
-                    snapshot, config.workers, telemetry=self._telemetry
+                    runtime.meter.scoring_state(), config.workers,
+                    telemetry=self._telemetry,
                 )
             runtime.batcher = MicroBatcher(
                 partial(self._score_batch, runtime),
@@ -411,7 +424,12 @@ class ReproServer:
     async def _score_batch(
         self, runtime: _ModelRuntime, passwords: List[str]
     ) -> Tuple[int, List[float]]:
-        """Score one micro-batch for ``runtime`` off the event loop."""
+        """Score one micro-batch for ``runtime`` off the event loop.
+
+        Worker replies carry the epoch of the segment that scored them;
+        in-process scoring holds the model lock until the epoch is
+        read, so no ``/accept`` can land between score and label.
+        """
         loop = asyncio.get_running_loop()
         pool = runtime.pool
         if pool is not None:
@@ -423,14 +441,15 @@ class ReproServer:
             )
             return epoch, scores
         meter = runtime.meter
-        if runtime.parallel:
-            scores = await loop.run_in_executor(
-                None, meter.probability_many, list(passwords)
-            )
-            return runtime.epoch, list(scores)
-        return runtime.epoch, [
-            meter.probability(pw) for pw in passwords
-        ]
+        async with runtime.lock:
+            if runtime.parallel:
+                scores = await loop.run_in_executor(
+                    None, meter.probability_many, list(passwords)
+                )
+                return runtime.epoch, list(scores)
+            return runtime.epoch, [
+                meter.probability(pw) for pw in passwords
+            ]
 
     # --- handlers ------------------------------------------------------
 
@@ -515,9 +534,10 @@ class ReproServer:
             rng=random.Random(0),
         )
         try:
-            suggestions = await asyncio.get_running_loop().run_in_executor(
-                None, call
-            )
+            async with runtime.lock:
+                suggestions = await (
+                    asyncio.get_running_loop().run_in_executor(None, call)
+                )
         except ValueError as error:
             raise HttpError(400, str(error))
         return 200, {
@@ -589,7 +609,8 @@ class ReproServer:
 
         Per-model: only the routed model's meter updates and only its
         pool swaps segments — sibling models keep serving their epochs
-        untouched.
+        untouched.  The model lock is held from the update through the
+        swap, so concurrent accepts publish their epochs in order.
         """
         payload = request.json()
         runtime = self._resolve_model(request, payload)
@@ -599,30 +620,31 @@ class ReproServer:
         count = payload.get("count", 1)
         if not isinstance(count, int):
             raise HttpError(400, "'count' must be an integer")
-        try:
-            runtime.meter.update(password, count)
-        except ValueError as error:
-            raise HttpError(400, str(error))
         telemetry = self._telemetry
-        telemetry.incr("serve.accepts")
-        if runtime.pool is not None:
-            # Rebuild + swap before answering: once the client sees
-            # this response, sequential requests score the new epoch.
-            loop = asyncio.get_running_loop()
-            start = _now()
-            snapshot = await loop.run_in_executor(
-                None, ServingSnapshot.from_meter, runtime.meter
-            )
-            await loop.run_in_executor(
-                None, runtime.pool.swap, snapshot
-            )
-            telemetry.incr("serve.reloads")
-            telemetry.observe("serve.reload.seconds", _now() - start)
+        async with runtime.lock:
+            try:
+                runtime.meter.update(password, count)
+            except ValueError as error:
+                raise HttpError(400, str(error))
+            telemetry.incr("serve.accepts")
+            pool = runtime.pool
+            if pool is not None:
+                # Rebuild + swap before answering: once the client sees
+                # this response, sequential requests score the new epoch.
+                loop = asyncio.get_running_loop()
+                start = _now()
+                state = await loop.run_in_executor(
+                    None, runtime.meter.scoring_state
+                )
+                await loop.run_in_executor(None, pool.swap, state)
+                telemetry.incr("serve.reloads")
+                telemetry.observe("serve.reload.seconds", _now() - start)
+            epoch = runtime.epoch
         return 200, {
             "accepted": True,
             "password": password,
             "count": count,
-            "epoch": runtime.epoch,
+            "epoch": epoch,
             "model": runtime.name,
         }
 

@@ -2,16 +2,20 @@
 
 Each worker is a long-lived ``multiprocessing.Process`` connected to
 the server by one duplex pipe.  Workers never receive model state by
-value: the pool publishes its :class:`ServingSnapshot` into one
-shared-memory segment (DESIGN.md §16) and hands each worker the
-segment *name* — attach is a millisecond ``mmap``, identical under
-the fork and spawn start methods (:func:`repro.core.shm.mp_context`),
-and request traffic carries only password lists and score lists.  A
-hot reload publishes the new epoch's segment, ships its name down the
-pipe exactly once per worker, then unlinks the retired segment;
-because the pipe is FIFO and each worker handles one message at a
-time, every batch already queued ahead of the swap finishes on the
-old mapping (which stays valid until the worker reattaches).
+value: the pool publishes the meter's scoring snapshot
+(:class:`~repro.core.shm.MaterializedScoringState`, from
+``FuzzyPSM.scoring_state``) into one shared-memory segment (DESIGN.md
+§16) and hands each worker the segment *name* — attach is a
+millisecond ``mmap``, identical under the fork and spawn start methods
+(:func:`repro.core.shm.mp_context`), and request traffic carries only
+password lists and score lists.  Workers score with
+:func:`repro.core.meter.score_many`, the same loop as
+``probability_many``.  A hot reload publishes the new epoch's segment,
+ships its name down the pipe exactly once per worker, then unlinks the
+retired segment; because the pipe is FIFO and each worker handles one
+message at a time, every batch already queued ahead of the swap
+finishes on the old mapping (which stays valid until the worker
+reattaches).
 
 Crash handling is the pool's job, not the caller's: a batch sent to a
 worker that died (killed, OOM, segfault) surfaces as a pipe error, the
@@ -27,9 +31,16 @@ import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.core.shm import SharedScoringSegment, mp_context
+from repro.core.frozen import FrozenGrammar
+from repro.core.meter import score_many
+from repro.core.parser import FuzzyParser
+from repro.core.shm import (
+    MaterializedScoringState,
+    SharedScoringSegment,
+    _worker_attach_state,
+    mp_context,
+)
 from repro.obs.core import Telemetry, now as _now
-from repro.serve.snapshot import ServingSnapshot, SnapshotScorer
 
 #: Seconds a dispatcher waits on a worker reply before declaring the
 #: worker wedged.  Generous — batches score in milliseconds; this only
@@ -51,14 +62,13 @@ def _serve_worker_main(connection: Any, segment_name: str) -> None:
 
     * ``("score", [pw, ...])`` → ``("scored", epoch, [p, ...], secs)``;
     * ``("swap", name)``       → ``("swapped", epoch)`` — attaches the
-      new epoch's segment and rebuilds the scorer; in-flight batches
+      new epoch's segment and rebuilds the parser; in-flight batches
       queued earlier already drained on the old mapping;
     * ``("ping",)``            → ``("pong", epoch)``;
     * ``("stop",)``            → ``("stopped",)`` and exit.
     """
-    scorer: SnapshotScorer = (
-        ServingSnapshot.from_segment(segment_name).build_scorer()
-    )
+    state = _worker_attach_state(segment_name)
+    frozen, parser = state.require_frozen(), state.build_parser()
     while True:
         try:
             message = connection.recv()
@@ -67,17 +77,16 @@ def _serve_worker_main(connection: Any, segment_name: str) -> None:
         kind = message[0]
         if kind == "score":
             start = _now()
-            scores = scorer.score_many(message[1])
+            scores = score_many(parser, frozen, message[1])
             connection.send(
-                ("scored", scorer.epoch, scores, _now() - start)
+                ("scored", state.epoch, scores, _now() - start)
             )
         elif kind == "swap":
-            scorer = (
-                ServingSnapshot.from_segment(message[1]).build_scorer()
-            )
-            connection.send(("swapped", scorer.epoch))
+            state = _worker_attach_state(message[1])
+            frozen, parser = state.require_frozen(), state.build_parser()
+            connection.send(("swapped", state.epoch))
         elif kind == "ping":
-            connection.send(("pong", scorer.epoch))
+            connection.send(("pong", state.epoch))
         elif kind == "stop":
             connection.send(("stopped",))
             break
@@ -157,8 +166,8 @@ class WorkerPool:
 
     All methods are blocking (the async server calls them through an
     executor).  The pool owns one *current* shared segment (published
-    from the snapshot it was built or last swapped with): spawns and
-    respawns attach to it by name, :meth:`swap` publishes the new
+    from the scoring state it was built or last swapped with): spawns
+    and respawns attach to it by name, :meth:`swap` publishes the new
     epoch's segment, broadcasts its name to the live workers and
     unlinks the retired one.  :meth:`stop` unlinks the current
     segment, so a stopped pool leaves nothing in ``/dev/shm``.
@@ -166,21 +175,23 @@ class WorkerPool:
 
     def __init__(
         self,
-        snapshot: ServingSnapshot,
+        state: MaterializedScoringState,
         size: int,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         if size < 1:
             raise ValueError(f"worker pool size must be >= 1, got {size}")
-        self._snapshot = snapshot
-        self._segment: SharedScoringSegment = snapshot.publish()
+        self._state = state
+        self._segment = SharedScoringSegment.create(state)
         self._telemetry = telemetry if telemetry is not None else obs.get()
         self._handles: List[_WorkerHandle] = [
             _WorkerHandle(self._segment.name) for _ in range(size)
         ]
         self._round_robin = 0
         self._respawn_lock = threading.Lock()
-        self._fallback: Optional[SnapshotScorer] = None
+        self._fallback: Optional[
+            Tuple[int, FuzzyParser, FrozenGrammar]
+        ] = None
 
     # --- introspection -------------------------------------------------
 
@@ -191,7 +202,7 @@ class WorkerPool:
     @property
     def epoch(self) -> int:
         """Epoch of the snapshot workers are (being) seeded with."""
-        return self._snapshot.epoch
+        return self._state.epoch
 
     @property
     def segment_name(self) -> str:
@@ -234,10 +245,10 @@ class WorkerPool:
             return reply[1], reply[2], reply[3]
         telemetry.incr("serve.worker.fallback.inline")
         self.respawn_dead()
-        scorer = self._fallback_scorer()
+        epoch, parser, frozen = self._fallback_scorer()
         start = _now()
-        scores = scorer.score_many(passwords)
-        return scorer.epoch, scores, _now() - start
+        scores = score_many(parser, frozen, passwords)
+        return epoch, scores, _now() - start
 
     def _next_alive(self) -> Optional[_WorkerHandle]:
         """Round-robin over live workers (None when all are dead)."""
@@ -249,13 +260,18 @@ class WorkerPool:
                 return handle
         return None
 
-    def _fallback_scorer(self) -> SnapshotScorer:
-        """In-process scorer over the current snapshot (last resort)."""
-        scorer = self._fallback
-        if scorer is None or scorer.epoch != self._snapshot.epoch:
-            scorer = self._snapshot.build_scorer()
-            self._fallback = scorer
-        return scorer
+    def _fallback_scorer(self) -> Tuple[int, FuzzyParser, FrozenGrammar]:
+        """``(epoch, parser, frozen)`` over the current snapshot, for
+        scoring in-process (last resort); the parser and its cache are
+        kept until the epoch moves."""
+        fallback = self._fallback
+        state = self._state
+        if fallback is None or fallback[0] != state.epoch:
+            fallback = (
+                state.epoch, state.build_parser(), state.require_frozen()
+            )
+            self._fallback = fallback
+        return fallback
 
     # --- lifecycle -----------------------------------------------------
 
@@ -274,8 +290,8 @@ class WorkerPool:
                 self._telemetry.incr("serve.worker.respawns", replaced)
             return replaced
 
-    def swap(self, snapshot: ServingSnapshot) -> None:
-        """Atomically adopt ``snapshot`` and broadcast it to workers.
+    def swap(self, state: MaterializedScoringState) -> None:
+        """Atomically adopt ``state`` and broadcast it to workers.
 
         The new epoch's segment is published and adopted first, so any
         respawn from here on attaches the new epoch; each live worker
@@ -286,8 +302,8 @@ class WorkerPool:
         name disappears.
         """
         retired = self._segment
-        self._segment = snapshot.publish()
-        self._snapshot = snapshot
+        self._segment = SharedScoringSegment.create(state)
+        self._state = state
         for handle in list(self._handles):
             try:
                 handle.request(("swap", self._segment.name))

@@ -73,19 +73,6 @@ class FrequencyDistribution(Generic[T]):
         dist._total = sum(table.values())
         return dist
 
-    def merge(self, other: "FrequencyDistribution[T]") -> None:
-        """Add every count of ``other`` into this distribution.
-
-        Counting commutes, so merging per-chunk distributions yields
-        exactly the distribution a single pass over the concatenated
-        data would have produced — this is what makes parallel grammar
-        training an exact optimisation rather than an approximation.
-        """
-        counts = self._counts
-        for item, count in other._counts.items():
-            counts[item] = counts.get(item, 0) + count
-        self._total += other._total
-
     # --- queries ----------------------------------------------------
 
     @property

@@ -8,6 +8,8 @@ import random
 import pytest
 
 from repro.core import FuzzyPSM
+from repro.core.parser import FuzzyParser
+from repro.core.trie import PrefixTrie
 from repro.datasets import PasswordCorpus, SyntheticEcosystem
 from repro.meters import MarkovMeter, PCFGMeter, Smoothing
 
@@ -24,6 +26,37 @@ TRAINING_PASSWORDS = [
     "Dragon", "qwerty12", "tyxdqd123", "woaini520", "5201314",
     "letmein!", "monkey99", "PASSWORD",
 ]
+
+
+def pointer_parser(trie: PrefixTrie, **flags) -> FuzzyParser:
+    """The pointer-trie reference parser for the parse differentials.
+
+    Production parses only ever match against the compiled trie; this
+    parser runs the same rules over plain :class:`PrefixTrie` walks
+    (both tries expose the same ``longest_fuzzy_match``), with the
+    reverse rule's trie built the way the parser builds its own.
+    """
+    reversed_trie = None
+    if flags.get("allow_reverse"):
+        reversed_trie = PrefixTrie(min_length=trie.min_length)
+        for word in trie.iter_words():
+            if word != word[::-1]:
+                reversed_trie.insert(word[::-1])
+    return FuzzyParser.from_compiled(
+        trie, reversed_trie, trie.min_length, flags
+    )
+
+
+def reference_scores(meter: FuzzyPSM, passwords) -> list:
+    """``meter``'s scores recomputed from the pointer-trie reference
+    parse and the count-table kernel (the paper's Fig. 11 product)."""
+    parser = pointer_parser(meter.trie, **meter.parser.flags)
+    probability = meter.grammar.derivation_probability
+    return [
+        probability(parser.parse(password).to_derivation())
+        if password else 0.0
+        for password in passwords
+    ]
 
 
 def _snapshot_segments() -> set:

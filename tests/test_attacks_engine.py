@@ -390,14 +390,14 @@ class TestSnapshotEngine:
         assert attached_draws == direct_draws
 
     def test_trie_only_segment_is_rejected(self):
-        from repro.core.shm import SharedScoringSegment
+        from repro.core.shm import (
+            MaterializedScoringState,
+            SharedScoringSegment,
+        )
 
         meter = trained_meter()
-        forward, _ = meter._parser.ensure_compiled_matchers()
         segment = SharedScoringSegment.create(
-            epoch=0, forward=forward,
-            min_length=meter.trie.min_length,
-            flags=meter._parser.flags, parse_cache_size=64,
+            MaterializedScoringState.from_parser(meter.parser)
         )
         try:
             with pytest.raises(ValueError, match="no grammar tables"):

@@ -17,6 +17,8 @@ from repro.core.parser import FuzzyParser
 from repro.core.trie import PrefixTrie
 from repro.util.leet import LEET_BY_LETTER
 
+from tests.conftest import pointer_parser
+
 
 WORDS = [
     "password", "p@ssword", "pass", "passw0rd", "word", "love",
@@ -217,7 +219,7 @@ class TestLayoutEdgeCases:
 
 
 class TestParserEquivalence:
-    """FuzzyParser(use_compiled=True) == FuzzyParser(use_compiled=False)."""
+    """The compiled-trie parser == the pointer-trie reference parser."""
 
     @pytest.mark.parametrize("flags", [
         {},
@@ -229,8 +231,8 @@ class TestParserEquivalence:
     ])
     def test_parse_identical(self, tries, flags):
         pointer, _, words, rng = tries
-        fast = FuzzyParser(pointer, use_compiled=True, **flags)
-        slow = FuzzyParser(pointer, use_compiled=False, **flags)
+        fast = FuzzyParser(pointer, **flags)
+        slow = pointer_parser(pointer, **flags)
         probes = random_probes(rng, words, 300)
         probes += ["DRAGON99", "drowssap", "NOGARD", "P@ssw0rd!"]
         for probe in probes:
@@ -238,17 +240,10 @@ class TestParserEquivalence:
 
     def test_compiled_matcher_is_lazy(self, tries):
         pointer, _, _, _ = tries
-        parser = FuzzyParser(pointer, use_compiled=True)
+        parser = FuzzyParser(pointer)
         assert parser.compiled_trie is None
         parser.parse("password")
         assert isinstance(parser.compiled_trie, CompiledTrie)
-
-    def test_no_compile_never_builds(self, tries):
-        pointer, _, _, _ = tries
-        parser = FuzzyParser(pointer, use_compiled=False)
-        parser.parse("password123")
-        assert parser.compiled_trie is None
-        assert not parser.use_compiled
 
     def test_reversed_trie_is_lazy(self, tries):
         pointer, _, _, _ = tries

@@ -103,7 +103,7 @@ class TestUpdatePhase:
         meter = FuzzyPSM.train(base_dictionary, training_passwords)
         target = "qwerty12"
         before = meter.probability(target)
-        meter.accept(target, count=10)
+        meter.update(target, count=10)
         assert meter.probability(target) > before
 
     def test_accept_makes_unseen_structures_derivable(self, base_dictionary,
@@ -111,12 +111,12 @@ class TestUpdatePhase:
         meter = FuzzyPSM.train(base_dictionary, training_passwords)
         novel = "password!!!!!!"
         assert meter.probability(novel) == 0.0
-        meter.accept(novel)
+        meter.update(novel)
         assert meter.probability(novel) > 0.0
 
     def test_accept_empty_rejected(self, fuzzy_meter):
         with pytest.raises(ValueError):
-            fuzzy_meter.accept("")
+            fuzzy_meter.update("")
 
 
 class TestGuessEnumeration:

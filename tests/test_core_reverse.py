@@ -186,11 +186,11 @@ class TestMeterReverse:
         ) == reverse_meter.probability("drowssap")
 
     def test_update_phase_with_reverse(self, reverse_meter):
-        # accept() re-parses with the same reverse-aware parser.
+        # update() re-parses with the same reverse-aware parser.
         before = reverse_meter.grammar.reverse.count(True)
         meter = FuzzyPSM.train(
             BASE, TRAINING, config=FuzzyPSMConfig(allow_reverse=True)
         )
-        meter.accept("eworole" [::-1])  # fallback; no crash
-        meter.accept("nogard9")
+        meter.update("eworole" [::-1])  # fallback; no crash
+        meter.update("nogard9")
         assert meter.grammar.reverse.count(True) >= before

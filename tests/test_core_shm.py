@@ -21,6 +21,7 @@ from repro.core import shm as shm_module
 from repro.core.shm import (
     SEGMENT_PREFIX,
     START_METHOD_ENV,
+    MaterializedScoringState,
     SharedScoringSegment,
     _worker_attach_state,
     mp_context,
@@ -127,16 +128,8 @@ class TestSegmentRoundTrip:
 
     def test_trie_only_segment_has_no_grammar(self):
         meter = _train()
-        forward, reversed_matcher = (
-            meter._parser.ensure_compiled_matchers()
-        )
         segment = SharedScoringSegment.create(
-            epoch=0,
-            forward=forward,
-            min_length=meter.trie.min_length,
-            flags=meter._parser.flags,
-            parse_cache_size=256,
-            reversed_matcher=reversed_matcher,
+            MaterializedScoringState.from_parser(meter.parser)
         )
         try:
             state = segment.materialize()

@@ -4,7 +4,9 @@ The performance layer (compiled trie, parse cache, batch scoring) is
 contractually an execution-strategy change only.  These tests pit each
 fast path against its reference implementation on generated inputs —
 unicode text, leet-dense dictionary mashups, lengths 0-64 — and demand
-bitwise-identical results.
+bitwise-identical results.  The compiled trie's reference is the
+pointer :class:`PrefixTrie`, walked by the test-side parser
+``tests.conftest.pointer_parser``.
 
 ``derandomize=True`` pins Hypothesis to its deterministic seed, so a
 failure here reproduces identically on every machine and CI run.
@@ -17,12 +19,17 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.core.meter import FuzzyPSM, FuzzyPSMConfig  # noqa: E402
+from repro.core.meter import FuzzyPSM  # noqa: E402
 from repro.core.parser import FuzzyParser  # noqa: E402
 from repro.core.training import build_base_trie  # noqa: E402
 from repro.util.leet import LEET_BY_LETTER  # noqa: E402
 
-from tests.conftest import BASE_DICTIONARY, TRAINING_PASSWORDS  # noqa: E402
+from tests.conftest import (  # noqa: E402
+    BASE_DICTIONARY,
+    TRAINING_PASSWORDS,
+    pointer_parser,
+    reference_scores,
+)
 
 #: A dictionary rich in leet-able letters and shared prefixes, so the
 #: longest-prefix-match tie-breaking actually gets exercised.
@@ -69,10 +76,7 @@ PASSWORDS = st.one_of(st.text(max_size=64), leet_dense(), mashup())
 
 def _parser_pair(**flags) -> "tuple[FuzzyParser, FuzzyParser]":
     trie = build_base_trie(WORDS)
-    return (
-        FuzzyParser(trie, use_compiled=True, **flags),
-        FuzzyParser(trie, use_compiled=False, **flags),
-    )
+    return FuzzyParser(trie, **flags), pointer_parser(trie, **flags)
 
 
 _COMPILED, _POINTER = _parser_pair()
@@ -82,10 +86,6 @@ _COMPILED_FULL, _POINTER_FULL = _parser_pair(
 _CACHED_PARSER = FuzzyParser(build_base_trie(WORDS), parse_cache_size=64)
 
 _METER = FuzzyPSM.train(WORDS, TRAINING_PASSWORDS)
-_POINTER_METER = FuzzyPSM.train(
-    WORDS, TRAINING_PASSWORDS,
-    config=FuzzyPSMConfig(use_compiled_trie=False),
-)
 
 
 class TestCompiledVsPointerTrie:
@@ -107,7 +107,7 @@ class TestCompiledVsPointerTrie:
     def test_meter_probabilities_are_identical(self, batch):
         assert (
             _METER.probability_many(batch)
-            == _POINTER_METER.probability_many(batch)
+            == reference_scores(_METER, batch)
         )
 
 

@@ -160,7 +160,7 @@ class TestAdaptiveUpdate:
         trend = "brandnewfad2026"
         before = meter.probability(trend)
         for _ in range(50):
-            meter.accept(trend)
+            meter.update(trend)
         after = meter.probability(trend)
         assert after > before
         assert after > 0.0

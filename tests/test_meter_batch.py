@@ -13,11 +13,16 @@ import random
 
 import pytest
 
+from repro.core.compiled_trie import CompiledTrie
 from repro.core.meter import FuzzyPSM, FuzzyPSMConfig
 from repro.core.training import build_base_trie, train_grammar
 from repro.util.freqdist import FrequencyDistribution
 
-from tests.conftest import BASE_DICTIONARY, TRAINING_PASSWORDS
+from tests.conftest import (
+    BASE_DICTIONARY,
+    TRAINING_PASSWORDS,
+    reference_scores,
+)
 
 
 def probe_stream(rng: random.Random, count: int) -> list:
@@ -83,13 +88,11 @@ class TestProbabilityMany:
         assert batch_meter.grammar == serial_meter.grammar
 
     def test_compiled_and_pointer_meters_agree(self, rng):
+        # The pointer-trie side is the test-side reference parser.
         fast = FuzzyPSM.train(BASE_DICTIONARY, TRAINING_PASSWORDS)
-        slow = FuzzyPSM.train(
-            BASE_DICTIONARY, TRAINING_PASSWORDS,
-            config=FuzzyPSMConfig(use_compiled_trie=False),
-        )
         probes = probe_stream(rng, 300)
-        assert fast.probability_many(probes) == slow.probability_many(probes)
+        assert fast.probability_many(probes) == \
+            reference_scores(fast, probes)
 
 
 class TestParallelTraining:
@@ -170,11 +173,11 @@ class TestCountValidation:
                                        training_passwords):
         meter = FuzzyPSM.train(base_dictionary, training_passwords)
         with pytest.raises(ValueError, match="positive"):
-            meter.accept("password1", count=0)
+            meter.update("password1", count=0)
         with pytest.raises(ValueError, match="positive"):
-            meter.accept("password1", count=-1)
+            meter.update("password1", count=-1)
         before = meter.grammar.total_passwords
-        meter.accept("password1", count=2)
+        meter.update("password1", count=2)
         assert meter.grammar.total_passwords == before + 2
 
 
@@ -197,37 +200,32 @@ class TestSerialisation:
         assert "zzznewword" in after
 
     def test_round_trip_preserves_config_and_scores(self, rng):
-        config = FuzzyPSMConfig(use_compiled_trie=False)
+        config = FuzzyPSMConfig(allow_reverse=True, parse_cache_size=128)
         meter = FuzzyPSM.train(
             BASE_DICTIONARY, TRAINING_PASSWORDS, config=config
         )
         clone = FuzzyPSM.from_dict(meter.to_dict())
         assert clone.config == config
-        assert not clone.config.use_compiled_trie
         probes = probe_stream(rng, 100)
         assert clone.probability_many(probes) == \
             meter.probability_many(probes)
 
     def test_legacy_dict_defaults_to_compiled(self, fuzzy_meter):
+        # Older model files name the trie matcher in their config; the
+        # key is ignored and the compiled trie — the only matcher —
+        # parses.
         data = fuzzy_meter.to_dict()
-        del data["config"]["use_compiled_trie"]
+        data["config"]["use_compiled_trie"] = False
         clone = FuzzyPSM.from_dict(data)
-        assert clone.config.use_compiled_trie
+        assert clone.config == fuzzy_meter.config
+        assert "use_compiled_trie" not in clone.to_dict()["config"]
+        clone.parse("password123")
+        assert isinstance(clone.parser.compiled_trie, CompiledTrie)
 
 
-class TestGrammarMerge:
-    def test_freqdist_merge_and_eq(self):
-        left = FrequencyDistribution(["a", "a", "b"])
-        right = FrequencyDistribution(["b", "c"])
-        left.merge(right)
-        assert left == FrequencyDistribution(["a", "a", "b", "b", "c"])
+class TestFrequencyDistributionEquality:
+    def test_freqdist_eq(self):
+        left = FrequencyDistribution(["a", "a", "b", "b", "c"])
+        assert left == FrequencyDistribution(["b", "a", "c", "a", "b"])
         assert left != FrequencyDistribution(["a"])
         assert left.total == 5
-
-    def test_grammar_merge_equals_joint_training(self):
-        trie = build_base_trie(BASE_DICTIONARY)
-        first = TRAINING_PASSWORDS[:9]
-        second = TRAINING_PASSWORDS[9:]
-        merged = train_grammar(first, trie)
-        merged.merge(train_grammar(second, trie))
-        assert merged == train_grammar(TRAINING_PASSWORDS, trie)

@@ -3,7 +3,7 @@
 The paper notes that the PSMs of [33] (Markov) and [34] (PCFG) share
 fuzzyPSM's update capability ("The two PSMs in [33], [34] also provide
 this feature", Sec. IV-C).  All three trained meters in this library
-therefore expose ``observe``/``accept`` with the same semantics:
+therefore expose ``update`` with the same semantics:
 counts shift towards the new observations and the measured
 probabilities follow.
 """
@@ -29,13 +29,6 @@ def make_meters():
     ]
 
 
-def observe(meter, password, count=1):
-    if isinstance(meter, FuzzyPSM):
-        meter.accept(password, count)
-    else:
-        meter.observe(password, count)
-
-
 class TestUpdateSemantics:
     @pytest.mark.parametrize("index", [0, 1, 2],
                              ids=["fuzzyPSM", "PCFG", "Markov"])
@@ -43,7 +36,7 @@ class TestUpdateSemantics:
         meter = make_meters()[index]
         target = "newtrend7"
         before = meter.probability(target)
-        observe(meter, target, count=20)
+        meter.update(target, count=20)
         assert meter.probability(target) > before
 
     @pytest.mark.parametrize("index", [0, 1, 2],
@@ -51,8 +44,8 @@ class TestUpdateSemantics:
     def test_update_is_weighted(self, index):
         lightly = make_meters()[index]
         heavily = make_meters()[index]
-        observe(lightly, "newtrend7", count=1)
-        observe(heavily, "newtrend7", count=50)
+        lightly.update("newtrend7", count=1)
+        heavily.update("newtrend7", count=50)
         assert (
             heavily.probability("newtrend7")
             >= lightly.probability("newtrend7")
@@ -65,7 +58,7 @@ class TestUpdateSemantics:
         rest of the distribution down (or hold it, never raise it)."""
         meter = make_meters()[index]
         before = meter.probability("password")
-        observe(meter, "zzunrelated1", count=50)
+        meter.update("zzunrelated1", count=50)
         assert meter.probability("password") <= before
 
     @pytest.mark.parametrize("index", [0, 1, 2],
@@ -73,7 +66,7 @@ class TestUpdateSemantics:
     def test_empty_update_rejected(self, index):
         meter = make_meters()[index]
         with pytest.raises(ValueError):
-            observe(meter, "")
+            meter.update("")
 
 
 class TestAdaptivityParity:
@@ -84,8 +77,8 @@ class TestAdaptivityParity:
         fad = "eurocup2026"
         rare = "ordinary42x"
         for meter in make_meters():
-            observe(meter, rare, count=1)
-            observe(meter, fad, count=100)
+            meter.update(rare, count=1)
+            meter.update(fad, count=100)
             assert meter.probability(fad) > meter.probability(rare), (
                 meter.name
             )

@@ -31,7 +31,7 @@ class TestConstruction:
 
     def test_observe_empty_rejected(self):
         with pytest.raises(ValueError):
-            MarkovMeter().observe("")
+            MarkovMeter().update("")
 
 
 class TestMLE:

@@ -51,7 +51,7 @@ class TestTrainingAndMeasuring:
 
     def test_observe_empty_rejected(self):
         with pytest.raises(ValueError):
-            PCFGMeter().observe("")
+            PCFGMeter().update("")
 
     def test_case_preserved_in_segments(self):
         # Ma'14-style learning: letter segments learned verbatim.

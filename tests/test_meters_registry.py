@@ -1,8 +1,8 @@
 """Tests for the capability-based meter registry (DESIGN.md §10).
 
 Covers the registration contract (declared capabilities are verified,
-kinds are unique), lookup/resolution, the unified ``update`` verb and
-its deprecation shims, batch-scoring exactness, and the headline
+kinds are unique), lookup/resolution, the unified ``update`` verb,
+batch-scoring exactness, and the headline
 plugin promise: a toy meter registered in a test participates in
 ``repro meters``, the CLI ``--kind`` choices and persistence with no
 other edits.
@@ -13,8 +13,7 @@ from typing import Any, Dict, Iterable, List
 import pytest
 
 from repro.cli import main
-from repro.core import FuzzyPSM
-from repro.meters import MarkovMeter, PCFGMeter
+from repro.meters import PCFGMeter
 from repro.meters import registry
 from repro.meters.base import Meter
 from repro.meters.registry import (
@@ -123,48 +122,7 @@ class TestRegistrationContract:
 
 
 class TestUnifiedUpdateVerb:
-    """``update`` and the deprecated spellings move models identically."""
-
-    PROBES = ["trendpw99", "password", "123456", "trendpw9"]
-
-    def _pair(self, factory):
-        return factory(), factory()
-
-    def test_fuzzy_accept_shim(self, base_dictionary, training_passwords):
-        via_update, via_shim = self._pair(
-            lambda: FuzzyPSM.train(base_dictionary, training_passwords)
-        )
-        via_update.update("trendpw99", count=5)
-        with pytest.deprecated_call():
-            via_shim.accept("trendpw99", count=5)
-        for probe in self.PROBES:
-            assert via_shim.probability(probe) == via_update.probability(
-                probe
-            )
-
-    def test_pcfg_observe_shim(self, training_passwords):
-        via_update, via_shim = self._pair(
-            lambda: PCFGMeter.train(training_passwords)
-        )
-        via_update.update("trendpw99", count=5)
-        with pytest.deprecated_call():
-            via_shim.observe("trendpw99", count=5)
-        for probe in self.PROBES:
-            assert via_shim.probability(probe) == via_update.probability(
-                probe
-            )
-
-    def test_markov_observe_shim(self, training_passwords):
-        via_update, via_shim = self._pair(
-            lambda: MarkovMeter.train(training_passwords, order=2)
-        )
-        via_update.update("trendpw99", count=5)
-        with pytest.deprecated_call():
-            via_shim.observe("trendpw99", count=5)
-        for probe in self.PROBES:
-            assert via_shim.probability(probe) == via_update.probability(
-                probe
-            )
+    """``update`` is the one mutation verb every updatable meter has."""
 
     def test_update_raises_on_bad_input(self, fuzzy_meter):
         with pytest.raises(ValueError, match="empty"):

@@ -161,6 +161,62 @@ class TestDeterministicBytes:
         assert text == json.dumps(document, sort_keys=True) + "\n"
 
 
+class TestModelsSavedByEarlierVersions:
+    """Model files written while the trie matcher was still an option.
+
+    Earlier versions saved ``use_compiled_trie`` in every fuzzyPSM
+    config, JSON and FPSMBIN1 alike: ``true`` by default, ``false``
+    from ``repro train --no-compile``.  The option is gone; such files
+    must still load, score bit-identically to the same meter saved by
+    the current code, and re-save without the key.
+    """
+
+    PROBES = PROBES + ["", "Dragon1", "p@ssword123", "letmein!!", "x"]
+
+    @staticmethod
+    def _save_as_before(monkeypatch, value):
+        """Make saves write the retired key, exactly where it was."""
+        to_dict, to_buffers = FuzzyPSM.to_dict, FuzzyPSM.to_buffers
+
+        def legacy_dict(self):
+            data = to_dict(self)
+            data["config"]["use_compiled_trie"] = value
+            return data
+
+        def legacy_buffers(self):
+            meta, sections = to_buffers(self)
+            meta["config"]["use_compiled_trie"] = value
+            return meta, sections
+
+        monkeypatch.setattr(FuzzyPSM, "to_dict", legacy_dict)
+        monkeypatch.setattr(FuzzyPSM, "to_buffers", legacy_buffers)
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("fmt", ["json", "binary"])
+    def test_loads_scores_identically_and_resaves_without_key(
+        self, fuzzy, tmp_path, monkeypatch, fmt, value
+    ):
+        current = tmp_path / "current"
+        save_meter(fuzzy, str(current), fmt=fmt)
+        legacy = tmp_path / "legacy"
+        with monkeypatch.context() as patch:
+            self._save_as_before(patch, value)
+            save_meter(fuzzy, str(legacy), fmt=fmt)
+        assert b"use_compiled_trie" in legacy.read_bytes()
+
+        old, new = load_meter(str(legacy)), load_meter(str(current))
+        assert old.config == new.config
+        assert [old.probability(p) for p in self.PROBES] == \
+            [new.probability(p) for p in self.PROBES]
+        assert old.probability_many(self.PROBES) == \
+            new.probability_many(self.PROBES)
+
+        resaved = tmp_path / "resaved"
+        save_meter(old, str(resaved), fmt=fmt)
+        assert b"use_compiled_trie" not in resaved.read_bytes()
+        assert resaved.read_bytes() == current.read_bytes()
+
+
 class TestLoadErrorPaths:
     def test_truncated_file(self, pcfg, tmp_path):
         path = str(tmp_path / "pcfg.json")

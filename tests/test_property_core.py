@@ -78,7 +78,7 @@ class TestGrammarProperties:
         meter = FuzzyPSM.train(
             base_dictionary=passwords, training=passwords
         )
-        meter.accept(new)
+        meter.update(new)
         assert meter.probability(new) > 0.0
 
     @given(st.lists(printable, min_size=1, max_size=15), printable,
@@ -91,8 +91,8 @@ class TestGrammarProperties:
         meter_many = FuzzyPSM.train(
             base_dictionary=passwords, training=passwords
         )
-        meter_once.accept(new)
-        meter_many.accept(new, count=count + 1)
+        meter_once.update(new)
+        meter_many.update(new, count=count + 1)
         assert (
             meter_many.probability(new) >= meter_once.probability(new)
         )

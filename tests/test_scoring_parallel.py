@@ -88,8 +88,7 @@ class TestFrozenKernel:
     def test_accept_invalidates_the_snapshot(self):
         meter = FuzzyPSM.train(BASE_DICTIONARY, TRAINING_PASSWORDS)
         stale = meter.frozen_grammar()
-        with pytest.warns(DeprecationWarning):
-            meter.accept("password1")
+        meter.update("password1")
         assert not stale.is_current(meter.grammar)
         assert meter.probability_many(["password1"]) == \
             [meter.probability("password1")]

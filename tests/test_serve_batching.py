@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs.core import Telemetry
-from repro.serve import MicroBatcher, ServingSnapshot
+from repro.core.meter import score_many
+from repro.serve import MicroBatcher
 
 from tests.serve_utils import SERVE_PASSWORDS, train_serve_meter
 
@@ -102,11 +103,12 @@ def test_micro_batched_equals_unbatched(submissions, window, max_batch):
 def test_batched_scores_match_real_meter_exactly():
     """Same differential against the real frozen-kernel scorer."""
     meter = train_serve_meter()
-    scorer = ServingSnapshot.from_meter(meter).build_scorer()
+    state = meter.scoring_state()
+    parser, frozen = state.build_parser(), state.require_frozen()
     expected = {pw: meter.probability(pw) for pw in SERVE_PASSWORDS}
 
     async def backend(batch):
-        return scorer.epoch, scorer.score_many(batch)
+        return state.epoch, score_many(parser, frozen, batch)
 
     async def main():
         batcher = MicroBatcher(backend, window=0.001, max_batch=8)
@@ -120,7 +122,7 @@ def test_batched_scores_match_real_meter_exactly():
                 passwords, results
             ):
                 assert probability == expected[password]
-                assert epoch == scorer.epoch
+                assert epoch == state.epoch
         finally:
             await batcher.stop()
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -362,3 +363,62 @@ def test_server_scores_through_frozen_kernel_batch_path():
 
     # And the spawned ReproServer gated by capability, not type.
     assert ReproServer(fresh, ServeConfig(workers=0)) is not None
+
+
+# --- /accept beside /check: one lock per model --------------------------
+
+
+#: Seconds a held /check batch waits for an overlapping /accept to be
+#: answered.  With the model lock the /accept cannot finish first, so
+#: the wait always runs out; without it the /accept lands mid-batch.
+ACCEPT_HOLD_SECONDS = 1.0
+
+
+def test_check_reports_the_epoch_its_score_came_from():
+    """A /check whose batch is still scoring when an /accept arrives
+    must report the epoch it was scored at: the pair replays exactly.
+
+    The meter's ``probability_many`` is wrapped so the batch, once
+    scored, waits (bounded) for the /accept to be answered before
+    returning.  The server must hold the model's lock across the whole
+    executor call — score and epoch read — so the /accept waits
+    instead of updating the grammar under a running batch.
+    """
+    meter = train_serve_meter()
+    replay = train_serve_meter()
+    password = "password123"
+    before = (replay.grammar.epoch, replay.probability(password))
+    replay.update(password)
+    after = (replay.grammar.epoch, replay.probability(password))
+    assert before[1] != after[1]
+
+    scored, answered = threading.Event(), threading.Event()
+    probability_many = meter.probability_many
+
+    def held(passwords):
+        scores = probability_many(passwords)
+        scored.set()
+        answered.wait(ACCEPT_HOLD_SECONDS)
+        return scores
+
+    meter.probability_many = held
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        async with running_server(meter, ServeConfig()) as server:
+            async with ServeClient(server.port) as checker, \
+                    ServeClient(server.port) as acceptor:
+                check = asyncio.ensure_future(checker.request(
+                    "POST", "/check", {"password": password}
+                ))
+                assert await loop.run_in_executor(None, scored.wait, 10.0)
+                accept = await acceptor.request(
+                    "POST", "/accept", {"password": password}
+                )
+                answered.set()
+                return await check, accept
+
+    (check_status, check), (accept_status, accept) = run(main())
+    assert (check_status, accept_status) == (200, 200)
+    assert accept["epoch"] == after[0]
+    assert (check["epoch"], check["probability"]) in (before, after)
