@@ -8,6 +8,12 @@ equality (the snapshot is an execution strategy, not a model change),
 and records the kernel-for-kernel speedup plus the one-off snapshot
 build cost.
 
+The refresh (``frozen_refresh``): after an update, the meter builds
+its next snapshot from the stale one, reusing every length table the
+update left alone.  The bench times that refresh against a full build
+of the same grammar state, asserts both snapshots export identical
+tables, and records the medians over repeated updates.
+
 Layer 2 (``scoring_parallel``): the corpus-evaluation workload — a
 large stream with heavy password multiplicity — through three engines:
 the naive per-call loop (how evaluation sweeps scored before the batch
@@ -20,12 +26,16 @@ meter instance, so any cache state left on shared structures favours
 the reference side.
 """
 
+import os
+import platform
+import statistics
 import time
 from itertools import cycle, islice
 
 import pytest
 
-from repro.core.frozen import freeze
+from repro.core.frozen import FrozenGrammar, freeze
+from repro.core.grammar import FuzzyGrammar
 from repro.core.meter import FuzzyPSM
 
 from bench_lib import SMOKE, emit, record
@@ -35,6 +45,8 @@ from bench_lib import SMOKE, emit, record
 #: toy scale (equivalence still holds; ratios are skipped).
 STREAM_SIZE = 600 if SMOKE else 100_000
 DISTINCT_SHARE = 0.3
+#: Updates timed by the refresh bench (one refresh + one full build each).
+REFRESH_REPEATS = 9
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +108,49 @@ def test_timing_frozen_kernel(meter, csdn_quarters, capsys):
            dict_seconds=dict_seconds, frozen_seconds=frozen_seconds,
            build_seconds=build_seconds, speedup=speedup)
     assert SMOKE or speedup >= 1.5
+
+
+def test_timing_frozen_refresh(meter, csdn_quarters, capsys):
+    _, test = csdn_quarters
+    # A meter of its own (a copy of the grammar), so the updates below
+    # leave the module's shared meter untouched.
+    own = FuzzyPSM(
+        FuzzyGrammar.from_arrays(meter.grammar.to_arrays()),
+        meter.trie, meter.config,
+    )
+    own.frozen_grammar()
+    refresh_ms, full_ms = [], []
+    passwords = list(islice(test.unique_passwords(), REFRESH_REPEATS))
+    assert len(passwords) == REFRESH_REPEATS
+    for password in passwords:
+        own.update(password)
+        start = time.perf_counter()
+        refreshed = own.frozen_grammar()
+        refresh_ms.append((time.perf_counter() - start) * 1e3)
+        start = time.perf_counter()
+        full = FrozenGrammar(own.grammar)
+        full_ms.append((time.perf_counter() - start) * 1e3)
+        assert refreshed.to_tables() == full.to_tables()
+
+    refresh_median = statistics.median(refresh_ms)
+    full_median = statistics.median(full_ms)
+    speedup = full_median / refresh_median
+    emit(
+        capsys,
+        f"(timing) frozen refresh: {REFRESH_REPEATS} updates -- refresh "
+        f"median {refresh_median:.3f} ms "
+        f"[{min(refresh_ms):.3f}, {max(refresh_ms):.3f}], full build "
+        f"median {full_median:.2f} ms "
+        f"[{min(full_ms):.2f}, {max(full_ms):.2f}] ({speedup:.1f}x)",
+    )
+    record("frozen_refresh", repeats=REFRESH_REPEATS,
+           refresh_median_ms=refresh_median,
+           refresh_min_ms=min(refresh_ms), refresh_max_ms=max(refresh_ms),
+           full_median_ms=full_median,
+           full_min_ms=min(full_ms), full_max_ms=max(full_ms),
+           speedup=speedup, nproc=os.cpu_count(),
+           python=platform.python_version())
+    assert SMOKE or speedup >= 10
 
 
 def test_timing_parallel_scoring(meter, evaluation_stream, capsys):

@@ -35,8 +35,20 @@ the underflow window stays bounded by one password's factor count.
 A snapshot records the grammar's :attr:`~FuzzyGrammar.epoch` at build
 time.  The update phase (``FuzzyPSM.update`` → ``observe``) bumps the
 epoch, so holders compare ``frozen.epoch != grammar.epoch`` and lazily
-rebuild — the paper's adaptive update loop stays correct without
-eagerly recompiling on every accepted password.
+*refresh*: ``FrozenGrammar(grammar, previous=stale)`` builds the next
+snapshot from the stale one instead of recompiling every table.  Count
+tables only grow, through :meth:`FrequencyDistribution.add`, which
+appends unseen keys and strictly raises the total.  So a length table
+whose total has not moved is unchanged and its ``(index, probabilities,
+runs)`` entry is shared by reference; a length whose total moved
+recomputes only its probability column, and only the bases appended
+since are interned and get leet runs (the old index is a prefix of the
+table's key order).  Structures and the rule pairs are recomputed, as
+every update moves their totals.  The refreshed snapshot equals a full
+build column for column, and shared entries are never mutated, so an
+older snapshot keeps scoring its own epoch.  On the bench grammar one
+update's refresh costs a fraction of a full build (``frozen_refresh``:
+0.25 ms refresh, 11.7 ms full build, medians over 9 updates).
 
 The snapshot holds only dicts, tuples and flat arrays, so it pickles
 cheaply into ``multiprocessing`` workers — the broadcast half of the
@@ -52,6 +64,7 @@ from typing import (
     TypeVar, Union, overload,
 )
 
+from repro import obs
 from repro.core.grammar import Derivation, FuzzyGrammar, Structure
 from repro.util.freqdist import FrequencyDistribution
 from repro.util.leet import LEET_RULE_INDEX, LEET_RULE_NAMES
@@ -182,6 +195,15 @@ def _lazy_terminal_builder(
     return build
 
 
+def _leet_run(base: str) -> _LeetRun:
+    """The ``(offset, rule)`` pairs of ``base``'s leet characters."""
+    return tuple(
+        (offset, _LEET_RULE_INDEX[ch])
+        for offset, ch in enumerate(base)
+        if ch in _LEET_RULE_INDEX
+    )
+
+
 def _pair(dist: "FrequencyDistribution[bool]") -> _Pair:
     """``(P(No), P(Yes))`` with plain maximum-likelihood semantics."""
     return (dist.probability(False), dist.probability(True))
@@ -201,6 +223,12 @@ def _sentinel_pair(dist: "FrequencyDistribution[bool]") -> _Pair:
 class FrozenGrammar:
     """Immutable flat-table snapshot of a :class:`FuzzyGrammar`.
 
+    ``previous``, when given, must be an earlier snapshot of the same
+    grammar object: the new snapshot shares or extends its length
+    tables (see the module docstring).  Without it, or with an attached
+    snapshot (:meth:`from_tables`, which carries no count totals),
+    every table is built from the counts.
+
     >>> from repro.core.grammar import DerivedSegment
     >>> grammar = FuzzyGrammar()
     >>> derivation = Derivation((DerivedSegment("password"),))
@@ -214,11 +242,15 @@ class FrozenGrammar:
     """
 
     __slots__ = (
-        "epoch", "_structures", "_terminals", "_capitalization",
-        "_reverse", "_allcaps", "_leet",
+        "epoch", "_structures", "_terminals", "_totals",
+        "_capitalization", "_reverse", "_allcaps", "_leet",
     )
 
-    def __init__(self, grammar: FuzzyGrammar) -> None:
+    def __init__(
+        self,
+        grammar: FuzzyGrammar,
+        previous: Optional["FrozenGrammar"] = None,
+    ) -> None:
         self.epoch: int = grammar.epoch
         structure_total = grammar.structures.total
         self._structures: Dict[Structure, float] = (
@@ -229,23 +261,44 @@ class FrozenGrammar:
             if structure_total
             else {}
         )
+        # Tables only grow through FrequencyDistribution.add, which
+        # appends new keys and strictly raises ``total``: an unmoved
+        # total means an unchanged table, and an old index is a prefix
+        # of the table's key order.  Shared entries are never mutated.
+        known = previous._totals if previous is not None else {}
+        entries = previous._terminals if previous is not None else {}
+        self._totals: Dict[int, int] = {}
         self._terminals: Dict[int, _TerminalEntry] = {}
+        reused = 0
         for length, table in grammar.terminals.items():
-            total = table.total
-            index: Dict[str, int] = {}
-            probabilities = array("d")
-            runs: List[_LeetRun] = []
-            for base, count in table.items():
-                index[base] = len(probabilities)
-                probabilities.append(count / total)
-                runs.append(
-                    tuple(
-                        (offset, _LEET_RULE_INDEX[ch])
-                        for offset, ch in enumerate(base)
-                        if ch in _LEET_RULE_INDEX
-                    )
-                )
-            self._terminals[length] = (index, probabilities, tuple(runs))
+            total = self._totals[length] = table.total
+            before = known.get(length)
+            if before is None:
+                index: Dict[str, int] = {}
+                runs: Tuple[_LeetRun, ...] = ()
+            else:
+                index, _, runs = entries[length]
+                if before == total:
+                    self._terminals[length] = entries[length]
+                    reused += 1
+                    continue
+            start = len(index)
+            if len(table) > start:
+                fresh = list(islice(table, start, None))
+                index = dict(index)
+                index.update(zip(fresh, range(start, len(table))))
+                runs += tuple(map(_leet_run, fresh))
+            probabilities = array(
+                "d", [count / total for _base, count in table.items()]
+            )
+            self._terminals[length] = (index, probabilities, runs)
+        telemetry = obs.get()
+        if telemetry.enabled:
+            telemetry.incr_many([
+                ("meter.frozen.tables.reused", reused),
+                ("meter.frozen.tables.rebuilt",
+                 len(self._terminals) - reused),
+            ])
         self._capitalization: _Pair = _pair(grammar.capitalization)
         self._reverse: _Pair = _sentinel_pair(grammar.reverse)
         self._allcaps: _Pair = _sentinel_pair(grammar.allcaps)
@@ -452,6 +505,9 @@ class FrozenGrammar:
         """
         self = cls.__new__(cls)
         self.epoch = int(meta["epoch"])
+        # No count totals travel with the columns, so an attached
+        # snapshot never seeds a refresh: every length rebuilds.
+        self._totals = {}
         structures: Dict[Structure, float] = {}
         lens = sections["structure_lens"]
         flat = sections["structure_flat"]
@@ -533,11 +589,12 @@ def freeze(grammar: FuzzyGrammar,
            stale: Optional[FrozenGrammar] = None) -> FrozenGrammar:
     """Snapshot ``grammar``, reusing ``stale`` when still current.
 
-    The lazy-invalidation helper: callers hold one snapshot and call
-    ``freeze(grammar, snapshot)`` before scoring; a snapshot taken at
-    the grammar's current epoch is returned as-is, anything else is
-    rebuilt.
+    The lazy-invalidation helper: callers hold one snapshot of
+    ``grammar`` and call ``freeze(grammar, snapshot)`` before scoring;
+    a snapshot taken at the grammar's current epoch is returned as-is,
+    anything else is refreshed from it (``FrozenGrammar(grammar,
+    stale)``).
     """
     if stale is not None and stale.is_current(grammar):
         return stale
-    return FrozenGrammar(grammar)
+    return FrozenGrammar(grammar, stale)

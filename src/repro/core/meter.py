@@ -384,15 +384,17 @@ class FuzzyPSM(ProbabilisticMeter):
 
         Built lazily and cached; the grammar's epoch counter (bumped by
         :meth:`update` / training merges) invalidates it, so the update
-        phase never scores against stale tables.  Scores from the
-        snapshot are bit-identical to
+        phase never scores against stale tables.  A stale snapshot is
+        not rebuilt but refreshed: the new one shares every length
+        table the update left alone (:class:`FrozenGrammar`).  Scores
+        from the snapshot are bit-identical to
         :meth:`FuzzyGrammar.derivation_probability`.
         """
         frozen = self._frozen
         if frozen is None or frozen.epoch != self._grammar.epoch:
             telemetry = obs.get()
             with telemetry.timer("meter.frozen.build.seconds"):
-                frozen = FrozenGrammar(self._grammar)
+                frozen = FrozenGrammar(self._grammar, frozen)
             self._frozen = frozen
             if telemetry.enabled:
                 telemetry.incr("meter.frozen.builds")

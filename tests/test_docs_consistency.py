@@ -6,6 +6,7 @@ must match the package, and every public export must resolve.
 """
 
 import importlib
+import json
 import os
 import re
 
@@ -32,6 +33,28 @@ def test_docs_name_no_removed_api(document):
     text = _read(document)
     named = [name for name in REMOVED_NAMES if name in text]
     assert not named, f"{document} still names removed API: {named}"
+
+
+#: How documents quote the ``frozen_refresh`` bench entry's medians.
+REFRESH_QUOTE = re.compile(
+    r"`+frozen_refresh`+:\s+([\d.]+) ms\s+refresh,\s+([\d.]+) ms\s+full"
+    r"\s+build"
+)
+
+
+@pytest.mark.parametrize(
+    "document", ["README.md", "DESIGN.md", "src/repro/core/frozen.py"]
+)
+def test_refresh_figures_match_the_bench(document):
+    entry = json.loads(_read("BENCH_timing.json"))["frozen_refresh"]
+    quotes = REFRESH_QUOTE.findall(_read(document))
+    assert quotes, f"{document} quotes no frozen_refresh figures"
+    for refresh, full in quotes:
+        for quoted, key in ((refresh, "refresh_median_ms"),
+                            (full, "full_median_ms")):
+            decimals = len(quoted.partition(".")[2])
+            assert float(quoted) == round(entry[key], decimals), \
+                (document, key, quoted, entry[key])
 
 
 class TestDesignDocument:

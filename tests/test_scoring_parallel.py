@@ -15,20 +15,25 @@ against their references on generated inputs with
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from repro.core import meter as meter_module  # noqa: E402
 from repro.core.frozen import FrozenGrammar, freeze  # noqa: E402
-from repro.core.meter import FuzzyPSM  # noqa: E402
+from repro.core.meter import FuzzyPSM, FuzzyPSMConfig  # noqa: E402
 from repro.meters.keepsm import KeePSMMeter  # noqa: E402
 from repro.meters.nist import NISTMeter  # noqa: E402
 from repro import obs  # noqa: E402
 
 from tests.conftest import BASE_DICTIONARY, TRAINING_PASSWORDS  # noqa: E402
-from tests.test_differential_parsing import PASSWORDS  # noqa: E402
+from tests.test_differential_parsing import (  # noqa: E402
+    PASSWORDS,
+    leet_dense,
+)
 
 DETERMINISTIC = settings(max_examples=150, deadline=None,
                          derandomize=True)
@@ -111,6 +116,204 @@ class TestFrozenKernel:
             for dist in grammar.terminals.values()
         )
         assert "FrozenGrammar" in repr(frozen)
+
+
+#: Letters that start no base-dictionary word, so a run of them parses
+#: as one segment of exactly its own length.
+_PLAIN = "bcfghjkvxz"
+
+
+@st.composite
+def refresh_password(draw) -> str:
+    """1-3 chunks, each a transformed dictionary word (leet, capitalized,
+    with suffixes), a plain letter run or a digit run, kept as drawn,
+    all-capsed or reversed — every rule the refresh must carry."""
+    chunks = []
+    for _ in range(draw(st.integers(1, 3))):
+        chunk = draw(st.one_of(
+            leet_dense(),
+            st.text(_PLAIN, min_size=1, max_size=12),
+            st.text("0123456789", min_size=1, max_size=8),
+        ))
+        shape = draw(st.sampled_from(("as drawn", "all caps", "reversed")))
+        if shape == "all caps":
+            chunk = chunk.upper()
+        elif shape == "reversed":
+            chunk = chunk[::-1]
+        chunks.append(chunk)
+    return "".join(chunks)
+
+
+_REFRESH_CONFIG = FuzzyPSMConfig(allow_reverse=True, allow_allcaps=True)
+
+#: Every kind of update the refresh handles differently.
+_UPDATE_KINDS = frozenset({
+    "new structure", "new length", "new base at existing length",
+    "repeated base", "count > 1",
+})
+
+
+def _table_bytes(frozen):
+    """``to_tables()`` with every column as comparable bytes."""
+    meta, sections = frozen.to_tables()
+    return meta, {
+        name: column.tobytes() if isinstance(column, array) else column
+        for name, column in sections.items()
+    }
+
+
+def _update_kinds(grammar, derivation, count):
+    """Which kinds of update folding ``derivation`` into ``grammar`` is."""
+    kinds = set()
+    if derivation.structure not in grammar.structures:
+        kinds.add("new structure")
+    for segment in derivation.segments:
+        table = grammar.terminals.get(segment.length)
+        if table is None:
+            kinds.add("new length")
+        elif segment.base in table:
+            kinds.add("repeated base")
+        else:
+            kinds.add("new base at existing length")
+    if count > 1:
+        kinds.add("count > 1")
+    return kinds
+
+
+def _fresh_base(grammar, length):
+    """A plain-letter base of ``length`` that ``grammar`` has not seen."""
+    table = grammar.terminals[length]
+    for first in _PLAIN:
+        for second in _PLAIN:
+            base = (first + second * length)[:length]
+            if base not in table:
+                return base
+    raise AssertionError(f"no unseen base of length {length}")
+
+
+def _replay_updates(corpus, updates):
+    """Apply ``updates`` one by one, checking each refreshed snapshot.
+
+    After every update the meter's refreshed snapshot must equal a full
+    build column for column and score every probe bit-identically to
+    the dict kernel, while every earlier snapshot keeps its bytes and
+    its epoch's scores.  Three updates of guaranteed kinds follow the
+    given ones: a corpus password with ``count`` 2, an unseen base at
+    the longest seen length, and a plain-letter run one longer than
+    that.  Returns the set of update kinds applied.
+    """
+    meter = FuzzyPSM.train(BASE_DICTIONARY, corpus, _REFRESH_CONFIG)
+    grammar = meter.grammar
+    probes = list(dict.fromkeys(
+        [*corpus, *(password for password, _ in updates),
+         *TRAINING_PASSWORDS]
+    ))
+    derivations = {
+        password: meter.parse(password).to_derivation()
+        for password in probes
+    }
+    history = []
+    kinds = set()
+
+    def remember(frozen):
+        scores = [frozen.derivation_probability(derivations[password])
+                  for password in probes]
+        history.append((frozen, _table_bytes(frozen), scores))
+
+    def apply(password, count):
+        derivation = meter.parse(password).to_derivation()
+        derivations.setdefault(password, derivation)
+        if password not in probes:
+            probes.append(password)
+        kinds.update(_update_kinds(grammar, derivation, count))
+        meter.update(password, count)
+        refreshed = meter.frozen_grammar()
+        full_meta, full = _table_bytes(FrozenGrammar(grammar))
+        meta, sections = _table_bytes(refreshed)
+        assert meta == full_meta
+        assert sections.keys() == full.keys()
+        for name, column in full.items():
+            assert sections[name] == column, name
+        for password in probes:
+            assert refreshed.derivation_probability(derivations[password]) \
+                == grammar.derivation_probability(derivations[password])
+        for frozen, table_bytes, scores in history:
+            assert _table_bytes(frozen) == table_bytes
+            assert [frozen.derivation_probability(derivations[password])
+                    for password in probes[:len(scores)]] == scores
+        remember(refreshed)
+
+    remember(meter.frozen_grammar())
+    for password, count in updates:
+        apply(password, count)
+    longest = max(grammar.terminals)
+    apply(corpus[0], 2)
+    apply(_fresh_base(grammar, longest), 1)
+    apply(_PLAIN[0] * (longest + 1), 1)
+    return kinds
+
+
+class TestFrozenRefresh:
+    """A snapshot refreshed after an update equals a full build."""
+
+    @given(
+        corpus=st.lists(refresh_password(), min_size=1, max_size=10),
+        updates=st.lists(
+            st.tuples(refresh_password(), st.integers(1, 3)), max_size=6
+        ),
+    )
+    @example(
+        corpus=TRAINING_PASSWORDS,
+        updates=[("password", 1), ("Dr@gon99", 3), ("zebra42!", 1),
+                 ("drowssap", 2), ("PASSWORD!!", 1)],
+    )
+    @DETERMINISTIC
+    def test_refresh_equals_full_build_and_keeps_old_epochs(
+        self, corpus, updates
+    ):
+        assert _replay_updates(corpus, updates) == _UPDATE_KINDS
+
+    def test_refresh_rebuilds_only_the_updated_length(self):
+        meter = FuzzyPSM.train(BASE_DICTIONARY, TRAINING_PASSWORDS)
+        stale = meter.frozen_grammar()
+        # "password" parses to one segment whose length (8) and base the
+        # grammar already has: only that length's probabilities change.
+        assert [segment.length for segment in
+                meter.parse("password").to_derivation().segments] == [8]
+        with obs.session() as telemetry:
+            meter.update("password")
+            fresh = meter.frozen_grammar()
+            counters = telemetry.snapshot()["counters"]
+        assert counters["meter.frozen.builds"] == 1
+        assert counters["meter.frozen.tables.rebuilt"] == 1
+        assert counters["meter.frozen.tables.reused"] == \
+            len(meter.grammar.terminals) - 1
+        for length in stale.terminal_lengths():
+            if length != 8:
+                assert fresh.terminal_table(length) is \
+                    stale.terminal_table(length), length
+        index, probabilities, runs = fresh.terminal_table(8)
+        stale_index, stale_probabilities, stale_runs = \
+            stale.terminal_table(8)
+        # Same support: the index and runs are shared, the probability
+        # column is new.
+        assert index is stale_index and runs is stale_runs
+        assert probabilities is not stale_probabilities
+
+    def test_attached_snapshot_seeds_a_full_build(self):
+        meter = FuzzyPSM.train(BASE_DICTIONARY, TRAINING_PASSWORDS)
+        attached = FrozenGrammar.from_tables(
+            *meter.frozen_grammar().to_tables()
+        )
+        meter.update("zebra42!")
+        with obs.session() as telemetry:
+            rebuilt = FrozenGrammar(meter.grammar, attached)
+            counters = telemetry.snapshot()["counters"]
+        assert counters["meter.frozen.tables.reused"] == 0
+        assert counters["meter.frozen.tables.rebuilt"] == \
+            len(meter.grammar.terminals)
+        assert _table_bytes(rebuilt) == \
+            _table_bytes(FrozenGrammar(meter.grammar))
 
 
 class TestParallelScoring:

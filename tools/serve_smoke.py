@@ -48,7 +48,9 @@ _BANNER = re.compile(
 
 
 def _fail(message: str, process: subprocess.Popen) -> "NoReturn":  # noqa: F821
-    process.kill()
+    # Kill the server's whole process group: a worker left alive would
+    # hold the server's stdout open and block the read below.
+    os.killpg(process.pid, signal.SIGKILL)
     tail = process.stdout.read() if process.stdout else ""
     print(f"serve-smoke FAILED: {message}", file=sys.stderr)
     if tail:
@@ -80,7 +82,7 @@ def main() -> int:
             [sys.executable, "-m", "repro", "serve",
              "--model", model_path, "--port", "0", "--workers", "1"],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True, env=env, cwd=REPO_ROOT,
+            text=True, env=env, cwd=REPO_ROOT, start_new_session=True,
         )
         try:
             banner = process.stdout.readline()
@@ -112,6 +114,17 @@ def main() -> int:
                 {"password": "zebra42!", "count": 5},
             )
             assert status == 200 and payload["epoch"] >= 1, payload
+            accepted_epoch = payload["epoch"]
+            # The accept refreshes the snapshot, publishes it and swaps
+            # the worker onto it: the next check must score the updated
+            # grammar exactly as a local meter given the same update.
+            meter.update("zebra42!", 5)
+            status, payload = _request(
+                port, "POST", "/check", {"password": "zebra42!"}
+            )
+            assert status == 200 \
+                and payload["probability"] == meter.probability("zebra42!") \
+                and payload["epoch"] == accepted_epoch, ("check", payload)
             status, payload = _request(port, "GET", "/healthz")
             assert status == 200 and payload["status"] == "healthy", (
                 payload
