@@ -1,15 +1,16 @@
 """Serving throughput/latency: micro-batched vs one-request-per-call.
 
-Spins the real ``ReproServer`` (1 warm worker process) on an ephemeral
-port and drives it with 64 concurrent keep-alive HTTP clients, twice:
+Spins the real ``ReproServer`` (scoring in its own executor threads)
+on an ephemeral port and drives it with 64 concurrent keep-alive HTTP
+clients, twice:
 
 * **batched** — the production configuration (self-clocking window,
   ``max_batch=256``): concurrent ``/check`` requests arriving while a
   batch is in flight coalesce into the next one, so the per-request
-  executor hop + pipe round trip to the worker is amortised across
-  ~the concurrency level;
-* **unbatched** — ``max_batch=1``: identical server, identical
-  worker, but every request pays its own worker round trip.
+  lock, executor hop and ``probability_many`` call are amortised
+  across ~the concurrency level;
+* **unbatched** — ``max_batch=1``: identical server, but every request
+  pays its own lock, executor hop and scoring call.
 
 The client keeps its own per-request cost minimal (precomputed request
 bytes, single ``readuntil`` per response, JSON decoded after the clock
@@ -25,6 +26,8 @@ to BENCH_timing.json.
 
 import asyncio
 import json
+import os
+import platform
 import time
 
 from repro.meters import registry
@@ -121,12 +124,8 @@ def test_timing_serving_throughput(corpora, csdn_quarters, capsys):
     flat = [pw for requests in workload for pw, _rendered in requests]
     reference = dict(zip(flat, meter.probability_many(flat)))
 
-    batched_config = ServeConfig(
-        workers=1, batch_window=0.0, max_batch=256
-    )
-    unbatched_config = ServeConfig(
-        workers=1, batch_window=0.0, max_batch=1
-    )
+    batched_config = ServeConfig(batch_window=0.0, max_batch=256)
+    unbatched_config = ServeConfig(batch_window=0.0, max_batch=1)
 
     def best_of(config):
         """Fastest of ``REPEATS`` full runs of one mode."""
@@ -162,7 +161,7 @@ def test_timing_serving_throughput(corpora, csdn_quarters, capsys):
     emit(
         capsys,
         f"(timing) serving /check, {CLIENTS} clients x "
-        f"{REQUESTS_PER_CLIENT} requests, 1 worker:\n"
+        f"{REQUESTS_PER_CLIENT} requests, in-process:\n"
         f"  batched   {batched_seconds:6.3f} s  "
         f"{batched_rps:8.0f} req/s  "
         f"(mean batch {mean_batch:5.1f})\n"
@@ -184,6 +183,8 @@ def test_timing_serving_throughput(corpora, csdn_quarters, capsys):
         mean_batch=mean_batch,
         p50_seconds=latency["p50"],
         p99_seconds=latency["p99"],
+        nproc=os.cpu_count(),
+        python=platform.python_version(),
     )
 
     if SMOKE:

@@ -82,7 +82,6 @@ from typing import (
 from repro import obs
 from repro.core.frozen import FrozenGrammar
 from repro.core.grammar import Derivation, DerivedSegment, Structure
-from repro.core.shm import MaterializedScoringState, _worker_attach_state
 from repro.util.leet import LEET_BY_LETTER, LEET_BY_SUBSTITUTE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -213,44 +212,6 @@ class _Slot:
         return True
 
 
-class _SnapshotMeter:
-    """The slice of ``FuzzyPSM`` the attack engine consumes, rebuilt
-    over one attached shared-memory segment (DESIGN.md §16).
-
-    A published segment is immutable, so ``grammar`` is the frozen
-    snapshot itself — an engine attached this way is always current.
-    Parsing goes through a parser rebuilt byte-identically from the
-    segment's compiled matchers, and the variant-gating config flags
-    come from the publisher's parser flags.
-    """
-
-    __slots__ = ("name", "trie", "config", "_parser", "_frozen")
-
-    class _Flags:
-        __slots__ = ("allow_reverse", "allow_allcaps")
-
-        def __init__(self, flags: Dict[str, bool]) -> None:
-            self.allow_reverse = bool(flags.get("allow_reverse"))
-            self.allow_allcaps = bool(flags.get("allow_allcaps"))
-
-    def __init__(self, state: MaterializedScoringState) -> None:
-        self._frozen = state.require_frozen()
-        self.name = "fuzzypsm"
-        self.trie = state.forward
-        self.config = _SnapshotMeter._Flags(state.flags)
-        self._parser = state.build_parser()
-
-    @property
-    def grammar(self) -> FrozenGrammar:
-        return self._frozen
-
-    def frozen_grammar(self) -> FrozenGrammar:
-        return self._frozen
-
-    def parse(self, password: str) -> object:
-        return self._parser.parse_cached(password)
-
-
 class AttackEngine:
     """Compiled guess generator for one trained :class:`FuzzyPSM`.
 
@@ -258,23 +219,7 @@ class AttackEngine:
     reports staleness against the live grammar's epoch the same way
     :class:`FrozenGrammar` does, so holders rebuild lazily after
     updates (``FuzzyPSM.attack_engine`` does this for you).
-    :meth:`from_snapshot` instead attaches a published shared-memory
-    segment by name — a millisecond zero-copy ``mmap`` rather than a
-    retrain/deserialize — so attack tooling can run against exactly
-    the model a server or scoring pool is using.
     """
-
-    @classmethod
-    def from_snapshot(cls, segment_name: str) -> "AttackEngine":
-        """An engine over the named scoring segment's tables.
-
-        The segment must carry grammar tables (serve/scoring segments
-        do; the training engine's trie-only segments are rejected).
-        Attaches through the per-process cache of
-        :mod:`repro.core.shm`, so repeated builds on one segment are
-        free and scores are bit-identical to the publisher's.
-        """
-        return cls(_SnapshotMeter(_worker_attach_state(segment_name)))
 
     def __init__(self, meter: "FuzzyPSM") -> None:
         self._meter = meter

@@ -386,10 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8042,
                        help="bind port (0 = ephemeral)")
     serve.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="warm scoring worker processes (0 = score in-process)",
-    )
-    serve.add_argument(
         "--batch-window", type=float, default=0.0, metavar="SECS",
         help="micro-batch coalescing window for /check "
         "(0 = self-clocking: batch whatever arrives mid-dispatch)",
@@ -1059,9 +1055,10 @@ async def _serve_until_signal(
             loop.add_signal_handler(signum, stop.set)
         except NotImplementedError:  # pragma: no cover - non-POSIX
             break
+    # perfbench/serving.py and tools/serve_smoke.py parse this exact
+    # text (`serving \d+ worker\(s\) on`), so it stays as it is.
     print(
-        f"serving {config.workers} worker(s) on "
-        f"http://{config.host}:{server.port}",
+        f"serving 0 worker(s) on http://{config.host}:{server.port}",
         flush=True,
     )
     print("models: " + ", ".join(server.models), flush=True)
@@ -1098,7 +1095,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServeConfig(
         host=args.host,
         port=args.port,
-        workers=args.workers,
         batch_window=args.batch_window,
         max_batch=args.max_batch,
         max_body=args.max_body,

@@ -163,8 +163,8 @@ def score_many(
     memoised per distinct password within the batch, and derivations
     are evaluated against the frozen scoring kernel.  Values are
     bit-identical to per-call :meth:`FuzzyPSM.probability`.  This is
-    the only copy of the loop: :meth:`FuzzyPSM.probability_many`, the
-    scoring-pool worker and the serve workers all call it.
+    the only copy of the loop: :meth:`FuzzyPSM.probability_many` and
+    the scoring-pool worker both call it.
     """
     telemetry = obs.get()
     parse = parser.parse_cached
@@ -404,10 +404,9 @@ class FuzzyPSM(ProbabilisticMeter):
         """The scoring snapshot at the current epoch.
 
         The compiled matchers, the frozen grammar and the parser
-        configuration — everything a scorer in another thread or
-        process needs, and nothing mutable.  This is what
-        :meth:`shared_segment` publishes and what ``repro serve``
-        hands its worker pool.
+        configuration — everything a scorer in another process needs,
+        and nothing mutable.  This is what :meth:`shared_segment`
+        publishes.
         """
         return MaterializedScoringState.from_parser(
             self._parser, self.frozen_grammar()
@@ -417,8 +416,8 @@ class FuzzyPSM(ProbabilisticMeter):
         """The published snapshot segment for the current epoch.
 
         Packs :meth:`scoring_state` into one shared-memory segment
-        (created lazily, cached by epoch) that scoring pools, serve
-        workers and attack tooling attach to by name in milliseconds.
+        (created lazily, cached by epoch) that the scoring pool's
+        workers attach to by name in milliseconds.
         Publishing a new epoch unlinks the retired segment — attached
         processes keep their mappings until they drop them, late
         attachers fail fast.

@@ -1,13 +1,12 @@
 """Zero-copy shared-memory snapshot plane (DESIGN.md §16).
 
-Every multiprocess path in the repo used to broadcast its model by
+The scoring and training pools used to broadcast their model by
 value: pool initializers pickled the compiled trie and frozen grammar
-into each worker (re-deserialized per process), and the serve workers
-leaned on fork/COW — which excludes spawn-start platforms and still
-pays a full rebuild on every ``/accept`` hot-swap.  This module moves
-the model's flat tables into one POSIX ``multiprocessing.shared_memory``
-segment instead, so any number of reader processes attach in
-milliseconds and score against the *same* physical bytes:
+into each worker, to be re-deserialized per process.  This module
+moves the model's flat tables into one POSIX
+``multiprocessing.shared_memory`` segment instead, so any number of
+pool workers attach in milliseconds and read the *same* physical
+bytes:
 
 * :class:`SharedScoringSegment` — owner/attachment handle.  ``create``
   packs the :meth:`~repro.core.compiled_trie.CompiledTrie.to_arrays`

@@ -33,9 +33,7 @@ The capability protocols name the unified lifecycle verbs
 
 * :class:`Trainable` — ``train(...)`` builds a meter from a corpus;
 * :class:`Updatable` — ``update(password, count)`` folds an accepted
-  password into the model (previously spelled ``FuzzyPSM.accept`` /
-  ``PCFGMeter.observe`` / ``MarkovMeter.observe``; those remain as
-  deprecation shims);
+  password into the model;
 * :class:`BatchScorable` — ``probability_many``/``entropy_many``
   (every :class:`~repro.meters.base.Meter` satisfies this through the
   base-class loop; trained meters override it with vectorised paths);

@@ -1,12 +1,12 @@
-"""The asyncio HTTP server composing workers and batchers per model.
+"""The asyncio HTTP server composing a batcher per model.
 
 :class:`ReproServer` is the online face of the meter (DESIGN.md §14):
 
 * ``POST /check``   — measure one password (micro-batched);
 * ``POST /suggest`` — stronger-variant suggestions;
 * ``POST /policy``  — policy compliance check;
-* ``POST /accept``  — online ``update()`` + snapshot hot reload;
-* ``GET /healthz``  — worker liveness (``healthy``/``degraded``);
+* ``POST /accept``  — online ``update()``, scored from the next batch;
+* ``GET /healthz``  — liveness plus the epoch each model serves;
 * ``GET /metrics``  — ``serve.*`` counters, latency percentiles.
 
 One process can serve several trained models: construct the server
@@ -14,24 +14,17 @@ with a :class:`~repro.serve.registry.SnapshotRegistry` (a bare meter
 is wrapped as a one-model registry) and route requests with the
 ``model=`` parameter — query string (``/check?model=canary``) or JSON
 body field — defaulting to the first-registered model.  Each model
-gets its own worker pool, shared-memory segment and micro-batcher, so
-a per-model ``/accept`` hot-swaps one model without touching its
-neighbours.
+gets its own lock and micro-batcher, so a per-model ``/accept``
+updates one model without touching its neighbours.
 
-Scoring never runs on the event loop: with ``workers > 0`` batches go
-to the warm :class:`~repro.serve.workers.WorkerPool` (whose workers
-attach the model's shared segment — DESIGN.md §16) through the
-default executor; without workers they run ``probability_many`` in the
-executor (parallel-scorable meters) or inline per password.  Worker
-mode requires the ``PARALLEL_SCORABLE`` registry capability — gating
-is by capability, never by concrete meter type.
+Scoring never runs on the event loop: every batch runs the meter's
+``probability_many`` in the default executor.
 
-Every use of a model's meter — in-process scoring together with the
-epoch it reports, ``/accept``'s update and snapshot rebuild,
-``/suggest`` — holds that model's lock, across the executor call.  The
-meter's grammar, frozen kernel and parse cache are not thread-safe, so
-without it an ``/accept`` could mutate the grammar under a running
-batch.
+Every use of a model's meter — a batch together with the epoch it
+reports, ``/accept``'s update, ``/suggest`` — holds that model's lock,
+across the executor call.  The meter's grammar, frozen kernel and
+parse cache are not thread-safe, so without it an ``/accept`` could
+mutate the grammar under a running batch.
 
 The server owns a private :class:`~repro.obs.core.Telemetry` backend,
 so ``/metrics`` is always live even when the process-global backend is
@@ -61,7 +54,11 @@ from repro.serve.http import (
     MAX_HEADER_BYTES, HttpError, Request, read_request, render_response,
 )
 from repro.serve.registry import SnapshotRegistry
-from repro.serve.workers import WorkerPool
+
+#: Longest password ``/suggest`` takes (400 beyond it).  Its cost grows
+#: with the square of the length, and it holds the model lock that
+#: every ``/check`` of that model waits on.
+MAX_SUGGEST_LENGTH = 64
 
 #: Routes the server answers, for 404-vs-405 discrimination.
 _ROUTES = {
@@ -77,6 +74,11 @@ _ROUTES = {
 _POLICY_KEYS = ("min_length", "max_length", "required_classes")
 
 
+def _is_integer(value: Any) -> bool:
+    """A JSON integer: ``bool`` subclasses ``int`` but is no count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ServeConfig:
     """Tunables for one :class:`ReproServer`.
@@ -84,7 +86,6 @@ class ServeConfig:
     Attributes:
         host: bind address (loopback by default).
         port: bind port; ``0`` picks an ephemeral port.
-        workers: warm scoring processes; ``0`` scores in-process.
         batch_window: micro-batch coalescing window in seconds; ``0``
             (the default) is self-clocking — batches form from
             requests arriving while the previous dispatch is in
@@ -93,30 +94,24 @@ class ServeConfig:
         max_batch: most requests folded into one scoring call
             (``1`` disables coalescing entirely).
         max_body: request-body byte cap (413 beyond it).
-        supervisor_interval: seconds between background worker
-            liveness sweeps; ``0`` disables the supervisor (dead
-            workers are then respawned on demand).
         idle_timeout: seconds a keep-alive connection may sit idle.
     """
 
     host: str = "127.0.0.1"
     port: int = 0
-    workers: int = 0
     batch_window: float = 0.0
     max_batch: int = 256
     max_body: int = 64 * 1024
-    supervisor_interval: float = 0.25
     idle_timeout: float = 30.0
 
 
 class _ModelRuntime:
-    """Per-model serving state: meter, capabilities, pool, batcher.
+    """Per-model serving state: meter, capability, lock, batcher.
 
     ``lock`` guards every use of ``meter`` (see the module docstring).
     """
 
-    __slots__ = ("name", "meter", "parallel", "updatable", "pool",
-                 "batcher", "lock")
+    __slots__ = ("name", "meter", "updatable", "batcher", "lock")
 
     def __init__(self, name: str, meter: Any) -> None:
         self.name = name
@@ -125,35 +120,24 @@ class _ModelRuntime:
         # Python 3.9 binds an asyncio.Lock to a loop when it is built.
         self.lock: asyncio.Lock
         spec = spec_for(meter)
-        self.parallel = (
-            spec is not None and spec.has(Capability.PARALLEL_SCORABLE)
-        )
         self.updatable = (
             spec is not None and spec.has(Capability.UPDATABLE)
         )
-        self.pool: Optional[WorkerPool] = None
         self.batcher: Optional[MicroBatcher] = None
 
     @property
     def epoch(self) -> int:
         """Grammar epoch this model currently serves."""
-        if self.pool is not None:
-            return self.pool.epoch
         grammar = getattr(self.meter, "grammar", None)
         return int(getattr(grammar, "epoch", 0))
 
     def status(self) -> Dict[str, Any]:
         """Per-model block for ``/healthz`` and ``/metrics``."""
-        return {
-            "epoch": self.epoch,
-            "workers": (
-                self.pool.statuses() if self.pool is not None else []
-            ),
-        }
+        return {"epoch": self.epoch}
 
 
 class ReproServer:
-    """Registered meters served over HTTP with batching and workers."""
+    """Registered meters served over HTTP with micro-batching."""
 
     def __init__(self, meter: Any,
                  config: Optional[ServeConfig] = None) -> None:
@@ -170,22 +154,7 @@ class ReproServer:
             for name, model in registry.items()
         }
         self._default = registry.default_name
-        if self._config.workers > 0:
-            for runtime in self._runtimes.values():
-                if runtime.parallel:
-                    continue
-                spec = spec_for(runtime.meter)
-                kind = (
-                    spec.kind if spec
-                    else type(runtime.meter).__name__
-                )
-                raise ValueError(
-                    "worker processes need a parallel-scorable meter "
-                    "(registry capability PARALLEL_SCORABLE); model "
-                    f"{runtime.name!r} is {kind!r} — run with workers=0"
-                )
         self._server: Optional[asyncio.AbstractServer] = None
-        self._supervisor: Optional["asyncio.Task[None]"] = None
         self._connections: Set["asyncio.Task[None]"] = set()
         self._latencies: Deque[float] = deque(maxlen=4096)
         self._handlers: Dict[str, Callable[
@@ -219,11 +188,6 @@ class ReproServer:
         return tuple(self._runtimes)
 
     @property
-    def _pool(self) -> Optional[WorkerPool]:
-        """The default model's pool (lifecycle tests peek white-box)."""
-        return self._runtimes[self._default].pool
-
-    @property
     def epoch(self) -> int:
         """Grammar epoch of the default model."""
         return self._runtimes[self._default].epoch
@@ -231,23 +195,12 @@ class ReproServer:
     # --- lifecycle -----------------------------------------------------
 
     async def start(self) -> None:
-        """Publish segments, spawn workers, start batchers, bind.
-
-        Each model publishes its snapshot into a shared segment and
-        spawns its pool on the event-loop thread *before* the first
-        executor thread exists, keeping fork-start pools
-        single-threaded on the happy path.
-        """
+        """Create each model's lock and batcher, then bind."""
         if self._server is not None:
             raise RuntimeError("server already started")
         config = self._config
         for runtime in self._runtimes.values():
             runtime.lock = asyncio.Lock()
-            if config.workers > 0:
-                runtime.pool = WorkerPool(
-                    runtime.meter.scoring_state(), config.workers,
-                    telemetry=self._telemetry,
-                )
             runtime.batcher = MicroBatcher(
                 partial(self._score_batch, runtime),
                 window=config.batch_window,
@@ -255,8 +208,6 @@ class ReproServer:
                 telemetry=self._telemetry,
             )
             await runtime.batcher.start()
-        if config.workers > 0 and config.supervisor_interval > 0:
-            self._supervisor = asyncio.create_task(self._supervise())
         self._server = await asyncio.start_server(
             self._on_connection, config.host, config.port,
             limit=MAX_HEADER_BYTES,
@@ -268,13 +219,6 @@ class ReproServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._supervisor is not None:
-            self._supervisor.cancel()
-            try:
-                await self._supervisor
-            except asyncio.CancelledError:
-                pass
-            self._supervisor = None
         for task in list(self._connections):
             task.cancel()
         if self._connections:
@@ -282,34 +226,16 @@ class ReproServer:
                 *self._connections, return_exceptions=True
             )
             self._connections.clear()
-        loop = asyncio.get_running_loop()
         for runtime in self._runtimes.values():
             batcher = runtime.batcher
             runtime.batcher = None
             if batcher is not None:
                 await batcher.stop()
-            pool = runtime.pool
-            runtime.pool = None
-            if pool is not None:
-                # pool.stop also unlinks the model's shared segment.
-                await loop.run_in_executor(None, pool.stop)
 
     async def serve_forever(self) -> None:
         if self._server is None:
             raise RuntimeError("server is not running")
         await self._server.serve_forever()
-
-    async def _supervise(self) -> None:
-        """Background sweep: respawn dead workers between requests."""
-        interval = self._config.supervisor_interval
-        while True:
-            await asyncio.sleep(interval)
-            for runtime in self._runtimes.values():
-                pool = runtime.pool
-                if pool is not None and not pool.healthy():
-                    await asyncio.get_running_loop().run_in_executor(
-                        None, pool.respawn_dead
-                    )
 
     # --- connection handling -------------------------------------------
 
@@ -426,30 +352,14 @@ class ReproServer:
     ) -> Tuple[int, List[float]]:
         """Score one micro-batch for ``runtime`` off the event loop.
 
-        Worker replies carry the epoch of the segment that scored them;
-        in-process scoring holds the model lock until the epoch is
-        read, so no ``/accept`` can land between score and label.
+        The model lock is held until the epoch is read, so no
+        ``/accept`` can land between score and label.
         """
-        loop = asyncio.get_running_loop()
-        pool = runtime.pool
-        if pool is not None:
-            epoch, scores, worker_seconds = await loop.run_in_executor(
-                None, pool.score, list(passwords)
-            )
-            self._telemetry.observe(
-                "serve.worker.seconds", worker_seconds
-            )
-            return epoch, scores
-        meter = runtime.meter
         async with runtime.lock:
-            if runtime.parallel:
-                scores = await loop.run_in_executor(
-                    None, meter.probability_many, list(passwords)
-                )
-                return runtime.epoch, list(scores)
-            return runtime.epoch, [
-                meter.probability(pw) for pw in passwords
-            ]
+            scores = await asyncio.get_running_loop().run_in_executor(
+                None, runtime.meter.probability_many, passwords
+            )
+            return runtime.epoch, scores
 
     # --- handlers ------------------------------------------------------
 
@@ -521,11 +431,17 @@ class ReproServer:
         payload = request.json()
         runtime = self._resolve_model(request, payload)
         password = self._password_field(payload)
+        if len(password) > MAX_SUGGEST_LENGTH:
+            raise HttpError(
+                400,
+                f"'password' longer than {MAX_SUGGEST_LENGTH} characters",
+            )
         target_bits = payload.get("target_bits", 20.0)
         max_suggestions = payload.get("max_suggestions", 5)
-        if not isinstance(target_bits, (int, float)):
+        if isinstance(target_bits, bool) \
+                or not isinstance(target_bits, (int, float)):
             raise HttpError(400, "'target_bits' must be a number")
-        if not isinstance(max_suggestions, int):
+        if not _is_integer(max_suggestions):
             raise HttpError(400, "'max_suggestions' must be an integer")
         call = partial(
             suggest_stronger, runtime.meter, password,
@@ -605,12 +521,13 @@ class ReproServer:
     async def _accept(
         self, request: Request
     ) -> Tuple[int, Dict[str, Any]]:
-        """Online update + hot reload: the measure→update loop.
+        """Online update: the measure→update loop.
 
-        Per-model: only the routed model's meter updates and only its
-        pool swaps segments — sibling models keep serving their epochs
-        untouched.  The model lock is held from the update through the
-        swap, so concurrent accepts publish their epochs in order.
+        Per-model: only the routed model's meter updates — sibling
+        models keep serving their epochs untouched.  The update and the
+        epoch read share the model lock, so concurrent accepts report
+        their epochs in order, and once the client sees this response
+        every later batch scores the new epoch.
         """
         payload = request.json()
         runtime = self._resolve_model(request, payload)
@@ -618,27 +535,14 @@ class ReproServer:
             raise HttpError(405, "meter does not support online update")
         password = self._password_field(payload)
         count = payload.get("count", 1)
-        if not isinstance(count, int):
+        if not _is_integer(count):
             raise HttpError(400, "'count' must be an integer")
-        telemetry = self._telemetry
         async with runtime.lock:
             try:
                 runtime.meter.update(password, count)
             except ValueError as error:
                 raise HttpError(400, str(error))
-            telemetry.incr("serve.accepts")
-            pool = runtime.pool
-            if pool is not None:
-                # Rebuild + swap before answering: once the client sees
-                # this response, sequential requests score the new epoch.
-                loop = asyncio.get_running_loop()
-                start = _now()
-                state = await loop.run_in_executor(
-                    None, runtime.meter.scoring_state
-                )
-                await loop.run_in_executor(None, pool.swap, state)
-                telemetry.incr("serve.reloads")
-                telemetry.observe("serve.reload.seconds", _now() - start)
+            self._telemetry.incr("serve.accepts")
             epoch = runtime.epoch
         return 200, {
             "accepted": True,
@@ -648,32 +552,14 @@ class ReproServer:
             "model": runtime.name,
         }
 
-    def _consume_respawn(self, future: "asyncio.Future[int]") -> None:
-        if future.cancelled() or future.exception() is not None:
-            self._telemetry.incr("serve.internal.errors")
-
     async def _healthz(
         self, request: Request
     ) -> Tuple[int, Dict[str, Any]]:
-        healthy = True
-        for runtime in self._runtimes.values():
-            pool = runtime.pool
-            if pool is None or pool.healthy():
-                continue
-            healthy = False
-            future = asyncio.get_running_loop().run_in_executor(
-                None, pool.respawn_dead
-            )
-            future.add_done_callback(self._consume_respawn)
-        if not healthy:
-            self._telemetry.incr("serve.health.degraded")
-        # Top-level epoch/workers stay the default model's (the
+        # The top-level epoch stays the default model's (the
         # single-model shape); per-model detail lives under "models".
-        default = self._runtimes[self._default]
-        return (200 if healthy else 503), {
-            "status": "healthy" if healthy else "degraded",
-            "epoch": default.epoch,
-            "workers": default.status()["workers"],
+        return 200, {
+            "status": "healthy",
+            "epoch": self.epoch,
             "models": {
                 runtime.name: runtime.status()
                 for runtime in self._runtimes.values()
@@ -703,7 +589,6 @@ class ReproServer:
     ) -> Tuple[int, Dict[str, Any]]:
         default = self._runtimes[self._default]
         batcher = default.batcher
-        pool = default.pool
         return 200, {
             "counters": dict(sorted(self._telemetry.counters().items())),
             "latency": self._latency_summary(),
@@ -715,7 +600,6 @@ class ReproServer:
                 }
                 if batcher is not None else None
             ),
-            "workers": pool.statuses() if pool is not None else [],
             "epoch": default.epoch,
             "models": {
                 runtime.name: runtime.status()

@@ -1,8 +1,8 @@
 """Micro-batching: coalesce concurrent ``/check`` requests.
 
 Scoring one password costs microseconds; *dispatching* one password —
-an HTTP round trip, and with worker processes a pipe round trip plus
-two thread hops — costs far more.  The batcher recovers the batch
+an HTTP round trip, the model lock and two thread hops — costs far
+more.  The batcher recovers the batch
 economics the scoring engine already has (``probability_many``):
 requests arriving within a small window are collected into one batch
 and scored with a single backend call, then fanned back out to their

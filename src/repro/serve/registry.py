@@ -2,18 +2,18 @@
 
 One ``repro serve`` process can host any number of trained models —
 production next to a canary, or per-population grammars (DESIGN.md
-§16).  The registry is the naming layer: an ordered mapping from model
+§14).  The registry is the naming layer: an ordered mapping from model
 name to meter, where the first model registered is the *default* — the
 one requests without an explicit ``model=`` parameter are routed to,
-and the one whose epoch/pool the top-level ``/healthz`` and
-``/metrics`` fields keep reporting for backward compatibility.
+and the one whose epoch the top-level ``/healthz`` and ``/metrics``
+fields keep reporting for backward compatibility.
 
-The registry deliberately holds meters, not runtime state: worker
-pools, shared-memory segments and micro-batchers are per-model
-*server* concerns (:class:`repro.serve.app.ReproServer` builds one
-runtime per registered model).  Routing is by name only, so hot
-reloads (``/accept?model=...``) swap one model's snapshot without
-touching its neighbours.
+The registry deliberately holds meters, not runtime state: locks and
+micro-batchers are per-model *server* concerns
+(:class:`repro.serve.app.ReproServer` builds one runtime per
+registered model).  Routing is by name only, so an online update
+(``/accept?model=...``) changes one model without touching its
+neighbours.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ class SnapshotRegistry:
     The first model added is the default route.  Names are validated
     (``[A-Za-z0-9][A-Za-z0-9._-]*``) so they survive query strings and
     log lines unquoted, and duplicates are rejected instead of
-    silently replaced — replacing a live model is a hot-swap
+    silently replaced — changing a live model is an online update
     (``/accept``), not a registration.
     """
 

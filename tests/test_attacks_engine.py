@@ -360,47 +360,3 @@ class TestMeterIntegration:
             meter.attack_engine()
             counters = telemetry.snapshot()["counters"]
         assert counters.get("attack.engine.builds", 0) >= 1
-
-
-class TestSnapshotEngine:
-    """AttackEngine.from_snapshot: attack from a shared segment."""
-
-    def test_guess_stream_bit_identical_to_direct_engine(self):
-        meter = trained_meter()
-        direct = list(meter.attack_engine().guesses(limit=500))
-        attached = AttackEngine.from_snapshot(
-            meter.shared_segment().name
-        )
-        assert list(attached.guesses(limit=500)) == direct
-        assert attached.is_current()  # frozen tables ARE the epoch
-
-    def test_sampler_draws_identically(self):
-        meter = trained_meter()
-        attached = AttackEngine.from_snapshot(
-            meter.shared_segment().name
-        )
-        direct_rng, attached_rng = random.Random(7), random.Random(7)
-        direct_engine = meter.attack_engine()
-        direct_draws = [
-            direct_engine.sample(direct_rng) for _ in range(50)
-        ]
-        attached_draws = [
-            attached.sample(attached_rng) for _ in range(50)
-        ]
-        assert attached_draws == direct_draws
-
-    def test_trie_only_segment_is_rejected(self):
-        from repro.core.shm import (
-            MaterializedScoringState,
-            SharedScoringSegment,
-        )
-
-        meter = trained_meter()
-        segment = SharedScoringSegment.create(
-            MaterializedScoringState.from_parser(meter.parser)
-        )
-        try:
-            with pytest.raises(ValueError, match="no grammar tables"):
-                AttackEngine.from_snapshot(segment.name)
-        finally:
-            segment.unlink()

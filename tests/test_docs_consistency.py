@@ -24,7 +24,8 @@ def _read(name):
 #: naming one describes behaviour that no longer exists.
 REMOVED_NAMES = (
     "use_compiled_trie", "--no-compile", "ServingSnapshot",
-    "SnapshotScorer", "FuzzyPSM.accept",
+    "SnapshotScorer", "FuzzyPSM.accept", "--workers", "WorkerPool",
+    "WorkerCrash", "supervisor_interval", "from_snapshot",
 )
 
 
@@ -55,6 +56,23 @@ def test_refresh_figures_match_the_bench(document):
             decimals = len(quoted.partition(".")[2])
             assert float(quoted) == round(entry[key], decimals), \
                 (document, key, quoted, entry[key])
+
+
+#: How documents quote the ``serve_throughput`` bench entry's speedup.
+SERVE_QUOTE = re.compile(r"`+serve_throughput`+:\s+([\d.]+)x\s+batched")
+
+
+@pytest.mark.parametrize(
+    "document", ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
+)
+def test_serve_speedup_matches_the_bench(document):
+    entry = json.loads(_read("BENCH_timing.json"))["serve_throughput"]
+    quotes = SERVE_QUOTE.findall(_read(document))
+    assert quotes, f"{document} quotes no serve_throughput speedup"
+    for quoted in quotes:
+        decimals = len(quoted.partition(".")[2])
+        assert float(quoted) == round(entry["speedup"], decimals), \
+            (document, quoted, entry["speedup"])
 
 
 class TestDesignDocument:

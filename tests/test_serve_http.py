@@ -6,7 +6,7 @@ core contracts:
 
 * ``/check`` scores are **byte-identical** to direct
   ``FuzzyPSM.probability`` calls (JSON floats round-trip exactly via
-  ``repr``), with and without worker processes;
+  ``repr``), and every meter is scored off the event loop;
 * every malformed request gets a clean 4xx/5xx response and never a
   hung connection.
 
@@ -24,8 +24,11 @@ import threading
 import pytest
 
 from repro import obs
-from repro.serve import ReproServer, ServeConfig
+from repro.meters.pcfg import PCFGMeter
+from repro.serve import ServeConfig
+from repro.serve.app import MAX_SUGGEST_LENGTH
 
+from tests.conftest import TRAINING_PASSWORDS
 from tests.serve_utils import (
     SERVE_PASSWORDS,
     ServeClient,
@@ -50,12 +53,9 @@ def reference_scores(meter):
 # --- score equivalence --------------------------------------------------
 
 
-@pytest.mark.parametrize("workers", [0, 1])
-def test_check_scores_byte_identical_to_direct(
-    meter, reference_scores, workers
-):
+def test_check_scores_byte_identical_to_direct(meter, reference_scores):
     async def main():
-        config = ServeConfig(workers=workers, batch_window=0.001)
+        config = ServeConfig(batch_window=0.001)
         async with running_server(meter, config) as server:
             async with ServeClient(server.port) as client:
                 for password, expected in reference_scores.items():
@@ -78,7 +78,7 @@ def test_concurrent_clients_all_score_correctly(meter, reference_scores):
                         == reference_scores[password])
 
     async def main():
-        config = ServeConfig(workers=1, batch_window=0.002)
+        config = ServeConfig(batch_window=0.002)
         async with running_server(meter, config) as server:
             await asyncio.gather(*[
                 client_loop(server.port, i % len(SERVE_PASSWORDS))
@@ -138,6 +138,54 @@ def test_suggest_endpoint_matches_direct_call(meter):
     run(main())
 
 
+def test_suggest_rejects_passwords_over_the_length_bound():
+    """/suggest's cost grows with the square of the length and holds
+    the model lock, so an over-long password is refused up front."""
+    fresh = train_serve_meter()
+    longest = "password" * (MAX_SUGGEST_LENGTH // 8)
+    assert len(longest) == MAX_SUGGEST_LENGTH == 64
+
+    async def main():
+        async with running_server(fresh) as server:
+            status, payload = await one_shot(
+                server.port, "POST", "/suggest",
+                {"password": longest + "1"},
+            )
+            assert status == 400
+            assert str(MAX_SUGGEST_LENGTH) in payload["error"]
+            status, _ = await one_shot(
+                server.port, "POST", "/suggest", {"password": longest}
+            )
+            assert status == 200
+
+    run(main())
+
+
+@pytest.mark.parametrize("path,field", [
+    ("/accept", "count"),
+    ("/suggest", "max_suggestions"),
+    ("/suggest", "target_bits"),
+])
+def test_boolean_numbers_get_400(path, field):
+    """JSON ``true`` is no count: ``bool`` subclasses ``int``."""
+    fresh = train_serve_meter()
+    epoch = fresh.grammar.epoch
+
+    async def main():
+        async with running_server(fresh) as server:
+            status, payload = await one_shot(
+                server.port, "POST", path,
+                {"password": "password", field: True},
+            )
+            assert status == 400
+            assert f"'{field}'" in payload["error"]
+            _, health = await one_shot(server.port, "GET", "/healthz")
+            assert health["epoch"] == epoch
+
+    run(main())
+    assert fresh.grammar.epoch == epoch
+
+
 def test_policy_endpoint_named_and_custom(meter):
     async def main():
         async with running_server(meter) as server:
@@ -176,7 +224,8 @@ def test_healthz_and_metrics_without_workers(meter):
             )
             assert status == 200
             assert payload["status"] == "healthy"
-            assert payload["workers"] == []
+            assert payload["epoch"] == meter.grammar.epoch
+            assert "workers" not in payload
 
             await one_shot(server.port, "POST", "/check",
                            {"password": "qwerty12"})
@@ -188,6 +237,7 @@ def test_healthz_and_metrics_without_workers(meter):
             assert metrics["latency"]["count"] >= 2
             assert metrics["latency"]["p50"] is not None
             assert metrics["batcher"]["max_batch"] == 256
+            assert "workers" not in metrics
 
     run(main())
 
@@ -353,7 +403,7 @@ def test_server_scores_through_frozen_kernel_batch_path():
 
     with obs.session() as telemetry:
         async def wrapped():
-            config = ServeConfig(workers=0, batch_window=0.002)
+            config = ServeConfig(batch_window=0.002)
             async with running_server(fresh, config) as server:
                 await main(server)
         run(wrapped())
@@ -361,8 +411,35 @@ def test_server_scores_through_frozen_kernel_batch_path():
         assert telemetry.counter("meter.frozen.builds") >= 1
         assert telemetry.counter("meter.probability") == 0
 
-    # And the spawned ReproServer gated by capability, not type.
-    assert ReproServer(fresh, ServeConfig(workers=0)) is not None
+
+def test_every_served_meter_scores_off_the_event_loop():
+    """A meter without the frozen-kernel batch path (PCFG here) is
+    scored in the executor too: no ``probability`` call runs on the
+    event loop's thread, and ``/check`` equals ``probability`` bit for
+    bit."""
+    meter = PCFGMeter.train(list(TRAINING_PASSWORDS))
+    expected = {pw: meter.probability(pw) for pw in SERVE_PASSWORDS}
+    assert any(expected.values())
+    threads = []
+    probability = meter.probability
+
+    def recorded(password):
+        threads.append(threading.get_ident())
+        return probability(password)
+
+    meter.probability = recorded
+
+    async def main():
+        async with running_server(meter) as server:
+            async with ServeClient(server.port) as client:
+                for password, want in expected.items():
+                    payload = await client.check(password)
+                    assert payload["probability"] == want, password
+        return threading.get_ident()
+
+    loop_thread = run(main())
+    assert len(threads) == len(expected)
+    assert loop_thread not in threads
 
 
 # --- /accept beside /check: one lock per model --------------------------

@@ -1,10 +1,10 @@
 """Multi-model serving: registry, routing, and per-model hot reload.
 
 One ``ReproServer`` hosts several trained models behind a ``model=``
-request parameter (DESIGN.md §16): each model gets its own worker pool
-attached to its own shared-memory segment, its own micro-batcher, and
-its own ``/accept`` lifecycle.  These tests are black-box over HTTP,
-plus unit coverage of :class:`repro.serve.SnapshotRegistry`.
+request parameter (DESIGN.md §14): each model gets its own lock, its
+own micro-batcher, and its own ``/accept`` lifecycle.  These tests are
+black-box over HTTP, plus unit coverage of
+:class:`repro.serve.SnapshotRegistry`.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class TestSnapshotRegistry:
 
 
 class TestMultiModelRouting:
-    """Inline scoring (workers=0): routing semantics only."""
+    """Routing semantics only."""
 
     def test_query_body_and_default_routing(self):
         registry = _registry()
@@ -145,7 +145,7 @@ class TestMultiModelRouting:
 
 
 class TestMultiModelLifecycle:
-    """Worker pools per model, per-model hot reload (ISSUE acceptance)."""
+    """Per-model hot reload: an accept updates one model only."""
 
     def test_per_model_accept_swaps_only_that_model(self):
         registry = _registry()
@@ -160,7 +160,7 @@ class TestMultiModelLifecycle:
         post_reference = post_meter.probability("zebra42!")
 
         async def main():
-            config = ServeConfig(workers=1, batch_window=0.001)
+            config = ServeConfig(batch_window=0.001)
             server = ReproServer(registry, config)
             await server.start()
             try:
@@ -169,7 +169,7 @@ class TestMultiModelLifecycle:
                     port, "POST", "/check?model=corporate",
                     {"password": "zebra42!"},
                 )
-                # Hot-swap only the corporate model.
+                # Update only the corporate model.
                 status, accepted = await one_shot(
                     port, "POST", "/accept?model=corporate",
                     {"password": "zebra42!", "count": 50},
@@ -184,8 +184,7 @@ class TestMultiModelLifecycle:
                 assert after["epoch"] == epochs["corporate"] + 1
                 assert after["probability"] == post_reference
                 assert after["probability"] != before["probability"]
-                # The sibling model is untouched: same epoch, and its
-                # workers still score against the old segment.
+                # The sibling model is untouched: same epoch.
                 _, sibling = await one_shot(
                     port, "POST", "/check?model=rockyou",
                     {"password": "zebra42!"},
@@ -211,12 +210,3 @@ class TestMultiModelLifecycle:
                 await server.stop()
 
         run(main())
-
-    def test_worker_mode_validates_every_model(self):
-        from repro.meters.nist import NISTMeter
-
-        registry = SnapshotRegistry().add(
-            "fuzzy", train_serve_meter()
-        ).add("nist", NISTMeter())
-        with pytest.raises(ValueError, match="nist"):
-            ReproServer(registry, ServeConfig(workers=1))

@@ -42,14 +42,12 @@ TRAINING = [
     "letmein1", "princess7", "football12", "123456",
 ]
 
-_BANNER = re.compile(
-    r"serving (\d+) worker\(s\) on http://([\d.]+):(\d+)"
-)
+_BANNER = re.compile(r"serving \d+ worker\(s\) on http://([\d.]+):(\d+)")
 
 
 def _fail(message: str, process: subprocess.Popen) -> "NoReturn":  # noqa: F821
-    # Kill the server's whole process group: a worker left alive would
-    # hold the server's stdout open and block the read below.
+    # Kill the server's whole process group: anything left alive
+    # holding the server's stdout open would block the read below.
     os.killpg(process.pid, signal.SIGKILL)
     tail = process.stdout.read() if process.stdout else ""
     print(f"serve-smoke FAILED: {message}", file=sys.stderr)
@@ -80,7 +78,7 @@ def main() -> int:
         env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve",
-             "--model", model_path, "--port", "0", "--workers", "1"],
+             "--model", model_path, "--port", "0"],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True, env=env, cwd=REPO_ROOT, start_new_session=True,
         )
@@ -89,9 +87,8 @@ def main() -> int:
             match = _BANNER.search(banner)
             if match is None:
                 _fail(f"bad startup banner: {banner!r}", process)
-            port = int(match.group(3))
-            print(f"server up on port {port} "
-                  f"({match.group(1)} worker)")
+            port = int(match.group(2))
+            print(f"server up on port {port}")
 
             status, payload = _request(
                 port, "POST", "/check", {"password": "password123"}
@@ -115,9 +112,9 @@ def main() -> int:
             )
             assert status == 200 and payload["epoch"] >= 1, payload
             accepted_epoch = payload["epoch"]
-            # The accept refreshes the snapshot, publishes it and swaps
-            # the worker onto it: the next check must score the updated
-            # grammar exactly as a local meter given the same update.
+            # The accept updates the served meter: the next check must
+            # score the updated grammar exactly as a local meter given
+            # the same update.
             meter.update("zebra42!", 5)
             status, payload = _request(
                 port, "POST", "/check", {"password": "zebra42!"}
@@ -132,7 +129,7 @@ def main() -> int:
             status, payload = _request(port, "GET", "/metrics")
             counters = payload["counters"]
             assert counters.get("serve.requests", 0) >= 5, counters
-            assert counters.get("serve.reloads", 0) == 1, counters
+            assert counters.get("serve.accepts", 0) == 1, counters
             print(f"endpoints OK: {counters.get('serve.requests')} "
                   f"requests, epoch {payload['epoch']}")
         except AssertionError as error:
