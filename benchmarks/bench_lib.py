@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import platform
+import subprocess
 
 #: Entries per generated test corpus (paper corpora are ~10^6-10^7).
 CORPUS_SIZE = int(os.environ.get("REPRO_BENCH_CORPUS", 20_000))
@@ -32,18 +34,45 @@ def emit(capsys, text: str) -> None:
         print(text)
 
 
+def host() -> dict:
+    """The host block every recorded entry carries.
+
+    ``git_sha`` is ``git describe --always --dirty`` of the checkout
+    the bench ran in, so an entry recorded from uncommitted code says
+    so.
+    """
+    from repro.core.shm import mp_context
+
+    try:
+        sha = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=12"],
+            cwd=os.path.dirname(TIMING_RESULTS_PATH), capture_output=True,
+            text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = "unknown"
+    return {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "start_method": mp_context().get_start_method(),
+        "git_sha": sha,
+    }
+
+
 def record(name: str, **values) -> None:
     """Merge one bench's measurements into ``BENCH_timing.json``.
 
     Each bench owns one top-level key; re-running a single bench
-    refreshes its entry without clobbering the others.  Floats are
-    rounded so diffs across PRs stay readable.
+    refreshes its entry without clobbering the others.  Every entry
+    carries the :func:`host` block.  Floats are rounded so diffs across
+    PRs stay readable.
 
     Smoke runs never persist: their timings are taken at toy scale and
     would clobber the tracked full-scale numbers.
     """
     if SMOKE:
         return
+    values = {**host(), **values}
     results = {}
     if os.path.exists(TIMING_RESULTS_PATH):
         with open(TIMING_RESULTS_PATH) as handle:

@@ -26,8 +26,6 @@ to BENCH_timing.json.
 
 import asyncio
 import json
-import os
-import platform
 import time
 
 from repro.meters import registry
@@ -183,8 +181,6 @@ def test_timing_serving_throughput(corpora, csdn_quarters, capsys):
         mean_batch=mean_batch,
         p50_seconds=latency["p50"],
         p99_seconds=latency["p99"],
-        nproc=os.cpu_count(),
-        python=platform.python_version(),
     )
 
     if SMOKE:

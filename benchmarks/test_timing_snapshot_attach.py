@@ -73,9 +73,7 @@ attach_seconds = time.perf_counter() - start
 
 start = time.perf_counter()
 parser = state.build_parser()
-probability = state.frozen.derivation_probability(
-    parser.parse(probe).to_derivation()
-)
+probability = state.frozen.derivation_probability(parser.parse_flat(probe))
 first_score_seconds = time.perf_counter() - start
 
 print(json.dumps({

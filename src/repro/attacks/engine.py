@@ -286,7 +286,8 @@ class AttackEngine:
         Not deduplicated: distinct derivations of the same surface each
         appear.  This is the differential-test surface — the yielded
         probability must equal
-        ``FrozenGrammar.derivation_probability(derivation)`` exactly.
+        ``FrozenGrammar.derivation_probability(derivation.flat())``
+        exactly.
         """
         count = 0
         for probability, s_pos, node in self._enumerate(
@@ -838,14 +839,16 @@ class FrozenSampler:
             if derivation is None:
                 break
             surface = derivation.surface()
-            if meter.parse(surface).to_derivation() == derivation:
+            parsed = meter.parse(surface)
+            if parsed.to_derivation() == derivation:
                 if telemetry.enabled:
                     telemetry.incr("attack.sample.draws", attempt + 1)
-                return surface, frozen.derivation_probability(derivation)
+                return surface, frozen.derivation_probability(parsed.flat)
         if telemetry.enabled:
             telemetry.incr("attack.sample.fallbacks")
-        parsed = meter.parse(surface).to_derivation()
-        return surface, frozen.derivation_probability(parsed)
+        return surface, frozen.derivation_probability(
+            meter.parse(surface).flat
+        )
 
     def _draw(self, rng: random.Random, bisect_right) -> Optional[Derivation]:
         cumulative = self._structure_cumulative

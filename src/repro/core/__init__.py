@@ -4,8 +4,8 @@ Layout (bottom-up):
 
 * :mod:`~repro.core.trie` — prefix trie over the base dictionary with
   transformation-aware longest-prefix matching.
-* :mod:`~repro.core.compiled_trie` — the flat-array compiled snapshot
-  of that trie used by the parsing hot path.
+* :mod:`~repro.core.compiled_trie` — the leet-canonical compiled
+  snapshot of that trie used by the parsing hot path.
 * :mod:`~repro.core.grammar` — the fuzzy PCFG rule tables
   (paper Tables IV-VI) and derivation probability arithmetic.
 * :mod:`~repro.core.parser` — parses a password into base segments,

@@ -1,54 +1,61 @@
-"""Array-backed compiled form of the base-dictionary trie.
+"""Leet-canonical compiled form of the base-dictionary trie.
 
-:class:`~repro.core.trie.PrefixTrie` stores one Python object per trie
-node (a dict of children plus a terminal flag).  That layout is ideal
-for incremental construction but costly to hold and query at scale:
-every node is a heap object with its own hash table, and the fuzzy
-search pushes per-branch state through an explicit DFS stack.
+The six leet pairs of Table VI (``a@ s$ o0 i1 e3 t7``) form a closed,
+symmetric set of two-member classes, and a leet toggle only ever swaps
+a character for the other member of its class.  So a stored word
+matches an observed string under the exact/leet reading exactly when
+both spell the same *canonical* string, where ``@ $ 0 1 3 7`` fold onto
+``a s o i e t``.  :class:`CompiledTrie` keys every edge by the
+canonical character, and each terminal node holds the stored words
+whose canonical spelling is the node's path, in lexicographic order.
 
-:class:`CompiledTrie` freezes a finished trie into flat buffers
-(a CSR-style sorted-edge-span layout):
+A fuzzy match is then one walk per reading, not a search over exact
+and leet branches:
 
-* ``edge_starts[i] .. edge_starts[i+1]`` — the edge span of node ``i``
-  (an ``array('l')`` of span boundaries);
-* ``edge_chars`` — one ``str`` holding every edge character, grouped
-  per node and sorted within each span;
-* ``edge_children`` — an ``array('l')`` of child node ids, parallel to
-  ``edge_chars``;
-* ``parents`` / ``parent_chars`` — for each node, its parent id and
-  the character on the incoming edge, so a matched node's stored word
-  is reconstructed in one upward walk instead of being accumulated
-  (and reallocated) on every live search state;
-* ``terminal`` — a ``bytes`` flagging end-of-word nodes;
-* ``transitions`` — one flat hash index mapping the packed integer
-  ``(node << _CHAR_BITS) | ord(char)`` to the child node id, derived
-  from the CSR arrays.  This single dict replaces the per-node child
-  dicts of the pointer trie in the matching hot path.
+* the exact/leet reading walks the canonical spelling of the observed
+  text; every word held by a terminal on that path matches it, with a
+  toggle wherever the stored and observed characters differ;
+* when the first observed character is :func:`capitalizable`, the
+  capitalised reading walks one more path, from the lowered character.
+  There the first stored character must equal the lowered one: the rule
+  allows no leet toggle on a capitalised letter.
 
-Nodes are numbered in breadth-first order with children sorted by edge
-character, which makes the layout deterministic for a given word set.
-There are **no per-node Python objects**: a million-word dictionary
-compiles to a handful of flat buffers plus one shared index, which
-also makes the compiled trie cheap to pickle into ``multiprocessing``
-workers.
+The match is the deepest terminal that holds an admissible word; among
+that terminal's words, the one with the fewest toggles, then the
+smallest base.  Across the two readings the longer match wins, then the
+one with fewer transformations, then the smaller base: the choice of
+:meth:`PrefixTrie.longest_fuzzy_match`.  With ``allow_leet=False`` only
+a word spelled exactly like the observed text is admissible.
 
-``longest_fuzzy_match`` is non-recursive: it sweeps the password left
-to right, carrying a frontier of live trie states.  Each observed
-character expands a state into at most three successors (exact match,
-first-letter capitalization, leet toggle), exactly mirroring the
-pointer trie's branching rules, and terminal states are harvested per
-level so the preference order (longest, then fewest transformations,
-then lexicographic base) is identical to
-:meth:`PrefixTrie.longest_fuzzy_match`.
+The layout is three flat columns and no per-node objects:
+
+* ``transitions`` — one dict mapping the packed key
+  ``(node << shift) | ord(canonical char)`` to ``(child << 1) | t``,
+  where ``t`` flags a terminal child, so the walk learns that a node
+  holds words without a second lookup;
+* ``word_starts`` — node ``i`` holds
+  ``words[word_starts[i]:word_starts[i + 1]]``: its words concatenated,
+  each as long as the node's depth (an empty span for inner nodes);
+* ``words`` — one string of every stored word.
+
+Nodes are numbered in insertion order over the sorted word list, so the
+layout is deterministic for a given word set.  Compiling is one
+insertion pass over that list; attaching a published copy
+(:meth:`CompiledTrie.from_arrays`) rebuilds only the transition dict.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from itertools import accumulate, compress, count
+from operator import ne
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Sequence, Tuple
 
 from repro import obs
-from repro.core.trie import FuzzyMatch, _Node, _TOGGLE
+from repro.core.trie import FuzzyMatch, capitalizable
+from repro.util.leet import LEET_BY_SUBSTITUTE
 
 #: Upper bound on bits reserved for the character ordinal in a packed
 #: transition key; 21 bits cover the full Unicode range (max code point
@@ -59,13 +66,28 @@ from repro.core.trie import FuzzyMatch, _Node, _TOGGLE
 #: allocates big ints.
 _MAX_CHAR_BITS = 21
 
-#: Observed character -> ordinal of the stored character its leet
-#: toggle may have come from (both directions, like ``_TOGGLE``).
-_TOGGLE_ORD: Dict[str, int] = {ch: ord(p) for ch, p in _TOGGLE.items()}
+#: Leet substitute -> letter, for canonicalising whole words.
+_CANON = str.maketrans(LEET_BY_SUBSTITUTE)
+
+#: The same fold by ordinal, for the per-character walk.
+_FOLD: Dict[int, int] = {
+    ord(sub): ord(letter) for sub, letter in LEET_BY_SUBSTITUTE.items()
+}
+
+#: Builds a :class:`FuzzyMatch` from one 4-tuple without the Python-level
+#: ``NamedTuple.__new__``: the matcher returns one per dictionary segment.
+_new_match: Callable[[Tuple[str, int, bool, Tuple[int, ...]]], FuzzyMatch] = (
+    partial(tuple.__new__, FuzzyMatch)
+)
+
+
+def _toggles(word: str, observed: str) -> Tuple[int, ...]:
+    """Offsets where ``word`` and the equally long ``observed`` differ."""
+    return tuple(compress(count(), map(ne, word, observed)))
 
 
 class CompiledTrie:
-    """Immutable, flat-array trie answering the same queries as
+    """Immutable, flat-column trie answering the same queries as
     :class:`~repro.core.trie.PrefixTrie`.
 
     Build one with :meth:`PrefixTrie.compile`:
@@ -80,111 +102,90 @@ class CompiledTrie:
     """
 
     __slots__ = (
-        "_edge_starts", "_edge_chars", "_edge_children", "_parents",
-        "_parent_chars", "_terminal", "_transitions", "_shift",
-        "_ord_bound", "_toggle_ord", "_min_length", "_size",
+        "_transitions", "_word_starts", "_words", "_shift", "_bound",
+        "_min_length", "_size",
     )
 
-    # Flat buffers are ``array``s when compiled in-process and zero-copy
-    # ``memoryview`` casts when attached from a shared-memory segment
-    # (:meth:`from_arrays`); every consumer indexes them, so the common
-    # ``Sequence`` surface is all that is relied on.
-    _edge_starts: Sequence[int]
-    _edge_chars: str
-    _edge_children: Sequence[int]
-    _parents: Sequence[int]
-    _parent_chars: str
-    _terminal: Sequence[int]
+    # ``_word_starts`` is an ``array`` when compiled in-process and a
+    # zero-copy ``memoryview`` cast when attached from a shared-memory
+    # segment (:meth:`from_arrays`); the matcher only indexes it.
     _transitions: Dict[int, int]
+    _word_starts: Sequence[int]
+    _words: str
     _shift: int
-    _ord_bound: int
-    _toggle_ord: Dict[str, int]
+    _bound: int
     _min_length: int
     _size: int
 
-    def __init__(self, root: _Node, min_length: int, size: int) -> None:
-        """Flatten a pointer-trie ``root`` (a ``trie._Node``).
+    def __init__(self, words: Iterable[str], min_length: int) -> None:
+        """Compile distinct, non-empty ``words`` (any order).
 
         Prefer :meth:`PrefixTrie.compile` over calling this directly.
         """
-        edge_starts = array("l", [0])
-        edge_chars: List[str] = []
-        edge_children = array("l")
-        parents = array("l", [0])
-        parent_chars: List[str] = ["\0"]  # placeholder for the root
-        terminal = bytearray()
-        # Breadth-first numbering: node i's edges are appended while
-        # processing position i of ``nodes``, so spans are contiguous.
-        nodes = [root]
-        index = 0
-        while index < len(nodes):
-            node = nodes[index]
-            terminal.append(1 if node.terminal else 0)
-            for ch in sorted(node.children):
-                edge_chars.append(ch)
-                edge_children.append(len(nodes))
-                parents.append(index)
-                parent_chars.append(ch)
-                nodes.append(node.children[ch])
-            edge_starts.append(len(edge_children))
-            index += 1
-        # Size the shift to the edge alphabet (see _MAX_CHAR_BITS); any
-        # observed character with ordinal >= _ord_bound cannot label an
-        # edge, and callers must treat it as a miss *before* packing a
-        # key, because smaller shifts make out-of-range ordinals alias
-        # other nodes' keys.
-        max_ord = max(map(ord, edge_chars), default=0)
-        shift = min(max(max_ord.bit_length(), 1), _MAX_CHAR_BITS)
+        ordered = sorted(words)
+        # One translation for every word: folding keeps each length,
+        # so a word's canonical spelling is its own span of ``spelled``.
+        spelled = "".join(ordered).translate(_CANON)
+        shift = 7 if spelled.isascii() else min(
+            ord(max(spelled)).bit_length(), _MAX_CHAR_BITS
+        )
         transitions: Dict[int, int] = {}
-        for parent, ch, child in zip(parents[1:], edge_chars,
-                                     edge_children):
-            transitions[(parent << shift) | ord(ch)] = child
-        self._edge_starts = edge_starts
-        self._edge_chars = "".join(edge_chars)
-        self._edge_children = edge_children
-        self._parents = parents
-        self._parent_chars = "".join(parent_chars)
-        self._terminal = bytes(terminal)
+        get = transitions.get
+        held: Dict[int, str] = {}
+        nodes = 1
+        end = 0
+        for word in ordered:
+            start, end = end, end + len(word)
+            node = key = 0
+            for ch in spelled[start:end]:
+                key = (node << shift) | ord(ch)
+                value = get(key)
+                if value is None:
+                    value = transitions[key] = nodes << 1
+                    nodes += 1
+                node = value >> 1
+            # Flag the edge into the word's node as terminal.  Words
+            # arrive sorted, so each node's words are in lexicographic
+            # order.
+            transitions[key] = (node << 1) | 1
+            prior = held.get(node)
+            held[node] = word if prior is None else prior + word
+        spans = [0] * nodes
+        for node, text in held.items():
+            spans[node] = len(text)
+        word_starts = array("q", [0])
+        word_starts.extend(accumulate(spans))
         self._transitions = transitions
+        self._word_starts = word_starts
+        self._words = "".join([held[node] for node in sorted(held)])
         self._shift = shift
-        self._ord_bound = 1 << shift
-        # Toggle partners whose ordinal fits the packed layout; others
-        # cannot label an edge, so dropping them here lets the matcher
-        # skip per-state bound checks on the leet branch.
-        self._toggle_ord = {
-            ch: code for ch, code in _TOGGLE_ORD.items()
-            if code < self._ord_bound
-        }
+        self._bound = 1 << shift
         self._min_length = min_length
-        self._size = size
+        self._size = len(ordered)
         telemetry = obs.get()
         if telemetry.enabled:
             telemetry.incr("trie.compiled")
-            telemetry.observe("trie.compiled.nodes", float(len(terminal)))
+            telemetry.observe("trie.compiled.nodes", float(nodes))
 
     # --- flat-column export / attach ----------------------------------
 
     def to_arrays(self) -> Tuple[Dict[str, Any], Dict[str, Any]]:
         """``(meta, sections)`` flat columns for the snapshot plane.
 
-        Every buffer becomes a section the shared-memory segment
-        (:mod:`repro.core.shm`) can store behind its directory: the CSR
-        arrays and the packed transition index as ``int64`` columns
-        (keys and values in insertion order, so ``dict(zip(...))``
-        rebuilds the identical dict), the character tables as UTF-8
-        blobs, and the terminal flags as raw bytes.  ``meta`` carries
-        the scalars (``shift``, ``min_length``, ``size``).
+        Every column becomes a section the shared-memory segment
+        (:mod:`repro.core.shm`) can store behind its directory: the
+        transition dict as two ``int64`` columns (keys and values in
+        insertion order, so ``dict(zip(...))`` rebuilds the identical
+        dict), ``word_starts`` as an ``int64`` column and the words as
+        one UTF-8 blob.  ``meta`` carries the scalars (``shift``,
+        ``min_length``, ``size``).
         """
         transitions = self._transitions
         sections: Dict[str, Any] = {
-            "edge_starts": array("q", self._edge_starts),
-            "edge_chars": self._edge_chars,
-            "edge_children": array("q", self._edge_children),
-            "parents": array("q", self._parents),
-            "parent_chars": self._parent_chars,
-            "terminal": bytes(self._terminal),
             "transition_keys": array("q", transitions.keys()),
             "transition_values": array("q", transitions.values()),
+            "word_starts": array("q", self._word_starts),
+            "words": self._words,
         }
         meta = {
             "shift": self._shift,
@@ -199,32 +200,23 @@ class CompiledTrie:
     ) -> "CompiledTrie":
         """Rebuild a compiled trie from :meth:`to_arrays` columns.
 
-        The attach half of the snapshot plane: numeric columns are
-        adopted by reference (typically zero-copy ``memoryview('q')``
-        casts into a shared segment), so no per-node Python objects are
-        ever built.  The only per-entry work is ``dict(zip(...))`` over
-        the stored transition columns — C-speed, and the dict it builds
-        is identical (same pairs, same insertion order) to the one
-        :meth:`__init__` derives, so matching behaviour is bit-for-bit
-        the same.
+        The attach half of the snapshot plane: ``word_starts`` is
+        adopted by reference (typically a zero-copy ``memoryview('q')``
+        into a shared segment), so no per-node Python objects are ever
+        built.  The only per-entry work is ``dict(zip(...))`` over the
+        stored transition columns — C-speed, and the dict it builds is
+        identical (same pairs, same insertion order) to the compiled
+        one, so matching behaviour is bit-for-bit the same.
         """
         self = cls.__new__(cls)
-        self._edge_starts = sections["edge_starts"]
-        self._edge_chars = sections["edge_chars"]
-        self._edge_children = sections["edge_children"]
-        self._parents = sections["parents"]
-        self._parent_chars = sections["parent_chars"]
-        self._terminal = sections["terminal"]
         self._transitions = dict(
             zip(sections["transition_keys"], sections["transition_values"])
         )
+        self._word_starts = sections["word_starts"]
+        self._words = sections["words"]
         shift = int(meta["shift"])
         self._shift = shift
-        self._ord_bound = 1 << shift
-        self._toggle_ord = {
-            ch: code for ch, code in _TOGGLE_ORD.items()
-            if code < self._ord_bound
-        }
+        self._bound = 1 << shift
         self._min_length = int(meta["min_length"])
         self._size = int(meta["size"])
         telemetry = obs.get()
@@ -241,135 +233,80 @@ class CompiledTrie:
     @property
     def node_count(self) -> int:
         """Number of trie nodes in the compiled layout."""
-        return len(self._terminal)
+        return len(self._word_starts) - 1
 
     def __len__(self) -> int:
         """Number of stored words."""
         return self._size
 
+    def _holds(self, node: int, word: str) -> bool:
+        """True when ``node`` holds ``word`` (as long as its depth)."""
+        starts = self._word_starts
+        held = self._words
+        width = len(word)
+        return any(
+            held[index:index + width] == word
+            for index in range(starts[node], starts[node + 1], width)
+        )
+
+    def _path(self, text: str) -> Iterator[Tuple[int, int]]:
+        """``(end, value)`` along the canonical path of ``text``.
+
+        ``value`` is the transition value into the node reached after
+        ``text[:end]``; the walk stops at the first missing edge.
+        """
+        get = self._transitions.get
+        shift = self._shift
+        bound = self._bound
+        fold = _FOLD.get
+        node = 0
+        for end, ch in enumerate(text, 1):
+            code = ord(ch)
+            code = fold(code, code)
+            if code >= bound:
+                return
+            value = get((node << shift) | code)
+            if value is None:
+                return
+            yield end, value
+            node = value >> 1
+
     def __contains__(self, word: object) -> bool:
         if not isinstance(word, str):
             return False
-        transitions = self._transitions
-        shift = self._shift
-        bound = self._ord_bound
-        node = 0
-        for ch in word:
-            code = ord(ch)
-            if code >= bound:
-                return False
-            node = transitions.get((node << shift) | code)
-            if node is None:
-                return False
-        return bool(self._terminal[node])
-
-    def word_at(self, node: int) -> str:
-        """The stored string spelled by the path from the root to
-        ``node`` (the word itself when ``node`` is terminal)."""
-        parents = self._parents
-        chars = self._parent_chars
-        pieces: List[str] = []
-        while node:
-            pieces.append(chars[node])
-            node = parents[node]
-        pieces.reverse()
-        return "".join(pieces)
+        for end, value in self._path(word):
+            if end == len(word):
+                return bool(value & 1) and self._holds(value >> 1, word)
+        return False
 
     def iter_words(self) -> Iterator[str]:
         """Yield every stored word in lexicographic order."""
-        starts, chars, children = (
-            self._edge_starts, self._edge_chars, self._edge_children,
-        )
-        # Explicit-stack DFS; edges are sorted within each span, so
-        # pushing a span in reverse yields lexicographic order.
-        stack: List[Tuple[int, str]] = [(0, "")]
-        while stack:
-            node, prefix = stack.pop()
-            if self._terminal[node]:
-                yield prefix
-            for index in range(starts[node + 1] - 1, starts[node] - 1, -1):
-                stack.append((children[index], prefix + chars[index]))
+        # Node depths from the transition dict: its insertion order is
+        # node-creation order, so every parent precedes its children.
+        shift = self._shift
+        depths = [0] * (self.node_count or 1)
+        for key, value in self._transitions.items():
+            depths[value >> 1] = depths[key >> shift] + 1
+        starts = self._word_starts
+        held = self._words
+        words: List[str] = []
+        for node, depth in enumerate(depths):
+            for index in range(starts[node], starts[node + 1], depth or 1):
+                words.append(held[index:index + depth])
+        words.sort()
+        return iter(words)
 
     # --- exact prefix matching ----------------------------------------
 
     def longest_exact_prefix(self, text: str) -> Optional[str]:
         """Longest stored word that is a verbatim prefix of ``text``."""
-        transitions = self._transitions
-        terminal = self._terminal
-        shift = self._shift
-        bound = self._ord_bound
-        node = 0
         best: Optional[str] = None
-        for i, ch in enumerate(text):
-            code = ord(ch)
-            if code >= bound:
-                break
-            node = transitions.get((node << shift) | code)
-            if node is None:
-                break
-            if terminal[node]:
-                best = text[: i + 1]
+        for end, value in self._path(text):
+            if value & 1 and self._holds(value >> 1, text[:end]):
+                best = text[:end]
         return best
 
     # --- fuzzy prefix matching ----------------------------------------
-
-    def fuzzy_matches(self, text: str, allow_capitalization: bool = True,
-                      allow_leet: bool = True) -> List[FuzzyMatch]:
-        """All stored words matching a prefix of ``text`` under the rules.
-
-        Same match set as :meth:`PrefixTrie.fuzzy_matches`; the order of
-        the returned list is unspecified (the pointer trie emits DFS
-        order, this sweep emits level order).
-        """
-        matches: List[FuzzyMatch] = []
-        # State: (node, capitalized, toggles).
-        frontier: List[Tuple[int, bool, Tuple[int, ...]]] = [(0, False, ())]
-        terminal = self._terminal
-        get = self._transitions.get
-        shift = self._shift
-        bound = self._ord_bound
-        for offset in range(len(text)):
-            if not frontier:
-                break
-            observed = text[offset]
-            observed_ord = ord(observed)
-            if observed_ord >= bound:
-                observed_ord = -1
-            partner_ord = _TOGGLE_ORD.get(observed, -1) if allow_leet else -1
-            if partner_ord >= bound:
-                partner_ord = -1
-            lowered_ord = (
-                ord(observed.lower())
-                if allow_capitalization and offset == 0 and observed.isupper()
-                else -1
-            )
-            if lowered_ord >= bound:
-                lowered_ord = -1
-            next_frontier = []
-            for node, capitalized, toggles in frontier:
-                packed_base = node << shift
-                if observed_ord >= 0:
-                    child = get(packed_base | observed_ord)
-                    if child is not None:
-                        next_frontier.append((child, capitalized, toggles))
-                if lowered_ord >= 0:
-                    child = get(packed_base | lowered_ord)
-                    if child is not None:
-                        next_frontier.append((child, True, toggles))
-                if partner_ord >= 0:
-                    child = get(packed_base | partner_ord)
-                    if child is not None:
-                        next_frontier.append(
-                            (child, capitalized, toggles + (offset,))
-                        )
-            frontier = next_frontier
-            for node, capitalized, toggles in frontier:
-                if terminal[node]:
-                    matches.append(
-                        FuzzyMatch(self.word_at(node), offset + 1,
-                                   capitalized, toggles)
-                    )
-        return matches
 
     def longest_fuzzy_match(self, text: str,
                             allow_capitalization: bool = True,
@@ -382,90 +319,85 @@ class CompiledTrie:
 
         ``start`` lets the parser match mid-password without slicing a
         fresh remainder string per position.  This is the scoring hot
-        path: an iterative DFS over the packed transition index whose
-        states carry only ``(node, position, capitalized, toggles,
-        transformations)``.  The best match is tracked inline by the
-        ``(longest, fewest transformations, lexicographic base)`` key;
-        the base string is reconstructed from the parent arrays lazily,
-        and only when both earlier criteria tie.
+        path: most positions of a password start no stored word, so
+        both root edges are looked up before anything else.
         """
-        length = len(text)
-        if start >= length:
+        if start >= len(text):
             return None
-        # Root level handled inline: node 0 packs to 0, so root edges
-        # are keyed by the bare ordinal, and since capitalization only
-        # ever applies at offset 0 the DFS loop below does not need a
-        # capitalization branch at all.  Words are at least one
-        # character long, so the root is never terminal and a miss
-        # here means no match: the common case (most positions of a
-        # password match nothing) returns before any further setup.
         get = self._transitions.get
-        bound = self._ord_bound
-        observed = text[start]
-        observed_ord = ord(observed)
-        # State: (node, position, capitalized, toggles, transformations).
-        stack = []
-        if observed_ord < bound:
-            child = get(observed_ord)
-            if child is not None:
-                stack.append((child, start + 1, False, (), 0))
-        if allow_capitalization and observed.isupper():
-            lowered_ord = ord(observed.lower())
-            if lowered_ord < bound:
-                child = get(lowered_ord)
-                if child is not None:
-                    stack.append((child, start + 1, True, (), 1))
-        if allow_leet:
-            partner_ord = self._toggle_ord.get(observed)
-            if partner_ord is not None:
-                child = get(partner_ord)
-                if child is not None:
-                    stack.append((child, start + 1, False, (0,), 1))
-        if not stack:
-            return None
-        terminal = self._terminal
+        bound = self._bound
+        first = text[start]
+        code = ord(first)
+        code = _FOLD.get(code, code)
+        value = get(code) if code < bound else None
+        lowered: Optional[str] = None
+        capital = None
+        if allow_capitalization and first.isupper() and capitalizable(first):
+            lowered = first.lower()
+            code = ord(lowered)
+            code = _FOLD.get(code, code)
+            if code < bound:
+                capital = get(code)
+        best = None
+        if value is not None:
+            best = self._descend(value, text, start, None, allow_leet)
+        if capital is not None:
+            other = self._descend(capital, text, start, lowered, allow_leet)
+            if other is not None and (
+                best is None
+                or other.length > best.length
+                or (other.length == best.length
+                    and (other.transformations, other.base)
+                    < (best.transformations, best.base))
+            ):
+                best = other
+        return best
+
+    def _descend(self, value: int, text: str, start: int,
+                 lowered: Optional[str],
+                 allow_leet: bool) -> Optional[FuzzyMatch]:
+        """The best match of one reading, entered through root edge
+        ``value``; ``lowered`` is the capitalised reading's first
+        stored character (``None`` for the exact/leet reading)."""
+        get = self._transitions.get
         shift = self._shift
-        # In-alphabet toggle partners only, so no bound check is
-        # needed on the leet branch inside the loop.
-        toggle_ord = self._toggle_ord
-        push = stack.append
-        pop = stack.pop
-        best_length = -1
-        best_cost = 0
-        best_state = None
-        while stack:
-            state = pop()
-            node, position, capitalized, toggles, cost = state
-            if terminal[node]:
-                matched = position - start
-                if matched > best_length:
-                    best_length, best_cost, best_state = matched, cost, state
-                elif matched == best_length and (
-                    cost < best_cost
-                    or (cost == best_cost
-                        and self.word_at(node)
-                        < self.word_at(best_state[0]))
-                ):
-                    best_cost, best_state = cost, state
-            if position >= length:
-                continue
-            packed_base = node << shift
-            observed = text[position]
-            observed_ord = ord(observed)
-            if observed_ord < bound:
-                child = get(packed_base | observed_ord)
-                if child is not None:
-                    push((child, position + 1, capitalized, toggles, cost))
-            if allow_leet:
-                partner_ord = toggle_ord.get(observed)
-                if partner_ord is not None:
-                    child = get(packed_base | partner_ord)
-                    if child is not None:
-                        push((
-                            child, position + 1, capitalized,
-                            toggles + (position - start,), cost + 1,
-                        ))
-        if best_state is None:
-            return None
-        base = self.word_at(best_state[0])
-        return FuzzyMatch(base, len(base), best_state[2], best_state[3])
+        bound = self._bound
+        fold = _FOLD.get
+        node = value >> 1
+        end = start + 1
+        terminals = [(node, end)] if value & 1 else []
+        for ch in text[end:]:
+            code = ord(ch)
+            code = fold(code, code)
+            if code >= bound:
+                break
+            value = get((node << shift) | code)
+            if value is None:
+                break
+            node = value >> 1
+            end += 1
+            if value & 1:
+                terminals.append((node, end))
+        starts = self._word_starts
+        held = self._words
+        capitalized = lowered is not None
+        for node, end in reversed(terminals):
+            depth = end - start
+            observed = (
+                text[start:end] if lowered is None
+                else lowered + text[start + 1:end]
+            )
+            best = None
+            fewest: Tuple[int, ...] = ()
+            for index in range(starts[node], starts[node + 1], depth):
+                word = held[index:index + depth]
+                if word == observed:
+                    return _new_match((word, depth, capitalized, ()))
+                if not allow_leet or (capitalized and word[0] != lowered):
+                    continue
+                toggles = _toggles(word, observed)
+                if best is None or len(toggles) < len(fewest):
+                    best, fewest = word, toggles
+            if best is not None:
+                return _new_match((best, depth, capitalized, fewest))
+        return None

@@ -45,7 +45,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.core.grammar import Derivation, FuzzyGrammar, Structure
+from repro.core.grammar import FlatParse, FuzzyGrammar, Structure
 from repro.util.freqdist import FrequencyDistribution
 from repro.util.leet import LEET_RULE_INDEX, LEET_RULE_NAMES
 
@@ -98,7 +98,7 @@ class GrammarDelta:
 
 
 class DeltaBuilder:
-    """Worker-side accumulator translating derivations into deltas.
+    """Worker-side accumulator translating flat parses into deltas.
 
     One builder lives for the whole worker process; its intern tables
     (:attr:`_structure_ids` / :attr:`_terminal_ids`) persist across
@@ -128,10 +128,10 @@ class DeltaBuilder:
         self._leet = [0] * _LEET_SLOTS
         self._entries = 0
 
-    def observe(self, derivation: Derivation, count: int = 1) -> None:
-        """Accumulate one derivation (same contract as the grammar's)."""
+    def observe(self, parse: FlatParse, count: int = 1) -> None:
+        """Accumulate one flat parse (same contract as the grammar's)."""
         self._entries += 1
-        structure = derivation.structure
+        structure, segments = parse
         ref = self._structure_ids.get(structure)
         if ref is None:
             ref = len(self._structure_ids)
@@ -146,8 +146,8 @@ class DeltaBuilder:
             self._structure_counts[slot] += count
         booleans = self._booleans
         leet = self._leet
-        for segment in derivation.segments:
-            base = segment.base
+        for base, capitalized, toggled, reversed_word, all_caps, _ in \
+                segments:
             ref = self._terminal_ids.get(base)
             if ref is None:
                 ref = len(self._terminal_ids)
@@ -160,16 +160,14 @@ class DeltaBuilder:
                 self._terminal_counts.append(count)
             else:
                 self._terminal_counts[slot] += count
-            booleans[0 if segment.capitalized else 1] += count
-            booleans[2 if segment.reversed_word else 3] += count
-            booleans[4 if segment.all_caps else 5] += count
-            toggled = segment.toggled_offsets
-            toggled_set = set(toggled) if toggled else ()
+            booleans[0 if capitalized else 1] += count
+            booleans[2 if reversed_word else 3] += count
+            booleans[4 if all_caps else 5] += count
             for offset, ch in enumerate(base):
                 rule = LEET_RULE_INDEX.get(ch)
                 if rule is not None:
                     leet[
-                        2 * rule + (0 if offset in toggled_set else 1)
+                        2 * rule + (0 if offset in toggled else 1)
                     ] += count
 
     def finish_chunk(self, seconds: float = 0.0) -> GrammarDelta:

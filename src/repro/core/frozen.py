@@ -65,7 +65,7 @@ from typing import (
 )
 
 from repro import obs
-from repro.core.grammar import Derivation, FuzzyGrammar, Structure
+from repro.core.grammar import FlatParse, FuzzyGrammar, Structure
 from repro.util.freqdist import FrequencyDistribution
 from repro.util.leet import LEET_RULE_INDEX, LEET_RULE_NAMES
 
@@ -229,12 +229,12 @@ class FrozenGrammar:
     snapshot (:meth:`from_tables`, which carries no count totals),
     every table is built from the counts.
 
-    >>> from repro.core.grammar import DerivedSegment
+    >>> from repro.core.grammar import Derivation, DerivedSegment
     >>> grammar = FuzzyGrammar()
     >>> derivation = Derivation((DerivedSegment("password"),))
-    >>> grammar.observe(derivation)
+    >>> grammar.observe(derivation.flat())
     >>> frozen = FrozenGrammar(grammar)
-    >>> frozen.derivation_probability(derivation) == \
+    >>> frozen.derivation_probability(derivation.flat()) == \
             grammar.derivation_probability(derivation)
     True
     >>> frozen.epoch == grammar.epoch
@@ -322,25 +322,27 @@ class FrozenGrammar:
             return 0.0
         return entry[1][index]
 
-    def derivation_probability(self, derivation: Derivation) -> float:
+    def derivation_probability(self, parse: FlatParse) -> float:
         """Bit-identical fast path of the Fig.-11 product.
 
-        Every multiplication of
+        Takes a flat parse (:data:`~repro.core.grammar.FlatParse`), as
+        the parser produces and caches it.  Every multiplication of
         :meth:`FuzzyGrammar.derivation_probability` (via
         ``segment_probability``) happens here with the same factor
         values, in the same order, into the same accumulators — only
         the table lookups are compiled away.
         """
-        probability = self._structures.get(derivation.structure, 0.0)
+        structure, segments = parse
+        probability = self._structures.get(structure, 0.0)
         terminals = self._terminals
         capitalization = self._capitalization
         reverse = self._reverse
         allcaps = self._allcaps
         leet = self._leet
-        for segment in derivation.segments:
+        for base, capitalized, toggled, reversed_word, all_caps, _ in \
+                segments:
             if probability == 0.0:
                 return 0.0
-            base = segment.base
             entry = terminals.get(len(base))
             index = entry[0].get(base) if entry is not None else None
             if entry is None or index is None:
@@ -348,14 +350,12 @@ class FrozenGrammar:
                 probability *= 0.0
                 continue
             seg_probability = entry[1][index]
-            seg_probability *= capitalization[segment.capitalized]
-            seg_probability *= reverse[segment.reversed_word]
-            seg_probability *= allcaps[segment.all_caps]
-            toggled = segment.toggled_offsets
+            seg_probability *= capitalization[capitalized]
+            seg_probability *= reverse[reversed_word]
+            seg_probability *= allcaps[all_caps]
             if toggled:
-                toggled_set = set(toggled)
                 for offset, rule in entry[2][index]:
-                    seg_probability *= leet[rule][offset in toggled_set]
+                    seg_probability *= leet[rule][offset in toggled]
             else:
                 for _offset, rule in entry[2][index]:
                     seg_probability *= leet[rule][0]

@@ -37,10 +37,27 @@ from typing import (
 )
 
 from repro.util.freqdist import FrequencyDistribution
-from repro.util.leet import LEET_RULE_NAMES, LEET_BY_LETTER, LEET_BY_SUBSTITUTE
+from repro.util.leet import (
+    LEET_BY_LETTER,
+    LEET_BY_SUBSTITUTE,
+    LEET_RULE_INDEX,
+    LEET_RULE_NAMES,
+)
 
 #: A base structure is the tuple of segment lengths, e.g. ``(8, 1)``.
 Structure = Tuple[int, ...]
+
+#: One segment of a flat parse: ``(base, capitalized, toggled_offsets,
+#: reversed_word, all_caps, dictionary)`` — the fields of
+#: :class:`DerivedSegment` plus whether the base dictionary matched it.
+FlatSegment = Tuple[str, bool, Tuple[int, ...], bool, bool, bool]
+
+#: A flat parse: the structure plus one :data:`FlatSegment` per
+#: segment.  It is what the parser produces and caches, and what
+#: :meth:`FuzzyGrammar.observe`, the training delta builder and the
+#: frozen scoring kernel take, so scoring and training build no object
+#: per segment.
+FlatParse = Tuple[Structure, Tuple[FlatSegment, ...]]
 
 _T = TypeVar("_T", bound=Hashable)
 
@@ -113,25 +130,35 @@ class DerivedSegment:
         >>> DerivedSegment("pass12", all_caps=True).surface()
         'PASS12'
         """
-        if self.capitalized and self.all_caps:
-            raise ValueError(
-                "capitalized and all_caps are mutually exclusive"
-            )
-        chars: List[str] = []
-        toggled = set(self.toggled_offsets)
-        for offset, ch in enumerate(self.base):
-            if offset in toggled:
-                partner = LEET_BY_LETTER.get(ch) or LEET_BY_SUBSTITUTE.get(ch)
-                if partner is None:
-                    raise ValueError(
-                        f"offset {offset} of {self.base!r} is not leet-able"
-                    )
-                ch = partner
-            if self.all_caps or (offset == 0 and self.capitalized):
-                ch = ch.upper()
-            chars.append(ch)
-        text = "".join(chars)
-        return text[::-1] if self.reversed_word else text
+        return segment_surface(
+            self.base, self.capitalized, self.toggled_offsets,
+            self.reversed_word, self.all_caps,
+        )
+
+
+def segment_surface(base: str, capitalized: bool,
+                    toggled_offsets: Tuple[int, ...],
+                    reversed_word: bool, all_caps: bool) -> str:
+    """The observable string one segment derives (see
+    :meth:`DerivedSegment.surface`), from its fields."""
+    if capitalized and all_caps:
+        raise ValueError(
+            "capitalized and all_caps are mutually exclusive"
+        )
+    chars: List[str] = []
+    for offset, ch in enumerate(base):
+        if offset in toggled_offsets:
+            partner = LEET_BY_LETTER.get(ch) or LEET_BY_SUBSTITUTE.get(ch)
+            if partner is None:
+                raise ValueError(
+                    f"offset {offset} of {base!r} is not leet-able"
+                )
+            ch = partner
+        if all_caps or (offset == 0 and capitalized):
+            ch = ch.upper()
+        chars.append(ch)
+    text = "".join(chars)
+    return text[::-1] if reversed_word else text
 
 
 @dataclass(frozen=True)
@@ -146,6 +173,19 @@ class Derivation:
 
     def surface(self) -> str:
         return "".join(seg.surface() for seg in self.segments)
+
+    def flat(self) -> FlatParse:
+        """This derivation as a :data:`FlatParse`.
+
+        A derivation does not record which segments the base
+        dictionary matched, so every ``dictionary`` flag reads False;
+        nothing that scores or counts a flat parse reads that flag.
+        """
+        return self.structure, tuple(
+            (seg.base, seg.capitalized, seg.toggled_offsets,
+             seg.reversed_word, seg.all_caps, False)
+            for seg in self.segments
+        )
 
 
 class FuzzyGrammar:
@@ -187,23 +227,32 @@ class FuzzyGrammar:
         taken at epoch ``e`` are exact until the epoch moves past ``e``."""
         return self._epoch
 
-    def observe(self, derivation: Derivation, count: int = 1) -> None:
-        """Record one training password's derivation into the tables."""
+    def observe(self, parse: FlatParse, count: int = 1) -> None:
+        """Record one training password's flat parse into the tables.
+
+        ``parse`` comes from :meth:`FuzzyParser.parse_flat` (or
+        :meth:`Derivation.flat`): structure first, then per segment its
+        terminal, capitalization, reverse, all-caps and per-character
+        leet counts.
+        """
         self._epoch += 1
-        self.structures.add(derivation.structure, count)
-        for segment in derivation.segments:
-            table = self.terminals.setdefault(
-                segment.length, FrequencyDistribution()
-            )
-            table.add(segment.base, count)
-            self.capitalization.add(segment.capitalized, count)
-            self.reverse.add(segment.reversed_word, count)
-            self.allcaps.add(segment.all_caps, count)
-            toggled = set(segment.toggled_offsets)
-            for offset, ch in enumerate(segment.base):
-                rule = leet_rule_for_char(ch)
+        structure, segments = parse
+        self.structures.add(structure, count)
+        terminals = self.terminals
+        leet = self.leet
+        for base, capitalized, toggled, reversed_word, all_caps, _ in \
+                segments:
+            table = terminals.get(len(base))
+            if table is None:
+                table = terminals[len(base)] = FrequencyDistribution()
+            table.add(base, count)
+            self.capitalization.add(capitalized, count)
+            self.reverse.add(reversed_word, count)
+            self.allcaps.add(all_caps, count)
+            for offset, ch in enumerate(base):
+                rule = LEET_RULE_INDEX.get(ch)
                 if rule is not None:
-                    self.leet[rule].add(offset in toggled, count)
+                    leet[LEET_RULE_NAMES[rule]].add(offset in toggled, count)
 
     def __eq__(self, other: object) -> bool:
         """True when every count table is identical."""

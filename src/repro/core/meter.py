@@ -44,6 +44,7 @@ from repro.core.parser import (
     DEFAULT_PARSE_CACHE_SIZE,
     FuzzyParser,
     ParsedPassword,
+    parse_tally,
 )
 from repro.core.shm import (
     MaterializedScoringState,
@@ -159,29 +160,29 @@ def score_many(
     """The batch scoring loop: one probability per input, in order.
 
     Real password streams are heavily repetitive (Zipf-shaped), so
-    parses go through the parser's LRU cache, the final probability is
-    memoised per distinct password within the batch, and derivations
-    are evaluated against the frozen scoring kernel.  Values are
-    bit-identical to per-call :meth:`FuzzyPSM.probability`.  This is
-    the only copy of the loop: :meth:`FuzzyPSM.probability_many` and
-    the scoring-pool worker both call it.
+    parses go through the parser's LRU cache, and the final probability
+    is memoised per distinct password within the batch.  Each flat
+    parse (:data:`~repro.core.grammar.FlatParse`) goes straight from
+    the parser, or its cache, into the frozen scoring kernel: no object
+    is built per segment.  Values are bit-identical to per-call
+    :meth:`FuzzyPSM.probability`.  This is the only copy of the loop:
+    :meth:`FuzzyPSM.probability_many` and the scoring-pool worker both
+    call it.
     """
     telemetry = obs.get()
-    parse = parser.parse_cached
+    parse = parser.parse_flat_cached
     score = frozen.derivation_probability
     batch: Dict[str, float] = {}
     out: List[float] = []
-    # Probes stay at batch granularity: per-item telemetry in this
-    # loop would eat into the very speedup the batch path exists for
-    # (per-score cost is ~3 us on cache hits).
-    with telemetry.timer("meter.batch.seconds"):
+    # Probes stay at batch granularity: the parse probes are counted as
+    # plain ints into one tally (only when telemetry is enabled) and
+    # folded in once, after the loop.
+    with parse_tally() as tally, telemetry.timer("meter.batch.seconds"):
         for password in passwords:
             probability = batch.get(password)
             if probability is None:
                 if password:
-                    probability = score(
-                        parse(password).to_derivation()
-                    )
+                    probability = score(parse(password, tally))
                 else:
                     probability = 0.0
                 batch[password] = probability
@@ -479,7 +480,7 @@ class FuzzyPSM(ProbabilisticMeter):
             parsed.to_derivation()
         )
         if self._config.auto_update:
-            self._grammar.observe(parsed.to_derivation())
+            self._grammar.observe(parsed.flat)
         return probability
 
     def probability_many(
@@ -636,8 +637,9 @@ class FuzzyPSM(ProbabilisticMeter):
                 f"accept count for {password!r} must be positive, "
                 f"got {count!r}"
             )
-        parsed = self.parse(password)
-        self._grammar.observe(parsed.to_derivation(), count)
+        with parse_tally() as tally:
+            parse = self._parser.parse_flat(password, tally)
+        self._grammar.observe(parse, count)
 
     # --- serialisation -----------------------------------------------------
 

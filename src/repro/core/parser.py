@@ -11,37 +11,53 @@ deterministic procedure:
    segment (the paper's ``tyxdqd123 -> B6 B3`` example).
 3. Repeat until the password is consumed.
 
-The resulting sequence of segments, each with its capitalization flag
-and leet-toggle offsets, is a :class:`~repro.core.grammar.Derivation`
-whose probability the grammar can evaluate.
+The parse is produced *flat*: the structure plus one plain tuple per
+segment (:data:`~repro.core.grammar.FlatParse`).  That is what the LRU
+parse cache stores, what the frozen scoring kernel and
+:meth:`FuzzyGrammar.observe` take, and so what scoring and training
+move between parser and kernel: no object per segment.  The public
+:meth:`FuzzyParser.parse` and :meth:`FuzzyParser.parse_cached` wrap a
+flat parse in a :class:`ParsedPassword` for callers that want named
+fields and :meth:`ParsedPassword.to_derivation`.
 
 Performance notes (see DESIGN.md "Performance architecture"):
 
 * dictionary matching runs against a :class:`CompiledTrie` — the
-  flat-array snapshot of the base trie — built lazily on first parse.
-  It is the only matcher a parse ever consults; the pointer
-  :class:`PrefixTrie` is build input, and (through
-  :meth:`FuzzyParser.from_compiled`, which accepts either trie) the
-  reference the parse-level differential tests compare against;
+  leet-canonical snapshot of the base trie, one walk per reading —
+  built lazily on first parse.  It is the only matcher a parse ever
+  consults; the pointer :class:`PrefixTrie` is build input, and
+  (through :meth:`FuzzyParser.from_compiled`, which accepts either
+  trie) the reference the parse-level differential tests compare
+  against;
 * the reversed-word trie of the ``allow_reverse`` extension is also
   built lazily, on the first parse that needs it, so deserialising a
   reverse-enabled grammar that never parses costs nothing;
-* :meth:`FuzzyParser.parse_cached` memoises parses in a bounded LRU —
-  password streams are Zipf-distributed, so a small cache absorbs most
-  of a bulk-scoring workload.
+* :meth:`FuzzyParser.parse_flat_cached` memoises flat parses in a
+  bounded LRU — password streams are Zipf-distributed, so a small cache
+  absorbs most of a bulk-scoring workload;
+* telemetry probes are counted per batch: a loop passes one
+  :class:`ParseTally` to every parse and folds it in once
+  (:func:`parse_tally`); with telemetry off it passes ``None``.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.core.compiled_trie import CompiledTrie
-from repro.core.grammar import Derivation, DerivedSegment
-from repro.core.trie import PrefixTrie
+from repro.core.grammar import (
+    Derivation,
+    DerivedSegment,
+    FlatParse,
+    FlatSegment,
+    segment_surface,
+)
+from repro.core.trie import PrefixTrie, capitalizable
 from repro.util.charclasses import first_run
 
 #: Default capacity of the per-parser LRU parse cache.
@@ -85,6 +101,30 @@ class ParsedPassword:
     password: str
     segments: Tuple[ParsedSegment, ...]
 
+    @classmethod
+    def from_flat(cls, password: str, parse: FlatParse) -> "ParsedPassword":
+        """Name the fields of a flat parse of ``password``."""
+        return cls(password, tuple(
+            ParsedSegment(
+                base, capitalized, toggled,
+                SegmentKind.DICTIONARY if dictionary
+                else SegmentKind.FALLBACK,
+                reversed_word, all_caps,
+            )
+            for base, capitalized, toggled, reversed_word, all_caps,
+            dictionary in parse[1]
+        ))
+
+    @property
+    def flat(self) -> FlatParse:
+        """The flat parse this was built from."""
+        return self.structure, tuple(
+            (seg.base, seg.capitalized, seg.toggled_offsets,
+             seg.reversed_word, seg.all_caps,
+             seg.kind is SegmentKind.DICTIONARY)
+            for seg in self.segments
+        )
+
     @property
     def structure(self) -> Tuple[int, ...]:
         return tuple(len(seg.base) for seg in self.segments)
@@ -106,74 +146,86 @@ class ParsedPassword:
         return Derivation(tuple(seg.to_derived() for seg in self.segments))
 
 
-def _record_parse(
-    telemetry: obs.Telemetry,
-    parsed: ParsedPassword,
-    cache_miss: bool = False,
-) -> None:
-    """Report one completed parse to the active telemetry backend.
+class ParseTally:
+    """One batch's parse probes, counted as plain ints.
 
-    Runs only when a collecting backend is installed, and only for
-    actual parse work — parse-cache hits are counted separately, under
-    ``parser.cache.hit``; a miss that triggered this parse folds its
-    ``parser.cache.miss`` into the same dispatch via ``cache_miss``.
-    Zero-valued counters are not emitted (report readers default
-    missing probes to 0), and the whole group goes through one
-    ``incr_many`` call.
-
-    The hot path never calls this directly: parses are *deferred* —
-    the parser buffers ``(parsed, cache_miss)`` events on the backend
-    (one list append per parse) and this aggregation runs when a
-    reader drains the buffer.  That deferral is what keeps the
-    enabled-backend overhead of a scoring sweep inside the <5% budget.
-    Probe inventory: DESIGN.md §9.
+    A batch loop counts every parse it does into one tally, and
+    :meth:`flush` folds the tally into telemetry with one ``incr_many``
+    (DESIGN.md §9).  Parse-cache hits are counted, but only parses that
+    did work count as ``parser.parse``.  One longest-prefix-match
+    attempt is made per produced segment, so ``parser.match.attempts``
+    is the segment count.  Zero-valued counters are not emitted (report
+    readers default missing probes to 0).
     """
-    segments = parsed.segments
-    counts = [("parser.parse", 1)]
-    append = counts.append
-    if cache_miss:
-        append(("parser.cache.miss", 1))
-    if segments:
-        trie_hits = fallbacks = 0
-        capitalized = leet = reversed_words = allcaps = 0
-        for segment in segments:
-            if segment.kind is SegmentKind.DICTIONARY:
-                trie_hits += 1
-            else:
-                fallbacks += 1
-            if segment.capitalized:
-                capitalized += 1
-            leet += len(segment.toggled_offsets)
-            if segment.reversed_word:
-                reversed_words += 1
-            if segment.all_caps:
-                allcaps += 1
-        # One longest-prefix-match attempt per produced segment: the
-        # parse loop consults the matcher exactly once per segment,
-        # falling back to an L/D/S run when the attempt misses.
-        append(("parser.match.attempts", len(segments)))
-        if trie_hits:
-            append(("parser.segment.trie_hit", trie_hits))
-        if fallbacks:
-            append(("parser.segment.fallback", fallbacks))
-        if capitalized:
-            append(("parser.rule.capitalization", capitalized))
-        if leet:
-            append(("parser.rule.leet", leet))
-        if reversed_words:
-            append(("parser.rule.reverse", reversed_words))
-        if allcaps:
-            append(("parser.rule.allcaps", allcaps))
-    telemetry.incr_many(counts)
-    telemetry.observe("parser.segments", float(len(segments)))
+
+    __slots__ = (
+        "hits", "misses", "evictions", "parses", "segments", "trie_hits",
+        "capitalized", "leet", "reversed", "allcaps", "shapes",
+    )
+
+    def __init__(self) -> None:
+        self.hits = self.misses = self.evictions = self.parses = 0
+        self.segments = self.trie_hits = 0
+        self.capitalized = self.leet = self.reversed = self.allcaps = 0
+        #: Segments per parse -> parses of that many segments, for the
+        #: ``parser.segments`` histogram.
+        self.shapes: Dict[int, int] = {}
+
+    def count(self, parse: FlatParse) -> None:
+        """Count one parse that did work."""
+        segments = parse[1]
+        size = len(segments)
+        self.parses += 1
+        self.segments += size
+        shapes = self.shapes
+        shapes[size] = shapes.get(size, 0) + 1
+        for _base, capitalized, toggled, reversed_word, all_caps, \
+                dictionary in segments:
+            if dictionary:
+                self.trie_hits += 1
+            # Most segments fire no rule at all.
+            if capitalized or toggled or reversed_word or all_caps:
+                self.capitalized += capitalized
+                self.leet += len(toggled)
+                self.reversed += reversed_word
+                self.allcaps += all_caps
+
+    def flush(self, telemetry: obs.Telemetry) -> None:
+        """Fold the tally into ``telemetry``."""
+        counts = [
+            ("parser.cache.hit", self.hits),
+            ("parser.cache.miss", self.misses),
+            ("parser.cache.evict", self.evictions),
+            ("parser.parse", self.parses),
+            ("parser.match.attempts", self.segments),
+            ("parser.segment.trie_hit", self.trie_hits),
+            ("parser.segment.fallback", self.segments - self.trie_hits),
+            ("parser.rule.capitalization", self.capitalized),
+            ("parser.rule.leet", self.leet),
+            ("parser.rule.reverse", self.reversed),
+            ("parser.rule.allcaps", self.allcaps),
+        ]
+        telemetry.incr_many([item for item in counts if item[1]])
+        for segments, parses in self.shapes.items():
+            telemetry.observe("parser.segments", float(segments), parses)
 
 
-def _record_parse_event(
-    telemetry: obs.Telemetry, event: Tuple[ParsedPassword, bool]
-) -> None:
-    """Deferred-event handler: unpack and aggregate one parse."""
-    parsed, cache_miss = event
-    _record_parse(telemetry, parsed, cache_miss)
+@contextmanager
+def parse_tally() -> Iterator[Optional[ParseTally]]:
+    """A :class:`ParseTally` for one batch, flushed when it ends.
+
+    Yields ``None`` when telemetry is disabled, so the loop's parses
+    count nothing.
+    """
+    telemetry = obs.get()
+    if not telemetry.enabled:
+        yield None
+        return
+    tally = ParseTally()
+    try:
+        yield tally
+    finally:
+        tally.flush(telemetry)
 
 
 class FuzzyParser:
@@ -211,7 +263,7 @@ class FuzzyParser:
         # reading is indistinguishable from the plain one.
         self._compiled: Optional[Matcher] = None
         self._reversed_matcher: Optional[Matcher] = None
-        self._parse_cache: "OrderedDict[str, ParsedPassword]" = OrderedDict()
+        self._parse_cache: "OrderedDict[str, FlatParse]" = OrderedDict()
         self._parse_cache_size = parse_cache_size
 
     @property
@@ -331,105 +383,122 @@ class FuzzyParser:
 
     def _reverse_matcher(self) -> Matcher:
         if self._reversed_matcher is None:
-            reversed_trie = PrefixTrie(min_length=self._trie.min_length)
-            for word in self._trie.iter_words():
-                if word != word[::-1]:
-                    reversed_trie.insert(word[::-1])
-            self._reversed_matcher = reversed_trie.compile()
+            with obs.get().timer("trie.compile.seconds"):
+                self._reversed_matcher = CompiledTrie(
+                    [
+                        word[::-1] for word in self._trie.iter_words()
+                        if word != word[::-1]
+                    ],
+                    self._trie.min_length,
+                )
         return self._reversed_matcher
 
     # --- parsing -------------------------------------------------------
 
     def parse(self, password: str) -> ParsedPassword:
         """Parse ``password`` into base segments (never fails)."""
-        parsed = self._parse_segments(password)
-        telemetry = obs.get()
-        if telemetry.enabled:
-            telemetry.defer(_record_parse_event, (parsed, False))
-        return parsed
-
-    def _parse_segments(self, password: str) -> ParsedPassword:
-        """The raw parse loop, free of telemetry probes."""
-        segments: List[ParsedSegment] = []
-        position = 0
-        while position < len(password):
-            segment = self._best_dictionary_segment(password, position)
-            if segment is None:
-                segment = self._fallback_segment(password, position)
-            segments.append(segment)
-            position += len(segment.base)
-        return ParsedPassword(password, tuple(segments))
+        with parse_tally() as tally:
+            parse = self.parse_flat(password, tally)
+        return ParsedPassword.from_flat(password, parse)
 
     def parse_cached(self, password: str) -> ParsedPassword:
-        """:meth:`parse` through the bounded LRU parse cache.
+        """:meth:`parse` through the bounded LRU parse cache."""
+        with parse_tally() as tally:
+            parse = self.parse_flat_cached(password, tally)
+        return ParsedPassword.from_flat(password, parse)
+
+    def parse_flat(self, password: str,
+                   tally: Optional[ParseTally] = None) -> FlatParse:
+        """The flat parse of ``password``, counted into ``tally``."""
+        parse = self._parse_flat(password)
+        if tally is not None:
+            tally.count(parse)
+        return parse
+
+    def parse_flat_cached(self, password: str,
+                          tally: Optional[ParseTally] = None) -> FlatParse:
+        """:meth:`parse_flat` through the bounded LRU parse cache.
 
         Parses depend only on the (immutable) trie and the parser
         flags, so memoisation is exact; bulk scoring of Zipf-shaped
         password streams hits the cache for the popular head.
         """
-        telemetry = obs.get()
         cache = self._parse_cache
-        parsed = cache.get(password)
-        if parsed is not None:
+        parse = cache.get(password)
+        if parse is not None:
             cache.move_to_end(password)
-            if telemetry.enabled:
-                telemetry.incr("parser.cache.hit")
-            return parsed
-        parsed = self._parse_segments(password)
-        if telemetry.enabled:
-            telemetry.defer(_record_parse_event, (parsed, True))
-        cache[password] = parsed
+            if tally is not None:
+                tally.hits += 1
+            return parse
+        parse = self._parse_flat(password)
+        cache[password] = parse
         if len(cache) > self._parse_cache_size:
             cache.popitem(last=False)
-            if telemetry.enabled:
-                telemetry.incr("parser.cache.evict")
-        return parsed
+            if tally is not None:
+                tally.evictions += 1
+        if tally is not None:
+            tally.misses += 1
+            tally.count(parse)
+        return parse
+
+    def _parse_flat(self, password: str) -> FlatParse:
+        """The raw parse loop, free of telemetry probes."""
+        extended = self._allow_reverse or self._allow_allcaps
+        match = self._forward_matcher().longest_fuzzy_match
+        capitalization = self._allow_capitalization
+        leet = self._allow_leet
+        structure: List[int] = []
+        segments: List[FlatSegment] = []
+        position = 0
+        length = len(password)
+        while position < length:
+            segment: Optional[FlatSegment]
+            if extended:
+                segment = self._best_dictionary_segment(password, position)
+            else:
+                # One candidate direction only: no ranking needed.
+                found = match(password, capitalization, leet, position)
+                segment = None if found is None else (
+                    found[0], found[2], found[3], False, False, True
+                )
+            if segment is None:
+                segment = self._fallback_segment(password, position)
+            size = len(segment[0])
+            structure.append(size)
+            segments.append(segment)
+            position += size
+        return tuple(structure), tuple(segments)
 
     def _best_dictionary_segment(self, password: str, position: int
-                                 ) -> Optional[ParsedSegment]:
+                                 ) -> Optional[FlatSegment]:
         """Longest match over both reading directions, from ``position``.
 
         Preference order: longest consumed prefix, then fewest
         transformations (the reverse flag counts as one), then the
         forward reading, then lexicographic base — fully deterministic.
         """
+        candidates: List[Tuple[int, int, int, str, FlatSegment]] = []
         forward = self._forward_matcher().longest_fuzzy_match(
             password,
             allow_capitalization=self._allow_capitalization,
             allow_leet=self._allow_leet,
             start=position,
         )
-        if forward is not None and not self._allow_reverse \
-                and not self._allow_allcaps:
-            # Fast path: with the extensions off there is exactly one
-            # candidate direction, no ranking needed.
-            return ParsedSegment(
-                base=forward.base,
-                capitalized=forward.capitalized,
-                toggled_offsets=forward.toggled_offsets,
-                kind=SegmentKind.DICTIONARY,
-            )
-        remainder = password[position:]
-        candidates: List[Tuple[int, int, int, str, ParsedSegment]] = []
         if forward is not None:
             candidates.append((
-                -forward.length, forward.transformations, 0,
-                forward.base,
-                ParsedSegment(
-                    base=forward.base,
-                    capitalized=forward.capitalized,
-                    toggled_offsets=forward.toggled_offsets,
-                    kind=SegmentKind.DICTIONARY,
-                ),
+                -forward.length, forward.transformations, 0, forward.base,
+                (forward.base, forward.capitalized, forward.toggled_offsets,
+                 False, False, True),
             ))
         if self._allow_reverse:
             # Capitalization is a first-letter-of-base rule; under
             # reversal it would surface at the segment's end, which
             # users do not do — only exact/leet readings are matched.
             backward = self._reverse_matcher().longest_fuzzy_match(
-                remainder,
+                password,
                 allow_capitalization=False,
                 allow_leet=self._allow_leet,
+                start=position,
             )
             if backward is not None:
                 base = backward.base[::-1]
@@ -442,26 +511,19 @@ class FuzzyParser:
                 ))
                 candidates.append((
                     -length, backward.transformations + 1, 1, base,
-                    ParsedSegment(
-                        base=base,
-                        capitalized=False,
-                        toggled_offsets=toggles,
-                        kind=SegmentKind.DICTIONARY,
-                        reversed_word=True,
-                    ),
+                    (base, False, toggles, True, False, True),
                 ))
         if self._allow_allcaps:
-            allcaps = self._allcaps_candidate(remainder)
+            allcaps = self._allcaps_candidate(password[position:])
             if allcaps is not None:
                 candidates.append(allcaps)
         if not candidates:
             return None
-        candidates.sort(key=lambda item: item[:4])
-        return candidates[0][4]
+        return min(candidates, key=lambda item: item[:4])[4]
 
     def _allcaps_candidate(
         self, remainder: str
-    ) -> Optional[Tuple[int, int, int, str, ParsedSegment]]:
+    ) -> Optional[Tuple[int, int, int, str, FlatSegment]]:
         """An all-caps reading: the observed prefix is a stored word
         with every letter upper-cased (limitation-#2 extension).
 
@@ -479,40 +541,31 @@ class FuzzyParser:
         )
         if match is None:
             return None
-        segment = ParsedSegment(
-            base=match.base,
-            capitalized=False,
-            toggled_offsets=match.toggled_offsets,
-            kind=SegmentKind.DICTIONARY,
-            all_caps=True,
-        )
-        surface = segment.to_derived().surface()
-        observed = remainder[:match.length]
-        if surface != observed:
+        base, length, _, toggles = match
+        observed = remainder[:length]
+        if segment_surface(base, False, toggles, False, True) != observed:
             return None
         # The rule must actually change something (reject pure-digit
         # or already-lower readings, which the exact match covers).
-        if observed == match.base:
+        if observed == base:
             return None
         return (
-            -match.length, match.transformations + 1, 2, match.base,
-            segment,
+            -length, match.transformations + 1, 2, base,
+            (base, False, toggles, False, True, True),
         )
 
     def _fallback_segment(self, password: str,
-                          position: int) -> ParsedSegment:
+                          position: int) -> FlatSegment:
         """One maximal L/D/S run, canonicalised for the grammar.
 
         Only the capitalization of the *first* character is modelled
         (paper limitation #2), so the base form lower-cases just that
         character; no leet decisions are inferred for fallback runs.
+        A first character that is not :func:`capitalizable` stays as it
+        is, so the derivation spells the run back.
         """
         run = first_run(password, position)
-        capitalized = run[0].isupper()
-        base = run[0].lower() + run[1:] if capitalized else run
-        return ParsedSegment(
-            base=base,
-            capitalized=capitalized,
-            toggled_offsets=(),
-            kind=SegmentKind.FALLBACK,
-        )
+        first = run[0]
+        if first.isupper() and capitalizable(first):
+            return (first.lower() + run[1:], True, (), False, False, False)
+        return (run, False, (), False, False, False)

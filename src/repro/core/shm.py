@@ -33,14 +33,17 @@ bytes:
 
 Lifetime rules: exactly one process owns a segment (the one that
 called ``create``); owners must ``unlink`` when the epoch is retired,
-and an ``atexit`` hook unlinks anything they leaked.  Attached
-processes only ever ``close`` their mapping — CPython < 3.13 wrongly
-registers attachments with the ``resource_tracker`` (whose exit-time
-cleanup would unlink a segment the process does not own), so ``attach``
-immediately unregisters.  ``close`` is BufferError-safe: materialized
-states export views into the mapping, and while any survive the
-mapping is left open for the OS to reclaim at process exit rather than
-failing the caller.
+and an ``atexit`` hook unlinks anything they leaked.  An owner killed
+before either runs leaves the segment to its ``resource_tracker``,
+which unlinks it once the owner is gone.  Attached processes only ever
+``close`` their mapping.  CPython < 3.13 registers attachments with the
+tracker too; a reader that shares its owner's tracker (every pool
+worker, under fork and spawn alike) leaves that registration alone,
+because removing it would remove the owner's entry, and a reader with
+a tracker of its own removes it (see :meth:`SharedScoringSegment.attach`).
+``close`` is BufferError-safe: materialized states export views into
+the mapping, and while any survive the mapping is left open for the OS
+to reclaim at process exit rather than failing the caller.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import os
 import uuid
 from multiprocessing import resource_tracker, shared_memory
 from multiprocessing.context import BaseContext
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.core.compiled_trie import CompiledTrie
@@ -173,6 +176,17 @@ class MaterializedScoringState:
         return self.frozen
 
 
+def _tracker_identity() -> List[int]:
+    """This process's resource tracker, as its pipe's ``[st_dev, st_ino]``.
+
+    ``multiprocessing`` children inherit their parent's tracker pipe
+    under fork, spawn and forkserver, so processes with equal
+    identities register into one tracker.
+    """
+    status = os.fstat(resource_tracker.getfd())
+    return [status.st_dev, status.st_ino]
+
+
 #: Segments created (hence owned) by this process, by name.  The
 #: ``atexit`` sweep unlinks leftovers so crashed owners do not leak
 #: ``/dev/shm`` entries; the pid check keeps fork children (which
@@ -248,6 +262,7 @@ class SharedScoringSegment:
                 "flags": dict(state.flags),
                 "parse_cache_size": state.parse_cache_size,
                 "parts": parts,
+                "tracker": _tracker_identity(),
             },
             sections,
         )
@@ -277,21 +292,22 @@ class SharedScoringSegment:
     def attach(cls, name: str) -> "SharedScoringSegment":
         """Open an existing segment by name (non-owning)."""
         shm = shared_memory.SharedMemory(name=name)
+        view = memoryview(shm.buf)
+        header = read_header(view, MAGIC)
         # CPython < 3.13 registers *attached* segments with the
-        # resource tracker too; its exit-time cleanup would unlink a
-        # segment this process does not own.  Undo the registration —
-        # except when this very process is the owner (self-attach, e.g.
-        # the serial fallback path), where the tracker entry belongs to
-        # ``create`` and is balanced by ``unlink``.
-        if name not in _OWNED:
+        # resource tracker too; a tracker of this process's own would
+        # unlink, at exit, a segment this process does not own, so that
+        # registration is undone.  A tracker shared with the owner (the
+        # owner itself, or a pool worker) keeps one entry per name, the
+        # owner's: undoing the registration would remove it, and a
+        # killed owner's segment would then outlive it.
+        if header.get("tracker") != _tracker_identity():
             try:
                 resource_tracker.unregister(
                     getattr(shm, "_name", "/" + shm.name), "shared_memory"
                 )
             except (KeyError, ValueError):  # pragma: no cover - quirk
                 pass
-        view = memoryview(shm.buf)
-        header = read_header(view, MAGIC)
         segment = cls(shm, int(header["epoch"]), owner_pid=None)
         telemetry = obs.get()
         if telemetry.enabled:

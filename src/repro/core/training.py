@@ -45,7 +45,7 @@ from repro import obs
 from repro.obs.core import now as _now
 from repro.core.deltas import DeltaBuilder, DeltaMerger, GrammarDelta
 from repro.core.grammar import FuzzyGrammar
-from repro.core.parser import FuzzyParser
+from repro.core.parser import FuzzyParser, parse_tally
 from repro.core.shm import (
     MaterializedScoringState,
     SharedScoringSegment,
@@ -200,9 +200,9 @@ def _delta_chunk(chunk: List[Tuple[str, int]]) -> GrammarDelta:
         "pool initialiser did not run"
     )
     start = _now()
+    parse = parser.parse_flat_cached
     for password, count in _aggregate_chunk(chunk).items():
-        parsed = parser.parse_cached(password)
-        builder.observe(parsed.to_derivation(), count)
+        builder.observe(parse(password), count)
     return builder.finish_chunk(_now() - start)
 
 
@@ -370,15 +370,16 @@ def _train_grammar_serial(entries: Iterator[Tuple[str, int]],
     """One in-process pass over normalised ``(password, count)`` pairs."""
     telemetry = obs.get()
     grammar = FuzzyGrammar()
+    observe = grammar.observe
+    parse = parser.parse_flat
     trained = 0
-    with telemetry.timer("train.serial.seconds"):
+    with parse_tally() as tally, telemetry.timer("train.serial.seconds"):
         for password, count in entries:
             if not password:
                 if skip_empty:
                     continue
                 raise ValueError("cannot train on an empty password")
-            parsed = parser.parse(password)
-            grammar.observe(parsed.to_derivation(), count)
+            observe(parse(password, tally), count)
             trained += 1
     if telemetry.enabled:
         telemetry.incr("train.passwords", trained)
@@ -392,13 +393,15 @@ def _train_streaming_serial(
     """In-process streamed training: aggregate, parse cached, observe."""
     telemetry = obs.get()
     grammar = FuzzyGrammar()
+    observe = grammar.observe
+    parse = parser.parse_flat_cached
     trained = 0
     with telemetry.timer("train.stream.seconds"):
         for chunk in chunks:
             trained += len(chunk)
-            for password, count in _aggregate_chunk(chunk).items():
-                parsed = parser.parse_cached(password)
-                grammar.observe(parsed.to_derivation(), count)
+            with parse_tally() as tally:
+                for password, count in _aggregate_chunk(chunk).items():
+                    observe(parse(password, tally), count)
     if telemetry.enabled:
         telemetry.incr("train.passwords", trained)
     return grammar

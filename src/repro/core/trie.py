@@ -20,8 +20,7 @@ character that belongs to a leet pair contributes one Yes/No factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.util.leet import LEET_BY_LETTER, LEET_BY_SUBSTITUTE
 
@@ -47,8 +46,28 @@ def toggle_partner(ch: str) -> Optional[str]:
     return _TOGGLE.get(ch)
 
 
-@dataclass(frozen=True)
-class FuzzyMatch:
+def capitalizable(ch: str) -> bool:
+    """True when ``ch`` can be read as a capitalised first letter.
+
+    The rule derives ``ch`` by upper-casing a stored character, so
+    ``ch.lower()`` must be one code point whose upper case is ``ch``
+    again.  U+0130 lower-cases to two code points and the Kelvin sign
+    U+212A to a ``k`` that upper-cases to a Latin ``K``: reading either
+    as capitalised would make the derivation spell another string, so
+    neither takes the rule.
+
+    >>> capitalizable("P"), capitalizable("p"), capitalizable("1")
+    (True, False, False)
+    >>> capitalizable(chr(0x130)), capitalizable(chr(0x212A))
+    (False, False)
+    """
+    if not ch.isupper():
+        return False
+    lowered = ch.lower()
+    return len(lowered) == 1 and lowered.upper() == ch
+
+
+class FuzzyMatch(NamedTuple):
     """One way a password prefix matches a stored base password.
 
     Attributes:
@@ -85,6 +104,9 @@ class _Node:
 class PrefixTrie:
     """Stores base-dictionary words and answers fuzzy prefix queries.
 
+    Besides the pointer nodes the trie keeps its words as a list, so
+    :meth:`iter_words` and :meth:`compile` need no walk of the nodes.
+
     >>> trie = PrefixTrie(["password", "p@ssword", "123qwe"])
     >>> "password" in trie
     True
@@ -99,7 +121,10 @@ class PrefixTrie:
             raise ValueError("min_length must be positive")
         self._root = _Node()
         self._min_length = min_length
-        self._size = 0
+        self._words: List[str] = []
+        # Whether ``_words`` is in lexicographic order; inserting in
+        # sorted order (a saved model's word list) keeps it sorted.
+        self._sorted = True
         if words:
             for word in words:
                 self.insert(word)
@@ -110,7 +135,7 @@ class PrefixTrie:
 
     def __len__(self) -> int:
         """Number of stored words."""
-        return self._size
+        return len(self._words)
 
     def insert(self, word: str) -> bool:
         """Insert a word verbatim; returns False if too short or present.
@@ -126,7 +151,10 @@ class PrefixTrie:
         if node.terminal:
             return False
         node.terminal = True
-        self._size += 1
+        words = self._words
+        if self._sorted and words and word < words[-1]:
+            self._sorted = False
+        words.append(word)
         return True
 
     def __contains__(self, word: object) -> bool:
@@ -145,22 +173,18 @@ class PrefixTrie:
 
     def iter_words(self) -> Iterator[str]:
         """Yield every stored word in lexicographic order."""
-
-        def walk(node: _Node, prefix: str) -> Iterator[str]:
-            if node.terminal:
-                yield prefix
-            for ch in sorted(node.children):
-                yield from walk(node.children[ch], prefix + ch)
-
-        yield from walk(self._root, "")
+        if not self._sorted:
+            self._words.sort()
+            self._sorted = True
+        return iter(self._words)
 
     def compile(self) -> "CompiledTrie":
         """Freeze this trie into a :class:`CompiledTrie`.
 
-        The compiled form answers the same queries from contiguous
-        arrays (no per-node Python objects) and is what the parser's
-        hot path uses.  It is a snapshot: words inserted afterwards do
-        not appear in it.
+        The compiled form answers the same queries from flat columns
+        (no per-node Python objects) and is what the parser's hot path
+        uses.  It is built from the word list, not from the nodes.  It
+        is a snapshot: words inserted afterwards do not appear in it.
 
         Compilation cost lands in the ``trie.compile.seconds``
         telemetry histogram (one observation per snapshot), so a
@@ -170,7 +194,7 @@ class PrefixTrie:
         from repro.core.compiled_trie import CompiledTrie
 
         with obs.get().timer("trie.compile.seconds"):
-            return CompiledTrie(self._root, self._min_length, self._size)
+            return CompiledTrie(self.iter_words(), self._min_length)
 
     # --- exact prefix matching ---------------------------------------
 
@@ -217,7 +241,8 @@ class PrefixTrie:
                     (child, offset + 1, base + observed, capitalized, toggles)
                 )
             # Capitalization of the first character of the segment.
-            if allow_capitalization and offset == 0 and observed.isupper():
+            if allow_capitalization and offset == 0 \
+                    and capitalizable(observed):
                 lowered = observed.lower()
                 child = node.children.get(lowered)
                 if child is not None:

@@ -81,11 +81,12 @@ class Histogram:
         self.minimum = float("inf")
         self.maximum = float("-inf")
 
-    def observe(self, value: float) -> None:
-        """Record one value (clamped into the fixed bucket range)."""
-        self._bucket_counts[bisect_right(self.BOUNDS, value)] += 1
-        self.count += 1
-        self.total += value
+    def observe(self, value: float, times: int = 1) -> None:
+        """Record ``value`` ``times`` times (clamped into the fixed
+        bucket range); ``total`` grows by ``value * times``."""
+        self._bucket_counts[bisect_right(self.BOUNDS, value)] += times
+        self.count += times
+        self.total += value * times
         if value < self.minimum:
             self.minimum = value
         if value > self.maximum:
@@ -199,12 +200,12 @@ class Telemetry:
         for name, amount in items:
             counters[name] = counters.get(name, 0) + amount
 
-    def observe(self, name: str, value: float) -> None:
-        """Record ``value`` into the histogram called ``name``."""
+    def observe(self, name: str, value: float, times: int = 1) -> None:
+        """Record ``value`` (``times`` times) into histogram ``name``."""
         histogram = self._histograms.get(name)
         if histogram is None:
             histogram = self._histograms[name] = Histogram()
-        histogram.observe(value)
+        histogram.observe(value, times)
 
     def timer(self, name: str) -> Span:
         """A span whose elapsed seconds land in histogram ``name``."""
@@ -309,7 +310,7 @@ class NoopTelemetry(Telemetry):
               event: Any) -> None:
         pass
 
-    def observe(self, name: str, value: float) -> None:
+    def observe(self, name: str, value: float, times: int = 1) -> None:
         pass
 
     def timer(self, name: str) -> Span:

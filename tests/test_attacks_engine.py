@@ -68,7 +68,7 @@ class TestBitIdentity:
         for surface, probability, derivation in engine.derivations(
             limit=500
         ):
-            assert probability == frozen.derivation_probability(derivation)
+            assert probability == frozen.derivation_probability(derivation.flat())
             assert derivation.surface() == surface
             count += 1
         assert count > 50
@@ -80,7 +80,7 @@ class TestBitIdentity:
         frozen = meter.frozen_grammar()
         for _, probability, derivation in meter.attack_engine(
         ).derivations(limit=100):
-            assert probability == frozen.derivation_probability(derivation)
+            assert probability == frozen.derivation_probability(derivation.flat())
 
 
 class TestReferenceDifferential:

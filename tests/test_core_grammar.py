@@ -64,30 +64,30 @@ class TestObserveAndProbability:
     def test_single_observation_probability_one_ish(self):
         grammar = FuzzyGrammar()
         d = derivation(DerivedSegment("password"))
-        grammar.observe(d)
+        grammar.observe(d.flat())
         # Structure, terminal and cap probabilities are all 1; leet
         # factors are all P(No)=1.
         assert grammar.derivation_probability(d) == pytest.approx(1.0)
 
     def test_unseen_structure_is_zero(self):
         grammar = FuzzyGrammar()
-        grammar.observe(derivation(DerivedSegment("password")))
+        grammar.observe(derivation(DerivedSegment("password")).flat())
         two_seg = derivation(DerivedSegment("password"),
                              DerivedSegment("123"))
         assert grammar.derivation_probability(two_seg) == 0.0
 
     def test_unseen_terminal_is_zero(self):
         grammar = FuzzyGrammar()
-        grammar.observe(derivation(DerivedSegment("password")))
+        grammar.observe(derivation(DerivedSegment("password")).flat())
         assert grammar.derivation_probability(
             derivation(DerivedSegment("passw0rd"))
         ) == 0.0
 
     def test_structure_probabilities(self):
         grammar = FuzzyGrammar()
-        grammar.observe(derivation(DerivedSegment("password")), count=3)
+        grammar.observe(derivation(DerivedSegment("password")).flat(), count=3)
         grammar.observe(
-            derivation(DerivedSegment("123456"), DerivedSegment("abc"))
+            derivation(DerivedSegment("123456"), DerivedSegment("abc")).flat()
         )
         assert grammar.structure_probability((8,)) == pytest.approx(0.75)
         assert grammar.structure_probability((6, 3)) == pytest.approx(0.25)
@@ -96,7 +96,7 @@ class TestObserveAndProbability:
         grammar = FuzzyGrammar()
         grammar.observe(
             derivation(DerivedSegment("password", True),
-                       DerivedSegment("123"))
+                       DerivedSegment("123")).flat()
         )
         # One Yes (password) and one No (123).
         assert grammar.capitalization_probability(True) == pytest.approx(0.5)
@@ -105,7 +105,7 @@ class TestObserveAndProbability:
         grammar = FuzzyGrammar()
         # "password" has a(L1), s(L2) x2, o(L3); toggle only the o.
         grammar.observe(
-            derivation(DerivedSegment("password", False, (5,)))
+            derivation(DerivedSegment("password", False, (5,))).flat()
         )
         assert grammar.leet_probability("L3", True) == 1.0
         assert grammar.leet_probability("L2", False) == 1.0
@@ -113,15 +113,15 @@ class TestObserveAndProbability:
 
     def test_weighted_observation(self):
         grammar = FuzzyGrammar()
-        grammar.observe(derivation(DerivedSegment("aaa")), count=9)
-        grammar.observe(derivation(DerivedSegment("bbb")), count=1)
+        grammar.observe(derivation(DerivedSegment("aaa")).flat(), count=9)
+        grammar.observe(derivation(DerivedSegment("bbb")).flat(), count=1)
         assert grammar.terminal_probability("aaa") == pytest.approx(0.9)
 
     def test_update_shifts_probabilities(self):
         grammar = FuzzyGrammar()
-        grammar.observe(derivation(DerivedSegment("aaa")))
+        grammar.observe(derivation(DerivedSegment("aaa")).flat())
         before = grammar.terminal_probability("aaa")
-        grammar.observe(derivation(DerivedSegment("bbb")))
+        grammar.observe(derivation(DerivedSegment("bbb")).flat())
         assert grammar.terminal_probability("aaa") < before
 
 
@@ -129,7 +129,7 @@ class TestRuleTable:
     def test_rows_cover_all_tables(self):
         grammar = FuzzyGrammar()
         grammar.observe(
-            derivation(DerivedSegment("password", True, (5,)))
+            derivation(DerivedSegment("password", True, (5,))).flat()
         )
         rows = grammar.rule_table()
         lhs = {row[0] for row in rows}
@@ -140,8 +140,8 @@ class TestRuleTable:
 
     def test_lhs_probabilities_sum_to_one(self):
         grammar = FuzzyGrammar()
-        grammar.observe(derivation(DerivedSegment("aaa")), count=2)
-        grammar.observe(derivation(DerivedSegment("bbbb")))
+        grammar.observe(derivation(DerivedSegment("aaa")).flat(), count=2)
+        grammar.observe(derivation(DerivedSegment("bbbb")).flat())
         rows = grammar.rule_table()
         by_lhs = {}
         for lhs, _, probability in rows:
@@ -154,8 +154,8 @@ class TestRuleTable:
 class TestSampling:
     def test_sample_probability_matches_measure(self):
         grammar = FuzzyGrammar()
-        grammar.observe(derivation(DerivedSegment("password")), count=5)
-        grammar.observe(derivation(DerivedSegment("dragon1")), count=5)
+        grammar.observe(derivation(DerivedSegment("password")).flat(), count=5)
+        grammar.observe(derivation(DerivedSegment("dragon1")).flat(), count=5)
         rng = random.Random(3)
         for _ in range(50):
             _, probability = grammar.sample(rng)
@@ -171,7 +171,7 @@ class TestSerialisation:
         grammar = FuzzyGrammar()
         grammar.observe(
             derivation(DerivedSegment("password", True, (5,)),
-                       DerivedSegment("123")),
+                       DerivedSegment("123")).flat(),
             count=4,
         )
         clone = FuzzyGrammar.from_dict(grammar.to_dict())

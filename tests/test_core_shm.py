@@ -12,6 +12,10 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,9 +103,8 @@ class TestSegmentRoundTrip:
                 if not password:
                     continue
                 expected = meter.probability(password)
-                derivation = parser.parse(password).to_derivation()
                 assert frozen.derivation_probability(
-                    derivation
+                    parser.parse_flat(password)
                 ) == expected
         finally:
             reader.close()
@@ -223,9 +226,8 @@ class TestScoreDifferential:
             if not password:
                 assert expected == 0.0
                 continue
-            derivation = parser.parse_cached(password).to_derivation()
             assert frozen.derivation_probability(
-                derivation
+                parser.parse_flat_cached(password)
             ) == expected
 
     @pytest.mark.parametrize("method", START_METHODS)
@@ -251,3 +253,49 @@ class TestScoreDifferential:
         assert swapped_parallel == swapped_serial
         meter.shared_segment().unlink()
         meter._shared_segment = None
+
+
+#: Trains a meter, scores through a ``jobs=2`` pool, prints the
+#: meter's segment name and dies by SIGKILL, before any ``atexit``.
+_KILLED_OWNER = textwrap.dedent("""
+    import os
+    import signal
+    from repro.core.meter import FuzzyPSM
+
+    meter = FuzzyPSM.train(["password", "dragon", "monkey"],
+                           ["password1", "dragon99", "Monkey!"])
+    meter.probability_many([f"pass{n}word" for n in range(40)],
+                           jobs=2, parallel_threshold=1)
+    print(meter.shared_segment().name, flush=True)
+    os.kill(os.getpid(), signal.SIGKILL)
+""")
+
+
+class TestResourceTracker:
+    @pytest.mark.skipif(
+        "spawn" not in START_METHODS or not os.path.isdir("/dev/shm"),
+        reason="needs the spawn start method and /dev/shm",
+    )
+    def test_spawn_workers_leave_a_killed_owners_segment_to_its_tracker(
+        self,
+    ):
+        # Spawn workers share their owner's resource tracker.  Had they
+        # unregistered the segment they attached, the tracker would
+        # print a KeyError for every later unregistration and, with the
+        # owner killed, never unlink the segment.
+        source = os.path.dirname(shm_module.__file__)
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.path.dirname(os.path.dirname(source)),
+            **{START_METHOD_ENV: "spawn"},
+        )
+        # Output pipes close once the owner and its tracker have exited.
+        result = subprocess.run(
+            [sys.executable, "-c", _KILLED_OWNER], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == -signal.SIGKILL, result.stderr
+        name = result.stdout.strip()
+        assert name.startswith(SEGMENT_PREFIX)
+        assert name not in _segment_files()
+        assert "KeyError" not in result.stderr, result.stderr

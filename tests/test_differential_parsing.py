@@ -17,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from repro.core.meter import FuzzyPSM  # noqa: E402
 from repro.core.parser import FuzzyParser  # noqa: E402
@@ -74,6 +74,19 @@ def mashup(draw) -> str:
 PASSWORDS = st.one_of(st.text(max_size=64), leet_dense(), mashup())
 
 
+def unicode_capitals(test):
+    """``@example``s of the six upper-case characters that are not
+    :func:`~repro.core.trie.capitalizable`: U+0130 lower-cases to two
+    code points, and U+03F4, U+1E9E, U+2126, U+212A and U+212B
+    lower-case to a character whose upper case is another one."""
+    for password in (
+        "\u0130stanbul", "a\u013012", "\u03f4eta1", "x\u1e9e",
+        "\u2126password", "\u212aelvin!", "P@ss\u212bword",
+    ):
+        test = example(password=password)(test)
+    return test
+
+
 def _parser_pair(**flags) -> "tuple[FuzzyParser, FuzzyParser]":
     trie = build_base_trie(WORDS)
     return FuzzyParser(trie, **flags), pointer_parser(trie, **flags)
@@ -90,6 +103,7 @@ _METER = FuzzyPSM.train(WORDS, TRAINING_PASSWORDS)
 
 class TestCompiledVsPointerTrie:
     @given(password=PASSWORDS)
+    @unicode_capitals
     @DETERMINISTIC
     def test_parses_are_identical(self, password):
         assert _COMPILED.parse(password) == _POINTER.parse(password)
@@ -139,14 +153,17 @@ class TestBatchScoring:
 
 class TestParseInvariants:
     @given(password=PASSWORDS)
+    @unicode_capitals
     @DETERMINISTIC
     def test_segments_tile_the_password(self, password):
         # Every transformation is length-preserving, so the segment
-        # bases must partition the input exactly.
+        # bases must partition the input exactly, and the derivation
+        # must spell the input back.
         parsed = _COMPILED_FULL.parse(password)
         assert sum(len(seg.base) for seg in parsed.segments) == \
             len(password)
         assert parsed.password == password
+        assert parsed.to_derivation().surface() == password
 
     @given(password=PASSWORDS)
     @DETERMINISTIC

@@ -75,6 +75,36 @@ def test_serve_speedup_matches_the_bench(document):
             (document, quoted, entry["speedup"])
 
 
+#: ``(bench entry, key, quote pattern, documents)`` of the speed-ups
+#: the documents quote by entry name.
+RATIO_QUOTES = [
+    ("parse_compiled_vs_pointer", "ratio",
+     r"`+parse_compiled_vs_pointer`+:\s+([\d.]+)(?:\u00d7|x)",
+     ("README.md", "DESIGN.md", "EXPERIMENTS.md")),
+    ("batch_vs_loop_scoring", "fuzzypsm_speedup",
+     r"`+batch_vs_loop_scoring`+:\s+fuzzyPSM\s+([\d.]+)(?:\u00d7|x)",
+     ("EXPERIMENTS.md",)),
+]
+
+
+@pytest.mark.parametrize(
+    "entry,key,pattern,document",
+    [
+        (entry, key, pattern, document)
+        for entry, key, pattern, documents in RATIO_QUOTES
+        for document in documents
+    ],
+)
+def test_quoted_ratios_match_the_bench(entry, key, pattern, document):
+    value = json.loads(_read("BENCH_timing.json"))[entry][key]
+    quotes = re.findall(pattern, _read(document))
+    assert quotes, f"{document} quotes no {entry} figure"
+    for quoted in quotes:
+        decimals = len(quoted.partition(".")[2])
+        assert float(quoted) == round(value, decimals), \
+            (document, entry, quoted, value)
+
+
 class TestDesignDocument:
     @pytest.fixture(scope="class")
     def design(self):

@@ -53,9 +53,9 @@ class TestFrozenKernel:
     @given(password=PASSWORDS)
     @DETERMINISTIC
     def test_bit_identical_to_dict_kernel(self, password):
-        derivation = _METER.parse(password).to_derivation()
-        exact = _METER.grammar.derivation_probability(derivation)
-        fast = _METER.frozen_grammar().derivation_probability(derivation)
+        parsed = _METER.parse(password)
+        exact = _METER.grammar.derivation_probability(parsed.to_derivation())
+        fast = _METER.frozen_grammar().derivation_probability(parsed.flat)
         # Bitwise equality, not isclose: the frozen kernel replays the
         # reference multiplication order factor for factor.
         assert fast == exact
@@ -86,9 +86,9 @@ class TestFrozenKernel:
         fresh = meter.frozen_grammar()
         assert fresh is not stale
         assert fresh.is_current(meter.grammar)
-        derivation = meter.parse("brandnewpassword7").to_derivation()
-        assert fresh.derivation_probability(derivation) == \
-            meter.grammar.derivation_probability(derivation)
+        parsed = meter.parse("brandnewpassword7")
+        assert fresh.derivation_probability(parsed.flat) == \
+            meter.grammar.derivation_probability(parsed.to_derivation())
 
     def test_accept_invalidates_the_snapshot(self):
         meter = FuzzyPSM.train(BASE_DICTIONARY, TRAINING_PASSWORDS)
@@ -208,21 +208,18 @@ def _replay_updates(corpus, updates):
         [*corpus, *(password for password, _ in updates),
          *TRAINING_PASSWORDS]
     ))
-    derivations = {
-        password: meter.parse(password).to_derivation()
-        for password in probes
-    }
+    parses = {password: meter.parse(password) for password in probes}
     history = []
     kinds = set()
 
     def remember(frozen):
-        scores = [frozen.derivation_probability(derivations[password])
+        scores = [frozen.derivation_probability(parses[password].flat)
                   for password in probes]
         history.append((frozen, _table_bytes(frozen), scores))
 
     def apply(password, count):
-        derivation = meter.parse(password).to_derivation()
-        derivations.setdefault(password, derivation)
+        parsed = parses.setdefault(password, meter.parse(password))
+        derivation = parsed.to_derivation()
         if password not in probes:
             probes.append(password)
         kinds.update(_update_kinds(grammar, derivation, count))
@@ -235,11 +232,13 @@ def _replay_updates(corpus, updates):
         for name, column in full.items():
             assert sections[name] == column, name
         for password in probes:
-            assert refreshed.derivation_probability(derivations[password]) \
-                == grammar.derivation_probability(derivations[password])
+            assert refreshed.derivation_probability(parses[password].flat) \
+                == grammar.derivation_probability(
+                    parses[password].to_derivation()
+                )
         for frozen, table_bytes, scores in history:
             assert _table_bytes(frozen) == table_bytes
-            assert [frozen.derivation_probability(derivations[password])
+            assert [frozen.derivation_probability(parses[password].flat)
                     for password in probes[:len(scores)]] == scores
         remember(refreshed)
 

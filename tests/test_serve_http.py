@@ -29,6 +29,7 @@ from repro.serve import ServeConfig
 from repro.serve.app import MAX_SUGGEST_LENGTH
 
 from tests.conftest import TRAINING_PASSWORDS
+from tests.conftest import reference_scores as reference_path_scores
 from tests.serve_utils import (
     SERVE_PASSWORDS,
     ServeClient,
@@ -94,6 +95,33 @@ def test_concurrent_clients_all_score_correctly(meter, reference_scores):
                     == 16 * len(SERVE_PASSWORDS))
 
     run(main())
+
+
+def test_unicode_capitals_do_not_fail_their_batch(meter):
+    """U+0130 lower-cases to two code points and the Kelvin sign to a
+    Latin ``k``: neither reads as a capitalised letter, so a ``/check``
+    holding one scores like any other, and the micro-batch it shares
+    with ordinary passwords answers every request."""
+    passwords = [
+        "\u0130stanbul", "password123", "a\u013012", "iloveyou1",
+        "\u212aelvin7", "monkey99", "Password123", "\u0130",
+    ]
+    expected = reference_path_scores(meter, passwords)
+
+    async def main():
+        config = ServeConfig(batch_window=0.01)
+        async with running_server(meter, config) as server:
+            return await asyncio.gather(*[
+                one_shot(server.port, "POST", "/check",
+                         {"password": password})
+                for password in passwords
+            ])
+
+    for password, want, (status, payload) in zip(
+        passwords, expected, run(main())
+    ):
+        assert status == 200, (password, payload)
+        assert payload["probability"] == want, password
 
 
 def test_empty_password_scores_zero(meter):
