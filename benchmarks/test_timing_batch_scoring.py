@@ -19,9 +19,10 @@ Each meter gets an *untimed warm-up pass* over a stream prefix before
 the clocks start: the first scoring block a fresh process runs is
 several times slower than steady state (allocator/bytecode/cache
 warm-up), and without it the measured ratio reflects ordering, not the
-override.  The batch path still runs first so fuzzyPSM's persistent
-parse cache is handed to the loop side, keeping its recorded speedup
-conservative (the fair fresh-instance comparison lives in
+override.  fuzzyPSM's warm-up fills its score memo, which only its
+batch path reads: the timed batch finds the warm-up's passwords there,
+while the loop's per-call ``probability`` parses and scores every
+password afresh (the fair fresh-instance comparison lives in
 ``test_timing_measure``).
 """
 

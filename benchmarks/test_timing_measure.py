@@ -17,6 +17,7 @@ their numbers to ``BENCH_timing.json`` at the repo root via
 :func:`bench_lib.record`, so the perf trajectory is tracked across PRs.
 """
 
+import math
 import random
 import statistics
 import time
@@ -37,6 +38,11 @@ PARSE_REPEATS = 7
 
 #: Interleaved noop/enabled repeats per telemetry stream.
 TELEMETRY_REPEATS = 9
+
+#: Shortest timed run of the telemetry bench: a run scores its stream
+#: on as many fresh meters back to back as this takes, so one slow
+#: spell of the host cannot move a median by much.
+TELEMETRY_MIN_SECONDS = 0.5
 
 #: Parse-cache capacity of the telemetry bench's cache-miss stream,
 #: which holds five times as many unseen passwords.
@@ -150,8 +156,8 @@ def test_timing_bulk_vs_single_measuring(meter, csdn_quarters, capsys):
     scores the same leak once per artefact (guess-number scatter,
     cracking curve, robustness re-runs) and used to re-parse every
     repeated password from scratch each time.  The batch path parses
-    each distinct password once and serves every repeat from the parse
-    cache and the per-batch memo.
+    each distinct password once and serves every repeat from the
+    call's distinct dict.
     """
     _, test = csdn_quarters
     stream = list(test.expand()) * 3
@@ -273,17 +279,21 @@ def test_timing_telemetry_overhead(meter, csdn_quarters, capsys):
 
     * ``hit`` — the stream of ``test_timing_bulk_vs_single_measuring``,
       three sweeps over the test quarter with multiplicity, most of it
-      served from the parse cache;
+      answered by the call's distinct dict;
     * ``miss`` — unseen passwords (test passwords with distinct numeric
-      suffixes), more of them than the parse cache holds, so every one
-      is parsed and the cache evicts: the shape of the benchmark's
+      suffixes), more of them than the score memo holds, so every one
+      is parsed and the memo evicts: the shape of the benchmark's
       ``tail`` workload.
 
-    Per stream the two backends run interleaved (noop, enabled, noop,
-    ...), so slow machine-wide drift hits both sides equally instead of
-    masquerading as telemetry cost, and the medians of the repeats are
-    compared.  Scores must be bit-identical across backends — telemetry
-    may observe the pipeline, never steer it.
+    A timed run scores its stream on ``laps`` fresh meters (fresh, so
+    no lap is served by an earlier lap's score memo), as many as make
+    it last ``TELEMETRY_MIN_SECONDS`` on the noop backend.  The two
+    backends alternate lap by lap (noop, enabled, enabled, noop, ...,
+    each lap swapping which goes first), so both
+    sample the same spells of the host's speed instead of one of them
+    masquerading as telemetry cost, and per stream the medians of the
+    repeats are compared.  Scores must be bit-identical across
+    backends — telemetry may observe the pipeline, never steer it.
     """
     from repro import obs
     from repro.obs import NoopTelemetry, Telemetry
@@ -299,45 +309,55 @@ def test_timing_telemetry_overhead(meter, csdn_quarters, capsys):
         ),
     }
 
-    def one_run(backend, stream, config):
-        obs.enable(backend)
-        try:
-            run_meter = FuzzyPSM(meter.grammar, meter.trie, config)
-            run_meter.probability("warmup")
-            start = time.perf_counter()
-            scores = run_meter.probability_many(stream)
-            return scores, time.perf_counter() - start
-        finally:
-            obs.disable()
+    def one_run(stream, config, laps):
+        """Scores and seconds per backend of ``laps`` alternating laps."""
+        scores, seconds = {}, {"noop": 0.0, "enabled": 0.0}
+        for lap in range(laps):
+            # Each lap swaps which backend goes first.
+            for label in ("noop", "enabled")[::1 - 2 * (lap % 2)]:
+                backend = NoopTelemetry() if label == "noop" else Telemetry()
+                obs.enable(backend)
+                try:
+                    run_meter = FuzzyPSM(meter.grammar, meter.trie, config)
+                    run_meter.probability("warmup")
+                    start = time.perf_counter()
+                    scores[label] = run_meter.probability_many(stream)
+                    seconds[label] += time.perf_counter() - start
+                finally:
+                    obs.disable()
+        return scores, seconds
 
     medians = {}
     for name, (stream, config) in streams.items():
+        _, lap_seconds = one_run(stream, config, 1)
+        laps = 1 if SMOKE else max(
+            1, math.ceil(TELEMETRY_MIN_SECONDS / lap_seconds["noop"])
+        )
         timings = {"noop": [], "enabled": []}
-        scores = {}
         for _ in range(TELEMETRY_REPEATS):
-            for label, backend in (("noop", NoopTelemetry),
-                                   ("enabled", Telemetry)):
-                scores[label], seconds = one_run(backend(), stream, config)
-                timings[label].append(seconds)
-        assert scores["enabled"] == scores["noop"]
+            scores, seconds = one_run(stream, config, laps)
+            assert scores["enabled"] == scores["noop"]
+            for label in timings:
+                timings[label].append(seconds[label])
         noop = statistics.median(timings["noop"])
         enabled = statistics.median(timings["enabled"])
-        medians[name] = (len(stream), noop, enabled, enabled / noop)
+        medians[name] = (len(stream), laps, noop, enabled, enabled / noop)
         emit(
             capsys,
             f"(timing) telemetry, {name} stream of {len(stream):,} "
-            f"scores -- noop {noop:.2f} s, enabled {enabled:.2f} s "
-            f"({(enabled / noop - 1) * 100:+.1f}%, medians of "
-            f"{TELEMETRY_REPEATS})",
+            f"scores x {laps} laps -- noop {noop:.2f} s, enabled "
+            f"{enabled:.2f} s ({(enabled / noop - 1) * 100:+.1f}%, "
+            f"medians of {TELEMETRY_REPEATS})",
         )
     hit, miss = medians["hit"], medians["miss"]
     record("telemetry_overhead", repeats=TELEMETRY_REPEATS,
-           statistic="median", stream=hit[0], noop_seconds=hit[1],
-           enabled_seconds=hit[2], enabled_ratio=hit[3],
-           miss_stream=miss[0], miss_cache_size=cache_size,
-           miss_noop_seconds=miss[1], miss_enabled_seconds=miss[2],
-           miss_enabled_ratio=miss[3])
+           statistic="median", stream=hit[0], laps=hit[1],
+           noop_seconds=hit[2], enabled_seconds=hit[3],
+           enabled_ratio=hit[4], miss_stream=miss[0],
+           miss_cache_size=cache_size, miss_laps=miss[1],
+           miss_noop_seconds=miss[2], miss_enabled_seconds=miss[3],
+           miss_enabled_ratio=miss[4])
     # Generous 1.15x ceiling against jitter on both streams; the
     # recorded numbers carry the real figures.
-    for name, (_, _, _, ratio) in medians.items():
+    for name, (_, _, _, _, ratio) in medians.items():
         assert SMOKE or ratio < 1.15, (name, ratio)

@@ -70,7 +70,7 @@ def evaluation_stream(corpora, csdn_quarters):
 
 def test_timing_frozen_kernel(meter, csdn_quarters, capsys):
     # Each kernel gets its own input form: the frozen kernel the flat
-    # parse the parser caches, the dict kernel the reference Derivation.
+    # parse the parser produces, the dict kernel the reference Derivation.
     _, test = csdn_quarters
     parses = [meter.parse(password) for password in test.unique_passwords()]
     derivations = [parse.to_derivation() for parse in parses]

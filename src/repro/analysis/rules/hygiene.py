@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 from typing import List, Union
 
-from repro.analysis.core import LintContext, Rule
+from repro.analysis.core import Rule
 from repro.analysis.registry import register
 
 _BROAD_EXCEPTIONS = frozenset({"Exception", "BaseException"})

@@ -15,7 +15,7 @@ paper).  Two numeric hazards follow:
 from __future__ import annotations
 
 import ast
-from typing import List, Tuple
+from typing import List
 
 from repro.analysis.core import (
     LintContext,

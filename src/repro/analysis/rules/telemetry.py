@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Optional
 
 from repro.analysis.core import ProjectRule
 from repro.analysis.project import ProjectIndex
 from repro.analysis.registry import register
 
 #: Telemetry methods whose first argument is a probe name
-#: (``defer`` is absent: its first argument is a handler).
+#: (``incr_many`` is absent: it takes a list of name/amount pairs).
 _PROBE_METHODS = frozenset({"incr", "observe", "timer"})
 #: Local names the telemetry backend is conventionally bound to.
 _RECEIVER_NAMES = frozenset({"telemetry", "tel"})

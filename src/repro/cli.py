@@ -32,7 +32,7 @@ import json
 import os
 import signal
 import sys
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.datasets.loaders import (
     load_corpus,
@@ -125,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     train.add_argument(
         "--parse-cache-size", type=int, default=None, metavar="N",
-        help="capacity of the LRU parse cache used for bulk scoring "
-             "(fuzzyPSM; default 65536)",
+        help="capacity of training's LRU parse cache and of the "
+             "score memo used for bulk scoring (fuzzyPSM; default 65536)",
     )
     train.add_argument(
         "--stream-chunk", type=int, default=None, metavar="N",
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--repeat", type=int, default=1, metavar="N",
-        help="score the stream N times (exercises the parse cache)",
+        help="score the stream N times (exercises the score memo)",
     )
     profile.add_argument(
         "--jobs", type=int, default=None, metavar="N",
@@ -360,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--parse-cache-size", type=int, default=None, metavar="N",
-        help="capacity of the LRU parse cache (telemetry mode)",
+        help="capacity of training's LRU parse cache and of the score "
+             "memo (telemetry mode)",
     )
     profile.add_argument(
         "--format", dest="output_format",
@@ -628,7 +629,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         line.rstrip("\n") for line in sys.stdin if line.strip()
     ]
     # One batched pass: meters with vectorised overrides (fuzzyPSM's
-    # parse cache, the PCFG/Markov memos) score repeats only once.
+    # score memo, the PCFG/Markov memos) score repeats only once.
     probabilities = _score_stream(meter, passwords, args.score_jobs)
     print(format_table(
         ["password", "probability", "entropy(bits)"],
@@ -985,14 +986,12 @@ def _cmd_profile_pipeline(args: argparse.Namespace) -> int:
         with telemetry.timer("profile.score.seconds"):
             for _ in range(max(1, args.repeat)):
                 _score_stream(meter, stream, args.score_jobs)
-        # Structural cache state (occupancy/capacity) complements the
+        # Structural memo state (occupancy/capacity) complements the
         # hit/miss/evict counters that live in the telemetry snapshot.
-        parser = getattr(meter, "parser", None)
+        memo_info = getattr(meter, "score_memo_info", None)
         report = build_report(
             telemetry.snapshot(),
-            parse_cache_info=(
-                parser.cache_info() if parser is not None else None
-            ),
+            score_memo_info=memo_info() if memo_info is not None else None,
         )
     report["workload"] = {
         "base": args.base,

@@ -22,16 +22,13 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
     Hashable,
-    Iterable,
-    Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
     TypeVar,
 )

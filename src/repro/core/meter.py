@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from collections import OrderedDict
 from dataclasses import asdict, dataclass, fields
 from typing import (
     TYPE_CHECKING,
@@ -34,7 +35,6 @@ from repro import obs
 from repro.obs.core import now as _now
 from repro.core.frozen import FrozenGrammar
 from repro.core.grammar import (
-    Derivation,
     DerivedSegment,
     FuzzyGrammar,
     leet_rule_for_char,
@@ -92,9 +92,10 @@ class FuzzyPSMConfig:
             measured password back through the update phase.  The paper
             updates on *accepted* passwords, so this defaults to False
             and :meth:`FuzzyPSM.update` is the explicit entry point.
-        parse_cache_size: capacity of the parser's LRU parse cache
-            (``--parse-cache-size`` on the CLI).  Bulk scoring of
-            Zipf-shaped streams hits this cache for the popular head;
+        parse_cache_size: capacity of the parser's LRU parse cache,
+            which training uses, and of the meter's score memo, which
+            bulk scoring uses (``--parse-cache-size`` on the CLI).
+            Zipf-shaped streams hit the memo for the popular head;
             raise it for wide sweeps, shrink it for memory-constrained
             deployments.  A pure execution-strategy knob.
     """
@@ -155,34 +156,52 @@ def _build_parser(trie: PrefixTrie, config: FuzzyPSMConfig) -> FuzzyParser:
 
 
 def score_many(
-    parser: FuzzyParser, frozen: FrozenGrammar, passwords: Iterable[str]
+    parser: FuzzyParser,
+    frozen: FrozenGrammar,
+    passwords: Iterable[str],
+    memo: Optional[OrderedDict[str, float]] = None,
+    memo_size: int = 0,
 ) -> List[float]:
     """The batch scoring loop: one probability per input, in order.
 
-    Real password streams are heavily repetitive (Zipf-shaped), so
-    parses go through the parser's LRU cache, and the final probability
-    is memoised per distinct password within the batch.  Each flat
-    parse (:data:`~repro.core.grammar.FlatParse`) goes straight from
-    the parser, or its cache, into the frozen scoring kernel: no object
-    is built per segment.  Values are bit-identical to per-call
+    Real password streams are heavily repetitive (Zipf-shaped), so the
+    final probability is memoised per distinct password within the
+    batch and, given ``memo``, across batches: ``memo`` is an LRU of
+    password -> probability under ``frozen`` that holds at most
+    ``memo_size`` entries, so a repeat skips both parse and kernel.  A
+    miss is parsed with the uncached :meth:`FuzzyParser.parse_flat`
+    and its flat parse (:data:`~repro.core.grammar.FlatParse`) goes
+    straight into the frozen scoring kernel: no object is built per
+    segment, and none is kept.  Values are bit-identical to per-call
     :meth:`FuzzyPSM.probability`.  This is the only copy of the loop:
-    :meth:`FuzzyPSM.probability_many` and the scoring-pool worker both
-    call it.
+    :meth:`FuzzyPSM.probability_many` passes its score memo, and the
+    scoring-pool worker, whose chunks are distinct, passes none.
     """
     telemetry = obs.get()
-    parse = parser.parse_flat_cached
+    parse = parser.parse_flat
     score = frozen.derivation_probability
     batch: Dict[str, float] = {}
     out: List[float] = []
+    misses = evictions = 0
     # Probes stay at batch granularity: the parse probes are counted as
     # plain ints into one tally (only when telemetry is enabled) and
-    # folded in once, after the loop.
+    # folded in once, after the loop.  Memo hits are not counted: they
+    # are the distinct passwords that neither missed nor were empty.
     with parse_tally() as tally, telemetry.timer("meter.batch.seconds"):
         for password in passwords:
             probability = batch.get(password)
             if probability is None:
-                if password:
+                if memo is not None and password in memo:
+                    memo.move_to_end(password)
+                    probability = memo[password]
+                elif password:
                     probability = score(parse(password, tally))
+                    misses += 1
+                    if memo is not None:
+                        memo[password] = probability
+                        if len(memo) > memo_size:
+                            memo.popitem(last=False)
+                            evictions += 1
                 else:
                     probability = 0.0
                 batch[password] = probability
@@ -191,6 +210,9 @@ def score_many(
         telemetry.incr("meter.batch.calls")
         telemetry.incr("meter.batch.scores", len(out))
         telemetry.incr("meter.batch.distinct", len(batch))
+        telemetry.incr("meter.memo.hit", len(batch) - misses - ("" in batch))
+        telemetry.incr("meter.memo.miss", misses)
+        telemetry.incr("meter.memo.evict", evictions)
         telemetry.observe("meter.batch.size", float(len(out)))
     return out
 
@@ -303,6 +325,11 @@ class FuzzyPSM(ProbabilisticMeter):
         # built lazily by :meth:`shared_segment`; a stale epoch is
         # unlinked when the replacement is published.
         self._shared_segment: Optional[SharedScoringSegment] = None
+        # LRU of password -> probability under ``self._frozen``, kept
+        # by :func:`score_many` for :meth:`probability_many` and
+        # emptied whenever :meth:`frozen_grammar` hands out a new
+        # epoch.  Holds at most ``config.parse_cache_size`` entries.
+        self._score_memo: OrderedDict[str, float] = OrderedDict()
 
     # --- construction -------------------------------------------------
 
@@ -377,8 +404,20 @@ class FuzzyPSM(ProbabilisticMeter):
 
     @property
     def parser(self) -> FuzzyParser:
-        """The meter's deterministic parser (for cache introspection)."""
+        """The meter's deterministic parser."""
         return self._parser
+
+    def score_memo_info(self) -> Dict[str, int]:
+        """Occupancy and capacity of the score memo.
+
+        Hit/miss/evict *counts* live in telemetry (``meter.memo.*`` —
+        see DESIGN.md §9); this reports the structural side so profile
+        reports can show both.
+        """
+        return {
+            "size": len(self._score_memo),
+            "capacity": self._config.parse_cache_size,
+        }
 
     def frozen_grammar(self) -> FrozenGrammar:
         """The compiled scoring snapshot, current as of this call.
@@ -389,7 +428,8 @@ class FuzzyPSM(ProbabilisticMeter):
         not rebuilt but refreshed: the new one shares every length
         table the update left alone (:class:`FrozenGrammar`).  Scores
         from the snapshot are bit-identical to
-        :meth:`FuzzyGrammar.derivation_probability`.
+        :meth:`FuzzyGrammar.derivation_probability`.  A new snapshot
+        empties the score memo, whose values belong to the old one.
         """
         frozen = self._frozen
         if frozen is None or frozen.epoch != self._grammar.epoch:
@@ -397,6 +437,7 @@ class FuzzyPSM(ProbabilisticMeter):
             with telemetry.timer("meter.frozen.build.seconds"):
                 frozen = FrozenGrammar(self._grammar, frozen)
             self._frozen = frozen
+            self._score_memo.clear()
             if telemetry.enabled:
                 telemetry.incr("meter.frozen.builds")
         return frozen
@@ -491,10 +532,10 @@ class FuzzyPSM(ProbabilisticMeter):
     ) -> List[float]:
         """Bulk :meth:`probability`, returning one value per input.
 
-        Scores run through :func:`score_many` — parse cache,
-        per-batch distinct memo, frozen scoring kernel
-        (:meth:`frozen_grammar`).  Results are exactly the per-call
-        values, in order.
+        Scores run through :func:`score_many` — per-batch distinct
+        dict, the meter's score memo for the current epoch, frozen
+        scoring kernel (:meth:`frozen_grammar`).  Results are exactly
+        the per-call values, in order.
 
         Args:
             passwords: the stream to score.
@@ -529,7 +570,10 @@ class FuzzyPSM(ProbabilisticMeter):
             if telemetry.enabled:
                 telemetry.incr("meter.parallel.fallback.serial")
             passwords = stream
-        return score_many(self._parser, self.frozen_grammar(), passwords)
+        return score_many(
+            self._parser, self.frozen_grammar(), passwords,
+            self._score_memo, self._config.parse_cache_size,
+        )
 
     def entropy_many(
         self,

@@ -33,8 +33,11 @@ Performance notes (see DESIGN.md "Performance architecture"):
   built lazily, on the first parse that needs it, so deserialising a
   reverse-enabled grammar that never parses costs nothing;
 * :meth:`FuzzyParser.parse_flat_cached` memoises flat parses in a
-  bounded LRU — password streams are Zipf-distributed, so a small cache
-  absorbs most of a bulk-scoring workload;
+  bounded LRU for training, where each distinct password's parse feeds
+  one count update.  Bulk scoring parses with the uncached
+  :meth:`FuzzyParser.parse_flat` and memoises final probabilities
+  instead (the meter's score memo, :func:`repro.core.meter.score_many`),
+  so it keeps no parse;
 * telemetry probes are counted per batch: a loop passes one
   :class:`ParseTally` to every parse and folds it in once
   (:func:`parse_tally`); with telemetry off it passes ``None``.
@@ -294,17 +297,10 @@ class FuzzyParser:
             self._allow_reverse, self._allow_allcaps,
         )
 
-    def cache_info(self) -> Dict[str, int]:
-        """Occupancy and capacity of the LRU parse cache.
-
-        Hit/miss/evict *counts* live in telemetry
-        (``parser.cache.*`` — see DESIGN.md §9); this reports the
-        structural side so profile reports can show both.
-        """
-        return {
-            "size": len(self._parse_cache),
-            "capacity": self._parse_cache_size,
-        }
+    @property
+    def parse_cache_size(self) -> int:
+        """Capacity of the LRU parse cache."""
+        return self._parse_cache_size
 
     # --- lazy matcher construction ------------------------------------
 
@@ -420,8 +416,9 @@ class FuzzyParser:
         """:meth:`parse_flat` through the bounded LRU parse cache.
 
         Parses depend only on the (immutable) trie and the parser
-        flags, so memoisation is exact; bulk scoring of Zipf-shaped
-        password streams hits the cache for the popular head.
+        flags, so memoisation is exact.  Training parses through it;
+        bulk scoring memoises probabilities instead
+        (:func:`repro.core.meter.score_many`).
         """
         cache = self._parse_cache
         parse = cache.get(password)

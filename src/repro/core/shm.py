@@ -153,7 +153,7 @@ class MaterializedScoringState:
             frozen,
             parser.trie.min_length,
             parser.flags,
-            parser.cache_info()["capacity"],
+            parser.parse_cache_size,
         )
 
     def build_parser(self) -> FuzzyParser:

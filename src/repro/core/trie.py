@@ -20,7 +20,7 @@ character that belongs to a leet pair contributes one Yes/No factor.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.util.leet import LEET_BY_LETTER, LEET_BY_SUBSTITUTE
 
@@ -101,11 +101,25 @@ class _Node:
         self.terminal = False
 
 
+def _add_path(root: _Node, word: str) -> None:
+    """Add the nodes spelling ``word`` below ``root``."""
+    node = root
+    for ch in word:
+        node = node.children.setdefault(ch, _Node())
+    node.terminal = True
+
+
 class PrefixTrie:
     """Stores base-dictionary words and answers fuzzy prefix queries.
 
-    Besides the pointer nodes the trie keeps its words as a list, so
-    :meth:`iter_words` and :meth:`compile` need no walk of the nodes.
+    The trie keeps its words as a list plus a membership set, so
+    inserting, :meth:`iter_words`, ``in`` and :meth:`compile` need no
+    nodes.  The pointer nodes are built on the first pointer query
+    (:meth:`longest_exact_prefix`, :meth:`fuzzy_matches`,
+    :meth:`longest_fuzzy_match`), and later inserts keep them in step.
+    Parsing uses the compiled snapshot, so a meter that is trained,
+    loaded or served never builds them; the pointer walk is the
+    reference the compiled matcher is tested against.
 
     >>> trie = PrefixTrie(["password", "p@ssword", "123qwe"])
     >>> "password" in trie
@@ -119,8 +133,10 @@ class PrefixTrie:
                  min_length: int = 3) -> None:
         if min_length < 1:
             raise ValueError("min_length must be positive")
-        self._root = _Node()
+        # Built by :meth:`_nodes` on the first pointer query.
+        self._root: Optional[_Node] = None
         self._min_length = min_length
+        self._members: Set[str] = set()
         self._words: List[str] = []
         # Whether ``_words`` is in lexicographic order; inserting in
         # sorted order (a saved model's word list) keeps it sorted.
@@ -143,33 +159,29 @@ class PrefixTrie:
         Callers are expected to lower-case base passwords before
         insertion (see :func:`repro.core.training.build_base_trie`).
         """
-        if len(word) < self._min_length:
+        if len(word) < self._min_length or word in self._members:
             return False
-        node = self._root
-        for ch in word:
-            node = node.children.setdefault(ch, _Node())
-        if node.terminal:
-            return False
-        node.terminal = True
+        self._members.add(word)
         words = self._words
         if self._sorted and words and word < words[-1]:
             self._sorted = False
         words.append(word)
+        if self._root is not None:
+            _add_path(self._root, word)
         return True
 
     def __contains__(self, word: object) -> bool:
-        if not isinstance(word, str):
-            return False
-        node = self._find(word)
-        return node is not None and node.terminal
+        return isinstance(word, str) and word in self._members
 
-    def _find(self, word: str) -> Optional[_Node]:
-        node = self._root
-        for ch in word:
-            node = node.children.get(ch)
-            if node is None:
-                return None
-        return node
+    def _nodes(self) -> _Node:
+        """The root of the pointer nodes, built on first use."""
+        root = self._root
+        if root is None:
+            root = _Node()
+            for word in self._words:
+                _add_path(root, word)
+            self._root = root
+        return root
 
     def iter_words(self) -> Iterator[str]:
         """Yield every stored word in lexicographic order."""
@@ -200,7 +212,7 @@ class PrefixTrie:
 
     def longest_exact_prefix(self, text: str) -> Optional[str]:
         """Longest stored word that is a verbatim prefix of ``text``."""
-        node = self._root
+        node = self._nodes()
         best: Optional[str] = None
         for i, ch in enumerate(text):
             node = node.children.get(ch)
@@ -223,7 +235,7 @@ class PrefixTrie:
         matches: List[FuzzyMatch] = []
         # Depth-first over (node, offset, base-so-far, cap, toggles).
         stack: List[Tuple[_Node, int, str, bool, Tuple[int, ...]]] = [
-            (self._root, 0, "", False, ())
+            (self._nodes(), 0, "", False, ())
         ]
         while stack:
             node, offset, base, capitalized, toggles = stack.pop()

@@ -8,7 +8,6 @@ feed on) plus service metadata mirroring Table VII's columns.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.util.freqdist import FrequencyDistribution

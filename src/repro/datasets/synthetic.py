@@ -29,7 +29,7 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.datasets.corpus import PasswordCorpus
-from repro.datasets.profiles import DatasetProfile, PROFILES, profile as get_profile
+from repro.datasets.profiles import DatasetProfile, profile as get_profile
 from repro.survey.data import BehaviorModel
 from repro.util.leet import LEET_BY_LETTER
 

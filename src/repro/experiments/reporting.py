@@ -6,7 +6,7 @@ these helpers keep the formatting in one place.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.experiments.runner import ExperimentResult
 

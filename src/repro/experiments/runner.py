@@ -34,8 +34,8 @@ from repro.meters.ideal import IdealMeter
 from repro.meters.markov import Smoothing
 from repro.meters.registry import TrainContext
 from repro.meters.zxcvbn.frequency_lists import COMMON_PASSWORDS
-from repro.metrics.curves import CurvePoint, correlation_curve, log_grid
-from repro.metrics.rank import kendall_tau, spearman_rho
+from repro.metrics.curves import CurvePoint, correlation_curve
+from repro.metrics.rank import kendall_tau
 
 
 @dataclass(frozen=True)

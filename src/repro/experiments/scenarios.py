@@ -19,7 +19,7 @@ each language group — Rockyou (English) and Tianya (Chinese).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from the published notes, not from the (closed) C# source.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.meters.base import Meter, entropy_to_probability
 from repro.meters.registry import Capability, TrainContext, register_meter

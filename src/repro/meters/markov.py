@@ -24,9 +24,7 @@ large guess horizons need only O(depth) memory.
 from __future__ import annotations
 
 import enum
-import math
 import random
-import string
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.meters.base import ProbabilisticMeter

@@ -25,7 +25,7 @@ from repro.metrics.enumeration import (
     descending_products,
     merge_weighted_descending,
 )
-from repro.util.charclasses import CharClass, Segment, segment_by_class
+from repro.util.charclasses import CharClass, segment_by_class
 from repro.util.freqdist import FrequencyDistribution
 
 #: One slot of a base structure: (character class, run length).

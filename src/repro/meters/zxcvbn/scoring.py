@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.meters.zxcvbn.matching import Match, SEQUENCES
+from repro.meters.zxcvbn.matching import Match
 
 #: Character-class cardinalities for brute-force charspace.
 _CLASS_CARDINALITIES = {"lower": 26, "upper": 26, "digits": 10, "symbols": 33}

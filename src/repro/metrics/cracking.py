@@ -13,7 +13,7 @@ evaluation artefacts:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.datasets.corpus import PasswordCorpus
 from repro.meters.base import Meter
@@ -108,7 +108,7 @@ def guess_number_scatter(estimator: MonteCarloEstimator, meter: Meter,
     """
     ranked = test_corpus.most_common(max_rank)
     # One batched probability pass (fuzzyPSM answers it through its
-    # parse cache), then map each score to a guess number.
+    # score memo), then map each score to a guess number.
     probabilities = meter.probabilities(
         password for password, _ in ranked
     )

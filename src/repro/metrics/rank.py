@@ -16,7 +16,7 @@ curves over 10^4-10^5 passwords stay fast.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 
 def rankdata(values: Sequence[float]) -> List[float]:

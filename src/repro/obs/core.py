@@ -171,16 +171,10 @@ class Telemetry:
     #: Hot loops guard per-item probes with ``if tel.enabled:``.
     enabled: bool = True
 
-    #: Deferred events are folded into counters once the buffer holds
-    #: this many — bounds memory while keeping the drain burst out of
-    #: any realistically-sized scoring sweep.
-    DEFER_LIMIT: int = 65536
-
     def __init__(self, clock: Clock = now) -> None:
         self.clock: Clock = clock
         self._counters: Dict[str, int] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._deferred: List[Tuple[Callable[["Telemetry", Any], None], Any]] = []
 
     # --- recording ----------------------------------------------------
 
@@ -211,48 +205,21 @@ class Telemetry:
         """A span whose elapsed seconds land in histogram ``name``."""
         return Span(self, name)
 
-    def defer(self, handler: Callable[["Telemetry", Any], None],
-              event: Any) -> None:
-        """Buffer ``event`` for aggregation at first read.
-
-        The hot path pays one append; ``handler(self, event)`` runs
-        when a reader drains the buffer (or when it reaches
-        ``DEFER_LIMIT``).  This is how per-parse probes stay inside
-        the <5% enabled-overhead budget: recording is an O(1) buffer
-        push, aggregation happens at report time.
-        """
-        deferred = self._deferred
-        deferred.append((handler, event))
-        if len(deferred) >= self.DEFER_LIMIT:
-            self._drain()
-
-    def _drain(self) -> None:
-        """Fold every buffered event into counters/histograms."""
-        while self._deferred:
-            drained = self._deferred
-            self._deferred = []
-            for handler, event in drained:
-                handler(self, event)
-
     # --- reading ------------------------------------------------------
 
     def counter(self, name: str) -> int:
         """The counter's current value (0 when never incremented)."""
-        self._drain()
         return self._counters.get(name, 0)
 
     def histogram(self, name: str) -> Optional[Histogram]:
-        self._drain()
         return self._histograms.get(name)
 
     def counters(self) -> Dict[str, int]:
         """A copy of every counter, sorted by probe name."""
-        self._drain()
         return dict(sorted(self._counters.items()))
 
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-ready snapshot of everything recorded so far."""
-        self._drain()
         return {
             "enabled": self.enabled,
             "counters": self.counters(),
@@ -266,7 +233,6 @@ class Telemetry:
         """Drop every recorded value (the backend stays installed)."""
         self._counters.clear()
         self._histograms.clear()
-        self._deferred.clear()
 
 
 class _NoopSpan:
@@ -304,10 +270,6 @@ class NoopTelemetry(Telemetry):
         pass
 
     def incr_many(self, items: List[Tuple[str, int]]) -> None:
-        pass
-
-    def defer(self, handler: Callable[[Telemetry, Any], None],
-              event: Any) -> None:
         pass
 
     def observe(self, name: str, value: float, times: int = 1) -> None:

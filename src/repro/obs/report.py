@@ -3,8 +3,8 @@
 A snapshot (:meth:`repro.obs.core.Telemetry.snapshot`) is the raw
 counter/histogram state.  A *report* adds the derived quantities an
 operator actually asks about — parse-outcome mix, rule-hit shares,
-cache hit rate — and is what ``repro profile`` emits and the
-experiments runner attaches to its results.
+parse-cache and score-memo hit rates — and is what ``repro profile``
+emits and the experiments runner attaches to its results.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 #: Bump when the report layout changes; persisted snapshots carry it.
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def _rate(hits: int, misses: int) -> Optional[float]:
@@ -24,36 +24,43 @@ def _share(part: int, whole: int) -> Optional[float]:
     return part / whole if whole else None
 
 
+def _lru(counters: Dict[str, int], prefix: str) -> Dict[str, Any]:
+    """Hit/miss/evict counts of the LRU whose probes start ``prefix``."""
+    hits = counters.get(prefix + ".hit", 0)
+    misses = counters.get(prefix + ".miss", 0)
+    return {
+        "hits": hits,
+        "misses": misses,
+        "evictions": counters.get(prefix + ".evict", 0),
+        "hit_rate": _rate(hits, misses),
+    }
+
+
 def build_report(
     snapshot: Dict[str, Any],
-    parse_cache_info: Optional[Dict[str, int]] = None,
+    score_memo_info: Optional[Dict[str, int]] = None,
 ) -> Dict[str, Any]:
     """Derive the headline quantities from a telemetry snapshot.
 
     The returned document is JSON-ready and self-contained: it embeds
     the snapshot it was derived from under ``"telemetry"``.
 
-    ``parse_cache_info`` optionally carries the structural cache state
-    (:meth:`repro.core.parser.FuzzyParser.cache_info` — occupancy and
-    capacity); when given, its keys are merged into the
-    ``"parse_cache"`` section next to the hit/miss/evict counters.
-    Omitting it leaves the report layout exactly as before.
+    ``"parse_cache"`` counts training's parse cache
+    (``parser.cache.*``) and ``"score_memo"`` the meter's score memo
+    (``meter.memo.*``).  ``score_memo_info`` optionally carries the
+    memo's structural state
+    (:meth:`repro.core.meter.FuzzyPSM.score_memo_info` — occupancy and
+    capacity); when given, its keys are merged into ``"score_memo"``
+    next to the counts.
     """
     counters: Dict[str, int] = snapshot.get("counters", {})
     trie_hits = counters.get("parser.segment.trie_hit", 0)
     fallbacks = counters.get("parser.segment.fallback", 0)
     segments = trie_hits + fallbacks
     parses = counters.get("parser.parse", 0)
-    cache_hits = counters.get("parser.cache.hit", 0)
-    cache_misses = counters.get("parser.cache.miss", 0)
-    parse_cache: Dict[str, Any] = {
-        "hits": cache_hits,
-        "misses": cache_misses,
-        "evictions": counters.get("parser.cache.evict", 0),
-        "hit_rate": _rate(cache_hits, cache_misses),
-    }
-    if parse_cache_info is not None:
-        parse_cache.update(parse_cache_info)
+    score_memo = _lru(counters, "meter.memo")
+    if score_memo_info is not None:
+        score_memo.update(score_memo_info)
     return {
         "report_version": REPORT_VERSION,
         "parse_outcomes": {
@@ -71,7 +78,8 @@ def build_report(
                 "allcaps": counters.get("parser.rule.allcaps", 0),
             },
         },
-        "parse_cache": parse_cache,
+        "parse_cache": _lru(counters, "parser.cache"),
+        "score_memo": score_memo,
         "stages": {
             name: histogram
             for name, histogram in snapshot.get("histograms", {}).items()
@@ -88,7 +96,6 @@ def _format_optional_rate(value: Optional[float]) -> str:
 def render_report(report: Dict[str, Any]) -> List[str]:
     """Human-readable lines for a report (the ``--format text`` view)."""
     outcomes = report["parse_outcomes"]
-    cache = report["parse_cache"]
     lines = [
         f"parses          : {outcomes['parses']:,}",
         f"segments        : {outcomes['segments']:,} "
@@ -99,17 +106,20 @@ def render_report(report: Dict[str, Any]) -> List[str]:
     ]
     for rule, hits in outcomes["rule_hits"].items():
         lines.append(f"rule {rule:<14}: {hits:,}")
-    lines.append(
-        f"parse cache     : {cache['hits']:,} hits / "
-        f"{cache['misses']:,} misses "
-        f"(hit rate {_format_optional_rate(cache['hit_rate'])}, "
-        f"{cache['evictions']:,} evictions)"
-    )
-    if "capacity" in cache:
+    for label, key in (("parse cache", "parse_cache"),
+                       ("score memo", "score_memo")):
+        cache = report[key]
         lines.append(
-            f"parse cache size: {cache.get('size', 0):,} of "
-            f"{cache['capacity']:,} entries"
+            f"{label:<16}: {cache['hits']:,} hits / "
+            f"{cache['misses']:,} misses "
+            f"(hit rate {_format_optional_rate(cache['hit_rate'])}, "
+            f"{cache['evictions']:,} evictions)"
         )
+        if "capacity" in cache:
+            lines.append(
+                f"{label + ' size':<16}: {cache.get('size', 0):,} of "
+                f"{cache['capacity']:,} entries"
+            )
     for stage, histogram in report["stages"].items():
         lines.append(
             f"stage {stage:<24}: {histogram['count']:,} x, "

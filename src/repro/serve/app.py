@@ -23,8 +23,10 @@ Scoring never runs on the event loop: every batch runs the meter's
 Every use of a model's meter — a batch together with the epoch it
 reports, ``/accept``'s update, ``/suggest`` — holds that model's lock,
 across the executor call.  The meter's grammar, frozen kernel and
-parse cache are not thread-safe, so without it an ``/accept`` could
-mutate the grammar under a running batch.
+score memo are not thread-safe, so without it an ``/accept`` could
+mutate the grammar under a running batch.  The memo is emptied by the
+first batch after an ``/accept``, when the frozen grammar moves to the
+new epoch.
 
 The server owns a private :class:`~repro.obs.core.Telemetry` backend,
 so ``/metrics`` is always live even when the process-global backend is

@@ -13,7 +13,7 @@ questions (marked) do not sum to 1.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 #: Fig. 2 — "What will you do when requested to create a password for a

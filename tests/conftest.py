@@ -10,8 +10,8 @@ import pytest
 from repro.core import FuzzyPSM
 from repro.core.parser import FuzzyParser
 from repro.core.trie import PrefixTrie
-from repro.datasets import PasswordCorpus, SyntheticEcosystem
-from repro.meters import MarkovMeter, PCFGMeter, Smoothing
+from repro.datasets import SyntheticEcosystem
+from repro.meters import MarkovMeter, PCFGMeter
 
 #: A base dictionary resembling the paper's running examples.
 BASE_DICTIONARY = [

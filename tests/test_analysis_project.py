@@ -17,7 +17,6 @@ import textwrap
 
 from repro.analysis.project import (
     GRAMMAR_TABLE_ATTRIBUTES,
-    ProjectIndex,
     build_project_index,
     module_name_for_path,
     scan_module,

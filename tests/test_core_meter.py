@@ -1,7 +1,6 @@
 """Unit tests for FuzzyPSM: train / measure / update / guesses."""
 
 import math
-import random
 
 import pytest
 

@@ -1,13 +1,10 @@
 """Unit tests for the stronger-password suggestion engine."""
 
-import random
-
 import pytest
 
 from repro.core import FuzzyPSM
 from repro.core.policy import PasswordPolicy
 from repro.core.suggestions import (
-    Suggestion,
     improvement_report,
     suggest_stronger,
 )

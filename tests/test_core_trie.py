@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.trie import FuzzyMatch, PrefixTrie, toggle_partner
+from repro.core.trie import PrefixTrie, toggle_partner
 
 
 class TestInsertLookup:
@@ -34,6 +34,18 @@ class TestInsertLookup:
     def test_non_string_not_contained(self):
         trie = PrefixTrie(["abc"])
         assert 123 not in trie
+
+    def test_unhashable_not_contained(self):
+        assert ["abc"] not in PrefixTrie(["abc"])
+
+    def test_insert_after_a_pointer_query_keeps_nodes_in_step(self):
+        trie = PrefixTrie(["pass"])
+        assert trie.longest_exact_prefix("password") == "pass"
+        assert trie.insert("password")
+        assert not trie.insert("password")
+        assert trie.longest_exact_prefix("password1") == "password"
+        assert trie.longest_fuzzy_match("P@ssw0rd").base == "password"
+        assert "password" in trie
 
 
 class TestExactPrefix:

@@ -5,7 +5,6 @@ import pytest
 from repro.datasets.profiles import DATASET_ORDER, profile
 from repro.datasets.stats import (
     composition_table,
-    length_table,
     overlap_fraction,
     top_k_table,
 )

@@ -4,7 +4,6 @@ import pytest
 
 from repro.datasets.corpus import PasswordCorpus
 from repro.datasets.zipf import (
-    ZipfFit,
     fit_zipf,
     frequency_spectrum,
     ideal_meter_coverage,

@@ -17,7 +17,6 @@ from repro import (
     MarkovMeter,
     MonteCarloEstimator,
     PCFGMeter,
-    PasswordCorpus,
     SyntheticEcosystem,
     kendall_tau,
 )

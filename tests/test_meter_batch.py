@@ -1,21 +1,25 @@
 """Batch scoring and parallel-training APIs of :class:`FuzzyPSM`.
 
 The contract under test: every fast path (``probability_many``, the
-parse cache, ``train_grammar(..., jobs=N)``) is an execution-strategy
+score memo, ``train_grammar(..., jobs=N)``) is an execution-strategy
 change only — results are bit-for-bit those of the serial per-call
 code.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 
 import pytest
 
+from repro import obs
 from repro.core.compiled_trie import CompiledTrie
 from repro.core.meter import FuzzyPSM, FuzzyPSMConfig
 from repro.core.training import build_base_trie, train_grammar
+from repro.core.trie import _Node
+from repro.persistence import load_meter, save_meter
 from repro.util.freqdist import FrequencyDistribution
 
 from tests.conftest import (
@@ -93,6 +97,49 @@ class TestProbabilityMany:
         probes = probe_stream(rng, 300)
         assert fast.probability_many(probes) == \
             reference_scores(fast, probes)
+
+
+class TestScoreMemo:
+    def test_never_holds_more_than_the_cache_size(self, rng):
+        meter = FuzzyPSM.train(
+            BASE_DICTIONARY, TRAINING_PASSWORDS,
+            config=FuzzyPSMConfig(parse_cache_size=8),
+        )
+        for _ in range(5):
+            meter.probability_many(probe_stream(rng, 50))
+            assert meter.score_memo_info()["size"] <= 8
+        assert meter.score_memo_info() == {"size": 8, "capacity": 8}
+
+    def test_a_hit_refreshes_its_place(self):
+        meter = FuzzyPSM.train(
+            BASE_DICTIONARY, TRAINING_PASSWORDS,
+            config=FuzzyPSMConfig(parse_cache_size=2),
+        )
+        with obs.session() as telemetry:
+            for password in ["password1", "dragon2", "password1",
+                             "monkey3"]:  # evicts "dragon2", not the hit
+                meter.probability_many([password])
+            assert telemetry.counter("meter.memo.evict") == 1
+            meter.probability_many(["password1"])
+            assert telemetry.counter("meter.memo.hit") == 2
+            meter.probability_many(["dragon2"])
+            assert telemetry.counter("meter.memo.miss") == 4
+
+    def test_size_zero_scores_identically_with_dedupe_in_a_call(self, rng):
+        meter = FuzzyPSM.train(
+            BASE_DICTIONARY, TRAINING_PASSWORDS,
+            config=FuzzyPSMConfig(parse_cache_size=0),
+        )
+        probes = probe_stream(rng, 300) + [""]
+        with obs.session() as telemetry:
+            scores = meter.probability_many(probes)
+            parses = telemetry.counter("parser.parse")
+            assert meter.probability_many(probes) == scores
+            hits = telemetry.counter("meter.memo.hit")
+        assert scores == reference_scores(meter, probes)
+        assert parses == len(set(probes)) - 1  # "" never parses
+        assert hits == 0
+        assert meter.score_memo_info() == {"size": 0, "capacity": 0}
 
 
 class TestParallelTraining:
@@ -221,6 +268,40 @@ class TestSerialisation:
         assert "use_compiled_trie" not in clone.to_dict()["config"]
         clone.parse("password123")
         assert isinstance(clone.parser.compiled_trie, CompiledTrie)
+
+
+class TestPointerNodes:
+    def test_load_and_score_build_none(self, fuzzy_meter, rng, tmp_path):
+        path = str(tmp_path / "model.fpsm")
+        save_meter(fuzzy_meter, path, fmt="binary")
+        probes = probe_stream(rng, 200)
+        # Hold the nodes that exist already, so no new node can reuse
+        # the id of one collected meanwhile.
+        existing = [o for o in gc.get_objects() if type(o) is _Node]
+        known = {id(node) for node in existing}
+        meter = load_meter(path)
+        scores = meter.probability_many(probes)
+        built = [
+            o for o in gc.get_objects()
+            if type(o) is _Node and id(o) not in known
+        ]
+        assert built == []
+        # A pointer query builds them and answers as the compiled
+        # matcher does, and so does one after an insert.
+        trie = meter.trie
+        assert scores == reference_scores(meter, probes)
+        compiled = trie.compile()
+        for probe in probes:
+            assert trie.longest_fuzzy_match(probe) == \
+                compiled.longest_fuzzy_match(probe)
+        assert trie.insert("p@ssw0rdz")
+        compiled = trie.compile()
+        for probe in ["P@ssw0rdz1", "p@ssw0rdz!", "password"]:
+            assert trie.longest_fuzzy_match(probe) == \
+                compiled.longest_fuzzy_match(probe)
+            assert trie.longest_exact_prefix(probe) == \
+                compiled.longest_exact_prefix(probe)
+        assert trie.longest_fuzzy_match("P@ssw0rdz1").base == "p@ssw0rdz"
 
 
 class TestFrequencyDistributionEquality:

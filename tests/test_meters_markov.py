@@ -1,6 +1,5 @@
 """Unit tests for the Markov meter (orders, smoothing, enumeration)."""
 
-import math
 import random
 
 import pytest

@@ -146,37 +146,6 @@ class TestTelemetry:
         assert telemetry.counter("never") == 0
         assert telemetry.counters() == {"a": 5, "b": 0}
 
-    def test_deferred_events_fold_at_first_read(self):
-        telemetry = Telemetry()
-        applied = []
-
-        def handler(backend, event):
-            applied.append(event)
-            backend.incr("parses", event)
-
-        telemetry.defer(handler, 2)
-        telemetry.defer(handler, 3)
-        assert applied == []  # buffered: the hot path paid one append
-        assert telemetry.counter("parses") == 5  # reading drains
-        assert applied == [2, 3]
-
-    def test_defer_limit_drains_inline(self):
-        telemetry = Telemetry()
-        telemetry.DEFER_LIMIT = 3
-        seen = []
-        handler = lambda backend, event: seen.append(event)
-        telemetry.defer(handler, 0)
-        telemetry.defer(handler, 1)
-        assert seen == []
-        telemetry.defer(handler, 2)  # buffer full: drained in place
-        assert seen == [0, 1, 2]
-
-    def test_reset_drops_buffered_events(self):
-        telemetry = Telemetry()
-        telemetry.defer(lambda backend, event: backend.incr("x"), None)
-        telemetry.reset()
-        assert telemetry.counter("x") == 0
-
     def test_incr_many_matches_repeated_incr(self):
         bulk, looped = Telemetry(), Telemetry()
         items = [("a", 2), ("b", 1), ("a", 3)]
@@ -209,7 +178,6 @@ class TestNoopTelemetry:
         noop = NoopTelemetry()
         noop.incr("hits", 10)
         noop.incr_many([("hits", 3), ("misses", 1)])
-        noop.defer(lambda backend, event: backend.incr("hits"), None)
         noop.observe("batch.size", 5.0)
         with noop.timer("stage.seconds"):
             pass

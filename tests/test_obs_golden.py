@@ -9,7 +9,7 @@ a parse changes shape, these tests name the drifted counter.
 from __future__ import annotations
 
 from repro import obs
-from repro.core.meter import FuzzyPSM
+from repro.core.meter import FuzzyPSM, FuzzyPSMConfig
 from repro.core.parser import FuzzyParser
 from repro.core.training import build_base_trie, train_grammar
 from repro.obs.report import build_report
@@ -97,6 +97,30 @@ class TestCacheGolden:
         # Cache hits are not parses: only the misses did parse work.
         assert counters["parser.parse"] == 4
 
+    def test_score_memo_hit_miss_evict_sequence(self):
+        meter = FuzzyPSM.train(
+            GOLDEN_BASE, ["password1", "dragon99"],
+            config=FuzzyPSMConfig(parse_cache_size=2),
+        )
+        meter.probability("x")  # pre-build the compiled matcher
+        meter.frozen_grammar()
+        with obs.session() as telemetry:
+            # One call per password: within a call a repeat is answered
+            # by the call's own distinct dict, not by the memo.
+            for password in ["password",   # miss
+                             "password",   # hit
+                             "dragon1",    # miss
+                             "123456",     # miss, evicts "password"
+                             "password"]:  # miss again, evicts "dragon1"
+                meter.probability_many([password])
+            counters = telemetry.snapshot()["counters"]
+        assert counters["meter.memo.hit"] == 1
+        assert counters["meter.memo.miss"] == 4
+        assert counters["meter.memo.evict"] == 2
+        # Memo hits are not parses: only the misses did parse work.
+        assert counters["parser.parse"] == 4
+        assert meter.score_memo_info() == {"size": 2, "capacity": 2}
+
 
 class TestMeterGolden:
     def test_batch_counters(self):
@@ -112,8 +136,8 @@ class TestMeterGolden:
         assert counters["meter.batch.calls"] == 1
         assert counters["meter.batch.scores"] == 4
         assert counters["meter.batch.distinct"] == 3  # "" is memoised too
-        assert counters["parser.cache.miss"] == 2     # "" never parses
-        assert counters.get("parser.cache.hit", 0) == 0
+        assert counters["meter.memo.miss"] == 2       # "" never parses
+        assert counters.get("meter.memo.hit", 0) == 0
 
     def test_report_derives_the_golden_rates(self):
         meter = FuzzyPSM.train(
@@ -124,7 +148,7 @@ class TestMeterGolden:
             meter.probability_many(["password1", "dragon99"])
             meter.probability_many(["password1", "dragon99"])
             report = build_report(telemetry.snapshot())
-        assert report["parse_cache"] == {
+        assert report["score_memo"] == {
             "hits": 2, "misses": 2, "evictions": 0, "hit_rate": 0.5,
         }
         outcomes = report["parse_outcomes"]

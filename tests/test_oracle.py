@@ -6,7 +6,7 @@ The reference is the test-side pointer-trie parser
 production path must equal it bit for bit, on meters trained over
 generated corpora, before and after the update phase:
 
-* ``probability_many`` (the batch loop over the parse cache and the
+* ``probability_many`` (the batch loop over the score memo and the
   frozen kernel);
 * per-call ``probability``;
 * ``score_many`` in a reader that attaches a published

@@ -6,8 +6,7 @@ import string
 from hypothesis import given, settings, strategies as st
 
 from repro.core import FuzzyPSM
-from repro.core.grammar import DerivedSegment, FuzzyGrammar, Derivation
-from repro.core.training import build_base_trie
+from repro.core.grammar import DerivedSegment, FuzzyGrammar
 from repro.core.trie import PrefixTrie
 from repro.util.leet import LEET_BY_LETTER
 

@@ -9,7 +9,7 @@ examples and benches silently rely on.
 import random
 import string
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.attacks.simulator import (
     LockoutPolicy,

@@ -14,7 +14,7 @@ import pytest
 from repro.core.meter import FuzzyPSM
 from repro.serve import ReproServer, ServeConfig, SnapshotRegistry
 
-from tests.conftest import BASE_DICTIONARY, TRAINING_PASSWORDS
+from tests.conftest import BASE_DICTIONARY
 from tests.serve_utils import one_shot, run, train_serve_meter
 
 #: Training list for the second model — overlapping head, different

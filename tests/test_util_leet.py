@@ -1,7 +1,5 @@
 """Unit tests for the top-6 leet substitution rules (Table VI)."""
 
-import pytest
-
 from repro.util.leet import (
     LEET_BY_LETTER,
     LEET_BY_SUBSTITUTE,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.meters.zxcvbn.adjacency import AdjacencyGraph, default_graphs
+from repro.meters.zxcvbn.adjacency import default_graphs
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.meters.zxcvbn.matching import Match, MatchCollector
+from repro.meters.zxcvbn.matching import MatchCollector
 
 
 @pytest.fixture(scope="module")

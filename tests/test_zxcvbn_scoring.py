@@ -9,7 +9,6 @@ from repro.meters.zxcvbn.scoring import (
     bruteforce_charspace,
     date_entropy,
     dictionary_entropy,
-    l33t_entropy,
     match_entropy,
     minimum_entropy_match_sequence,
     repeat_entropy,
