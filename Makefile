@@ -43,7 +43,7 @@ attack-smoke:
 # harness BENCHMARK.json runs): every workload end to end, then one
 # planted fault per output check.  It exercises program surface no
 # other target does: repro.core.shm.mp_context, the `repro serve`
-# banner, the parser.cache.* / meter.batch.* / trie.compile.seconds /
+# banner, the meter.batch.* / trie.compile.seconds /
 # meter.frozen.build.seconds probes, and FuzzyPSM.train_streaming,
 # probability_many, attack_engine and frozen_grammar.
 perf-selftest:

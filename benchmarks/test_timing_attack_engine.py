@@ -1,7 +1,8 @@
 """The attack engine vs the pre-engine reference enumerator.
 
-Before the attack-engine refactor, guess streams came from
-``FuzzyPSM._iter_guesses_reference``: per-structure
+Before the attack-engine refactor, guess streams came from the
+enumerator now kept as the engine's test oracle
+(``tests/enumeration_oracle.py``): per-structure
 ``descending_products`` over dict-table factor lists, merged by
 ``merge_weighted_descending`` and deduplicated.  The engine rebuilds
 the same stream on :class:`~repro.core.frozen.FrozenGrammar`'s
@@ -21,6 +22,7 @@ import time
 from repro.core.meter import FuzzyPSM
 
 from bench_lib import SMOKE, emit, record
+from tests.enumeration_oracle import reference_guesses as enumerate_reference
 
 #: Guesses materialized per path.  The reference path is the slow side
 #: at any scale; smoke keeps the same comparison at toy size.
@@ -40,8 +42,7 @@ def test_timing_attack_enumeration(corpora, csdn_quarters, capsys):
     # separately, and the lazy variant-lattice materialization, paid by
     # an untimed warm-up pass (the standard bench idiom; the lattices
     # are cached for the meter's lifetime, so steady state is what a
-    # 10^7-guess session actually runs at).  Any parse-cache warmth
-    # left behind favours the reference side.
+    # 10^7-guess session actually runs at).
     start = time.perf_counter()
     engine = meter.attack_engine()
     build_seconds = time.perf_counter() - start
@@ -54,7 +55,7 @@ def test_timing_attack_enumeration(corpora, csdn_quarters, capsys):
 
     start = time.perf_counter()
     reference_guesses = []
-    for item in meter._iter_guesses_reference():
+    for item in enumerate_reference(meter):
         reference_guesses.append(item)
         if len(reference_guesses) >= GUESSES:
             break

@@ -192,8 +192,8 @@ def test_timing_bulk_vs_single_measuring(meter, csdn_quarters, capsys):
 def test_timing_compiled_vs_pointer_parse(meter, csdn_quarters, capsys):
     """Full-parse wall time: compiled leet-canonical trie vs pointer trie.
 
-    Caches are disabled so this isolates the matcher itself: one walk
-    per reading over leet-canonical edges against the pointer trie's
+    Neither parser keeps parses, so this isolates the matcher itself:
+    one walk per reading over leet-canonical edges against the pointer trie's
     search over exact and leet branches.  The two parsers must produce
     identical parses; the ratio is recorded for the cross-PR
     trajectory.
@@ -204,9 +204,8 @@ def test_timing_compiled_vs_pointer_parse(meter, csdn_quarters, capsys):
     # it as its matcher through from_compiled (same longest_fuzzy_match).
     pointer_parser = FuzzyParser.from_compiled(
         meter.trie, None, meter.trie.min_length, meter.parser.flags,
-        parse_cache_size=0,
     )
-    compiled_parser = FuzzyParser(meter.trie, parse_cache_size=0)
+    compiled_parser = FuzzyParser(meter.trie)
     compiled_parser.parse("warmup")  # build the compiled snapshot
 
     # Interleaved repeats, compared by their medians, so that drift of

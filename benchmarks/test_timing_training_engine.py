@@ -1,10 +1,12 @@
 """Corpus-scale training: in-memory serial vs streamed vs parallel.
 
 The streaming trainer (``train_grammar_streaming``) exists for corpora
-that don't fit comfortably in memory: the loader yields bounded
-``(password, count)`` chunks, each chunk is aggregated per distinct
-password and parsed through the shared parse cache, and with
-``jobs > 1`` chunks are parsed in persistent workers that ship compact
+that don't fit comfortably in memory: the loader reads the file a
+block of lines at a time and yields bounded ``(password, count)``
+chunks; the trainer sums entries into a first-seen window of at most
+65,536 distinct passwords and parses each password of a full window
+once, with its summed count; and with ``jobs > 1`` each window is cut
+into slices that persistent workers parse, shipping compact
 count-table deltas back instead of pickled grammars.
 
 This bench trains fuzzyPSM on a ~10^6-entry Zipf-shaped plain corpus
@@ -28,13 +30,14 @@ gives every config the same allocator/import state for fair timing.
 On a single-core host the trainer clamps ``jobs`` to the core count
 and the ``streamed_parallel`` config degrades — observably, via
 ``training.parallel.fallback`` — to the streamed serial engine, whose
-win over the in-memory path is algorithmic: each chunk is aggregated
-per distinct password and parsed through the shared LRU cache, so a
-Zipf-shaped corpus does a fraction of the parse work.  (An earlier
-revision let ``jobs=2`` spawn real workers here; IPC ate the entire
-2x algorithmic win — 38.3s vs 19.7s streamed serial — which is
-exactly why the clamp exists.)  With more cores the pool parses
-chunks concurrently on top of the same aggregation.
+win over the in-memory path is algorithmic: each distinct password of
+a window is parsed once, so a Zipf-shaped corpus does a fraction of
+the parse work.  (An earlier revision let ``jobs=2`` spawn real
+workers on one core; IPC ate the entire 2x algorithmic win — 38.3s vs
+19.7s streamed serial — which is exactly why the clamp exists.)  With
+more cores the pool parses a window's slices concurrently on top of
+the same aggregation.  The in-memory ``serial`` config stays the
+per-entry reference loop, which the ``> 1.5x`` gate divides by.
 
 Smoke mode shrinks the corpus and keeps only the equivalence asserts;
 at toy scale the streamed stream falls below the parallel threshold
@@ -60,8 +63,8 @@ _BASE_WORDS = 2_000 if SMOKE else 20_000
 _JOBS = 2
 
 #: Fixed peak-RSS budget for the streamed engines at full scale
-#: (measured ~127 MiB on the 10^6 corpus; the in-memory serial path
-#: sits at ~155 MiB, so a breach means streaming stopped streaming).
+#: (measured 87-97 MiB on the 10^6 corpus; the in-memory serial path
+#: sits at ~148 MiB, so a breach means streaming stopped streaming).
 _RSS_BUDGET_KIB = 200 * 1024
 
 _SEED_WORDS = [

@@ -34,10 +34,11 @@ way batch scoring does:
   kernel's value bit for bit (asserted by
   ``tests/test_attacks_engine.py``).
 
-The engine only emits guesses with probability > 0.  The legacy path
-appended a tail of zero-probability variants (unreachable under the
-modelled attacker); pruning them is what lets the frontier skip whole
-sub-lattices.
+The engine only emits guesses with probability > 0.  The pre-engine
+enumerator, now the engine's test oracle
+(``tests/enumeration_oracle.py``), appends a tail of zero-probability
+variants (unreachable under the modelled attacker); pruning them is
+what lets the frontier skip whole sub-lattices.
 
 **Beam mode.**  ``Beam(width, floor)`` bounds the frontier for
 10^7-scale materialization: nodes below the probability ``floor`` are
@@ -713,8 +714,9 @@ class AttackEngine:
     ) -> List[Tuple[float, bool, bool, bool, str]]:
         """Case/reverse head options for one base, descending.
 
-        Mirrors the enumeration gates of the legacy
-        ``FuzzyPSM._case_reverse_factor`` — only variants the canonical
+        Mirrors the enumeration gates of the pre-engine enumerator,
+        kept as this engine's test oracle
+        (``tests/enumeration_oracle.py``) — only variants the canonical
         parse can report are emitted, so enumerated and measured
         probabilities agree — but reads the frozen pairs and computes
         the head factor in kernel order (terminal, capitalization,

@@ -125,8 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     train.add_argument(
         "--parse-cache-size", type=int, default=None, metavar="N",
-        help="capacity of training's LRU parse cache and of the "
-             "score memo used for bulk scoring (fuzzyPSM; default 65536)",
+        help="most distinct passwords training parses per window "
+             "(bounds streamed and --jobs training memory) and capacity "
+             "of the score memo used for bulk scoring (fuzzyPSM; "
+             "default 65536)",
     )
     train.add_argument(
         "--stream-chunk", type=int, default=None, metavar="N",
@@ -360,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--parse-cache-size", type=int, default=None, metavar="N",
-        help="capacity of training's LRU parse cache and of the score "
-             "memo (telemetry mode)",
+        help="most distinct passwords training parses per window and "
+             "capacity of the score memo (telemetry mode)",
     )
     profile.add_argument(
         "--format", dest="output_format",

@@ -35,17 +35,11 @@ from repro import obs
 from repro.obs.core import now as _now
 from repro.core.frozen import FrozenGrammar
 from repro.core.grammar import (
-    DerivedSegment,
     FuzzyGrammar,
     leet_rule_for_char,
     structure_label,
 )
-from repro.core.parser import (
-    DEFAULT_PARSE_CACHE_SIZE,
-    FuzzyParser,
-    ParsedPassword,
-    parse_tally,
-)
+from repro.core.parser import FuzzyParser, ParsedPassword, parse_tally
 from repro.core.shm import (
     MaterializedScoringState,
     SharedScoringSegment,
@@ -53,6 +47,7 @@ from repro.core.shm import (
     mp_context,
 )
 from repro.core.training import (
+    DEFAULT_TRAIN_WINDOW,
     PasswordEntry,
     build_base_trie,
     train_grammar,
@@ -61,12 +56,6 @@ from repro.core.training import (
 from repro.core.trie import PrefixTrie
 from repro.meters.base import ProbabilisticMeter, probability_to_entropy
 from repro.meters.registry import Capability, TrainContext, register_meter
-from repro.metrics.enumeration import (
-    LazyDescendingList,
-    deduplicate_guesses,
-    descending_products,
-    merge_weighted_descending,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.attacks.engine import AttackEngine
@@ -92,12 +81,15 @@ class FuzzyPSMConfig:
             measured password back through the update phase.  The paper
             updates on *accepted* passwords, so this defaults to False
             and :meth:`FuzzyPSM.update` is the explicit entry point.
-        parse_cache_size: capacity of the parser's LRU parse cache,
-            which training uses, and of the meter's score memo, which
-            bulk scoring uses (``--parse-cache-size`` on the CLI).
-            Zipf-shaped streams hit the memo for the popular head;
-            raise it for wide sweeps, shrink it for memory-constrained
-            deployments.  A pure execution-strategy knob.
+        parse_cache_size: the most distinct passwords training
+            counts per parse window (one parse each, see
+            :mod:`repro.core.training`) and the capacity of the meter's
+            score memo, which bulk scoring uses (``--parse-cache-size``
+            on the CLI).  Zipf-shaped streams repeat their popular
+            head within a window and hit the memo for it; raise it for
+            wide sweeps, shrink it for memory-constrained deployments.
+            A pure execution-strategy knob: count tables and scores do
+            not depend on it.
     """
 
     min_base_length: int = 3
@@ -106,7 +98,7 @@ class FuzzyPSMConfig:
     allow_reverse: bool = False
     allow_allcaps: bool = False
     auto_update: bool = False
-    parse_cache_size: int = DEFAULT_PARSE_CACHE_SIZE
+    parse_cache_size: int = DEFAULT_TRAIN_WINDOW
 
 
 def _load_config(saved: Dict[str, Any]) -> FuzzyPSMConfig:
@@ -151,7 +143,6 @@ def _build_parser(trie: PrefixTrie, config: FuzzyPSMConfig) -> FuzzyParser:
         allow_leet=config.allow_leet,
         allow_reverse=config.allow_reverse,
         allow_allcaps=config.allow_allcaps,
-        parse_cache_size=config.parse_cache_size,
     )
 
 
@@ -347,7 +338,7 @@ class FuzzyPSM(ProbabilisticMeter):
                 ``(password, count)`` pairs).
             config: meter tunables; see :class:`FuzzyPSMConfig`.
             jobs: worker processes for the training pass; ``N > 1``
-                parses chunks in parallel and merges the count tables
+                parses slices in parallel and merges the count tables
                 exactly (see :func:`~repro.core.training.train_grammar`).
         """
         config = config or FuzzyPSMConfig()
@@ -355,7 +346,8 @@ class FuzzyPSM(ProbabilisticMeter):
             base_dictionary, min_length=config.min_base_length
         )
         parser = _build_parser(trie, config)
-        grammar = train_grammar(training, trie, parser=parser, jobs=jobs)
+        grammar = train_grammar(training, trie, parser=parser, jobs=jobs,
+                                window=config.parse_cache_size)
         return cls(grammar, trie, config)
 
     @classmethod
@@ -372,10 +364,10 @@ class FuzzyPSM(ProbabilisticMeter):
         iterator of bounded ``(password, count)`` batches — typically
         :func:`repro.datasets.loaders.stream_corpus_chunks` over a
         RockYou-scale file — consumed exactly once, so peak memory is
-        governed by the chunk size and (with ``jobs > 1``) the
-        trainer's bounded in-flight window, never the corpus.  The
-        resulting grammar is byte-identical to an in-memory
-        :meth:`train` over the concatenated entries
+        governed by the chunk size and the trainer's window of at most
+        ``config.parse_cache_size`` distinct passwords, never the
+        corpus.  The resulting grammar is byte-identical to an
+        in-memory :meth:`train` over the concatenated entries
         (:func:`~repro.core.training.train_grammar_streaming`).
         """
         config = config or FuzzyPSMConfig()
@@ -384,7 +376,8 @@ class FuzzyPSM(ProbabilisticMeter):
         )
         parser = _build_parser(trie, config)
         grammar = train_grammar_streaming(
-            chunks, trie, parser=parser, jobs=jobs
+            chunks, trie, parser=parser, jobs=jobs,
+            window=config.parse_cache_size,
         )
         return cls(grammar, trie, config)
 
@@ -790,146 +783,10 @@ class FuzzyPSM(ProbabilisticMeter):
         Served by the compiled attack engine
         (:meth:`attack_engine`), which enumerates the grammar's product
         lattice over the frozen flat tables with one global heap —
-        probabilities are bit-identical to the scoring kernel.  Unlike
-        the legacy path (kept as :meth:`_iter_guesses_reference` for
-        differential tests and benchmarks), the stream contains only
-        guesses with probability > 0: zero-probability variants are
-        unreachable under the modelled attacker.
+        probabilities are bit-identical to the scoring kernel.  The
+        stream contains only guesses with probability > 0:
+        zero-probability variants are unreachable under the modelled
+        attacker.  Its test oracle is the pre-engine per-slot
+        enumerator, kept in ``tests/enumeration_oracle.py``.
         """
         return iter(self.attack_engine().guesses(limit=limit))
-
-    def _iter_guesses_reference(self, limit: Optional[int] = None
-                                ) -> Iterator[Tuple[str, float]]:
-        """The pre-engine per-guess enumeration (reference semantics).
-
-        Merges, over all learned base structures, the product of
-        per-slot variant streams (terminal x capitalization x leet),
-        walking the training-side count tables.  Kept as the
-        differential oracle for the engine (same guesses, same order up
-        to ties, probabilities equal within float re-association) and
-        as the baseline of ``benchmarks/test_timing_attack_engine.py``.
-        Appends zero-probability variants the engine omits.
-        """
-        slot_cache: Dict[int, LazyDescendingList[str]] = {}
-
-        def slot_list(length: int) -> LazyDescendingList[str]:
-            if length not in slot_cache:
-                slot_cache[length] = LazyDescendingList(
-                    self._slot_variants(length)
-                )
-            return slot_cache[length]
-
-        def structure_stream(structure: Tuple[int, ...]
-                             ) -> Iterator[Tuple[str, float]]:
-            factors = [slot_list(length) for length in structure]
-            for surfaces, probability in descending_products(factors):
-                yield "".join(surfaces), probability
-
-        streams: List[Tuple[float, Iterator[Tuple[str, float]]]] = []
-        total = self._grammar.structures.total
-        if total == 0:
-            return
-        for structure, count in self._grammar.structures.most_common():
-            streams.append((count / total, structure_stream(structure)))
-        merged = merge_weighted_descending(streams)
-        deduplicated = deduplicate_guesses(merged)
-        if limit is None:
-            yield from deduplicated
-        else:
-            for index, item in enumerate(deduplicated):
-                if index >= limit:
-                    return
-                yield item
-
-    def _slot_variants(self, length: int) -> Iterator[Tuple[str, float]]:
-        """Descending (surface, probability) stream for one B_n slot."""
-        table = self._grammar.terminals.get(length)
-        if table is None or table.total == 0:
-            return iter(())
-        total = table.total
-
-        def variants_of(base: str) -> Iterator[Tuple[str, float]]:
-            # Heterogeneous slots (case/reverse choices vs leet-toggle
-            # offsets), so the factor element type is Any by design.
-            factors: List[List[Tuple[Any, float]]] = [
-                self._case_reverse_factor(base)
-            ]
-            for offset, ch in enumerate(base):
-                rule = leet_rule_for_char(ch)
-                if rule is not None:
-                    factors.append(self._leet_factor(rule, offset))
-            for choices, probability in descending_products(factors):
-                capitalized, reversed_word, all_caps = choices[0]
-                toggles = tuple(
-                    offset for offset in choices[1:] if offset is not None
-                )
-                segment = DerivedSegment(base, capitalized, toggles,
-                                         reversed_word, all_caps)
-                yield segment.surface(), probability
-
-        weighted = [
-            (count / total, variants_of(base))
-            for base, count in table.most_common()
-        ]
-        return merge_weighted_descending(weighted)
-
-    def _case_reverse_factor(
-        self, base: str
-    ) -> List[Tuple[Tuple[bool, bool, bool], float]]:
-        """(capitalized, reversed, all_caps) choices for a slot.
-
-        Enumeration must only emit variants the measuring parse can
-        report, or measured and enumerated probabilities would drift:
-
-        * ``capitalized=True`` needs a lower-case first character;
-        * ``reversed_word=True`` needs the reverse rule enabled and
-          observed, a non-palindromic base that is an actual trie word
-          (fallback runs are not reverse-matchable), and — matching
-          the parser's semantics — no case rule on the same segment;
-        * ``all_caps=True`` needs the rule enabled and observed, a
-          trie-word base, and an upper-casing that changes a character
-          beyond position 0 (otherwise the surface collides with the
-          first-letter or plain reading, which the parser prefers).
-        """
-        p_cap_yes = self._grammar.capitalization_probability(True)
-        p_cap_no = self._grammar.capitalization_probability(False)
-        p_rev_yes = self._grammar.reverse_probability(True)
-        p_rev_no = self._grammar.reverse_probability(False)
-        p_ac_yes = self._grammar.allcaps_probability(True)
-        p_ac_no = self._grammar.allcaps_probability(False)
-        options = [
-            ((False, False, False), p_cap_no * p_rev_no * p_ac_no)
-        ]
-        if base[:1].islower():
-            options.append(
-                ((True, False, False), p_cap_yes * p_rev_no * p_ac_no)
-            )
-        if (
-            self._config.allow_reverse
-            and self._grammar.reverse.count(True) > 0
-            and base != base[::-1]
-            and base in self._trie
-        ):
-            options.append(
-                ((False, True, False), p_cap_no * p_rev_yes * p_ac_no)
-            )
-        if (
-            self._config.allow_allcaps
-            and self._grammar.allcaps.count(True) > 0
-            and base in self._trie
-            and base[1:] != base[1:].upper()
-        ):
-            options.append(
-                ((False, False, True), p_cap_no * p_rev_no * p_ac_yes)
-            )
-        options.sort(key=lambda item: (-item[1], item[0]))
-        return options
-
-    def _leet_factor(
-        self, rule: str, offset: int
-    ) -> List[Tuple[Optional[int], float]]:
-        p_yes = self._grammar.leet_probability(rule, True)
-        p_no = self._grammar.leet_probability(rule, False)
-        options = [(None, p_no), (offset, p_yes)]
-        options.sort(key=lambda item: (-item[1], item[0] is not None))
-        return options

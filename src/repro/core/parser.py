@@ -12,13 +12,13 @@ deterministic procedure:
 3. Repeat until the password is consumed.
 
 The parse is produced *flat*: the structure plus one plain tuple per
-segment (:data:`~repro.core.grammar.FlatParse`).  That is what the LRU
-parse cache stores, what the frozen scoring kernel and
-:meth:`FuzzyGrammar.observe` take, and so what scoring and training
-move between parser and kernel: no object per segment.  The public
-:meth:`FuzzyParser.parse` and :meth:`FuzzyParser.parse_cached` wrap a
-flat parse in a :class:`ParsedPassword` for callers that want named
-fields and :meth:`ParsedPassword.to_derivation`.
+segment (:data:`~repro.core.grammar.FlatParse`).  That is what the
+frozen scoring kernel, :meth:`FuzzyGrammar.observe` and the training
+pool's delta builder take, and so what scoring and training move
+between parser and kernel: no object per segment.  The public
+:meth:`FuzzyParser.parse` wraps a flat parse in a
+:class:`ParsedPassword` for callers that want named fields and
+:meth:`ParsedPassword.to_derivation`.
 
 Performance notes (see DESIGN.md "Performance architecture"):
 
@@ -32,12 +32,11 @@ Performance notes (see DESIGN.md "Performance architecture"):
 * the reversed-word trie of the ``allow_reverse`` extension is also
   built lazily, on the first parse that needs it, so deserialising a
   reverse-enabled grammar that never parses costs nothing;
-* :meth:`FuzzyParser.parse_flat_cached` memoises flat parses in a
-  bounded LRU for training, where each distinct password's parse feeds
-  one count update.  Bulk scoring parses with the uncached
-  :meth:`FuzzyParser.parse_flat` and memoises final probabilities
-  instead (the meter's score memo, :func:`repro.core.meter.score_many`),
-  so it keeps no parse;
+* the parser keeps no parse.  Callers that see repeats deduplicate
+  before parsing instead: training counts each distinct password of a
+  bounded window once (:mod:`repro.core.training`), and bulk scoring
+  memoises final probabilities (the meter's score memo,
+  :func:`repro.core.meter.score_many`);
 * telemetry probes are counted per batch: a loop passes one
   :class:`ParseTally` to every parse and folds it in once
   (:func:`parse_tally`); with telemetry off it passes ``None``.
@@ -46,7 +45,6 @@ Performance notes (see DESIGN.md "Performance architecture"):
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple, Union
@@ -62,9 +60,6 @@ from repro.core.grammar import (
 )
 from repro.core.trie import PrefixTrie, capitalizable
 from repro.util.charclasses import first_run
-
-#: Default capacity of the per-parser LRU parse cache.
-DEFAULT_PARSE_CACHE_SIZE = 65_536
 
 #: A dictionary matcher: the compiled trie every production parse uses,
 #: or a pointer trie standing in for it as a test-side reference.
@@ -154,28 +149,26 @@ class ParseTally:
 
     A batch loop counts every parse it does into one tally, and
     :meth:`flush` folds the tally into telemetry with one ``incr_many``
-    (DESIGN.md §9).  Parse-cache hits are counted, but only parses that
-    did work count as ``parser.parse``.  One longest-prefix-match
-    attempt is made per produced segment, so ``parser.match.attempts``
-    is the segment count.  Zero-valued counters are not emitted (report
+    (DESIGN.md §9).  One longest-prefix-match attempt is made per
+    produced segment, so ``parser.match.attempts`` is the segment
+    count.  Zero-valued counters are not emitted (report
     readers default missing probes to 0).
     """
 
     __slots__ = (
-        "hits", "misses", "evictions", "parses", "segments", "trie_hits",
+        "parses", "segments", "trie_hits",
         "capitalized", "leet", "reversed", "allcaps", "shapes",
     )
 
     def __init__(self) -> None:
-        self.hits = self.misses = self.evictions = self.parses = 0
-        self.segments = self.trie_hits = 0
+        self.parses = self.segments = self.trie_hits = 0
         self.capitalized = self.leet = self.reversed = self.allcaps = 0
         #: Segments per parse -> parses of that many segments, for the
         #: ``parser.segments`` histogram.
         self.shapes: Dict[int, int] = {}
 
     def count(self, parse: FlatParse) -> None:
-        """Count one parse that did work."""
+        """Count one parse."""
         segments = parse[1]
         size = len(segments)
         self.parses += 1
@@ -196,9 +189,6 @@ class ParseTally:
     def flush(self, telemetry: obs.Telemetry) -> None:
         """Fold the tally into ``telemetry``."""
         counts = [
-            ("parser.cache.hit", self.hits),
-            ("parser.cache.miss", self.misses),
-            ("parser.cache.evict", self.evictions),
             ("parser.parse", self.parses),
             ("parser.match.attempts", self.segments),
             ("parser.segment.trie_hit", self.trie_hits),
@@ -248,8 +238,7 @@ class FuzzyParser:
     def __init__(self, trie: PrefixTrie, allow_capitalization: bool = True,
                  allow_leet: bool = True,
                  allow_reverse: bool = False,
-                 allow_allcaps: bool = False,
-                 parse_cache_size: int = DEFAULT_PARSE_CACHE_SIZE) -> None:
+                 allow_allcaps: bool = False) -> None:
         self._trie = trie
         self._allow_capitalization = allow_capitalization
         self._allow_leet = allow_leet
@@ -266,8 +255,6 @@ class FuzzyParser:
         # reading is indistinguishable from the plain one.
         self._compiled: Optional[Matcher] = None
         self._reversed_matcher: Optional[Matcher] = None
-        self._parse_cache: "OrderedDict[str, FlatParse]" = OrderedDict()
-        self._parse_cache_size = parse_cache_size
 
     @property
     def trie(self) -> PrefixTrie:
@@ -291,16 +278,11 @@ class FuzzyParser:
     def config_key(self) -> Tuple:
         """Hashable identity of the parse behaviour: two parsers with
         equal keys and equal tries produce identical parses, so
-        ``(password, config_key)`` fully determines a cached parse."""
+        ``(password, config_key)`` fully determines a parse."""
         return (
             self._allow_capitalization, self._allow_leet,
             self._allow_reverse, self._allow_allcaps,
         )
-
-    @property
-    def parse_cache_size(self) -> int:
-        """Capacity of the LRU parse cache."""
-        return self._parse_cache_size
 
     # --- lazy matcher construction ------------------------------------
 
@@ -339,7 +321,6 @@ class FuzzyParser:
         reversed_matcher: Optional[Matcher],
         min_length: int,
         flags: Dict[str, bool],
-        parse_cache_size: int = DEFAULT_PARSE_CACHE_SIZE,
     ) -> "FuzzyParser":
         """Rebuild a parser around already-built matchers.
 
@@ -353,11 +334,7 @@ class FuzzyParser:
         :class:`PrefixTrie` matchers yields the pointer-walk reference
         parser the differential tests compare against.
         """
-        parser = cls(
-            PrefixTrie(min_length=min_length),
-            parse_cache_size=parse_cache_size,
-            **flags,
-        )
+        parser = cls(PrefixTrie(min_length=min_length), **flags)
         parser._compiled = forward
         if flags.get("allow_reverse"):
             if reversed_matcher is None:
@@ -397,44 +374,11 @@ class FuzzyParser:
             parse = self.parse_flat(password, tally)
         return ParsedPassword.from_flat(password, parse)
 
-    def parse_cached(self, password: str) -> ParsedPassword:
-        """:meth:`parse` through the bounded LRU parse cache."""
-        with parse_tally() as tally:
-            parse = self.parse_flat_cached(password, tally)
-        return ParsedPassword.from_flat(password, parse)
-
     def parse_flat(self, password: str,
                    tally: Optional[ParseTally] = None) -> FlatParse:
         """The flat parse of ``password``, counted into ``tally``."""
         parse = self._parse_flat(password)
         if tally is not None:
-            tally.count(parse)
-        return parse
-
-    def parse_flat_cached(self, password: str,
-                          tally: Optional[ParseTally] = None) -> FlatParse:
-        """:meth:`parse_flat` through the bounded LRU parse cache.
-
-        Parses depend only on the (immutable) trie and the parser
-        flags, so memoisation is exact.  Training parses through it;
-        bulk scoring memoises probabilities instead
-        (:func:`repro.core.meter.score_many`).
-        """
-        cache = self._parse_cache
-        parse = cache.get(password)
-        if parse is not None:
-            cache.move_to_end(password)
-            if tally is not None:
-                tally.hits += 1
-            return parse
-        parse = self._parse_flat(password)
-        cache[password] = parse
-        if len(cache) > self._parse_cache_size:
-            cache.popitem(last=False)
-            if tally is not None:
-                tally.evictions += 1
-        if tally is not None:
-            tally.misses += 1
             tally.count(parse)
         return parse
 

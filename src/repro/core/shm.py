@@ -115,7 +115,7 @@ class MaterializedScoringState:
 
     __slots__ = (
         "epoch", "forward", "reversed_matcher", "frozen", "min_length",
-        "flags", "parse_cache_size",
+        "flags",
     )
 
     def __init__(
@@ -126,7 +126,6 @@ class MaterializedScoringState:
         frozen: Optional[FrozenGrammar],
         min_length: int,
         flags: Dict[str, bool],
-        parse_cache_size: int,
     ) -> None:
         self.epoch = epoch
         self.forward = forward
@@ -134,7 +133,6 @@ class MaterializedScoringState:
         self.frozen = frozen
         self.min_length = min_length
         self.flags = flags
-        self.parse_cache_size = parse_cache_size
 
     @classmethod
     def from_parser(
@@ -153,7 +151,6 @@ class MaterializedScoringState:
             frozen,
             parser.trie.min_length,
             parser.flags,
-            parser.parse_cache_size,
         )
 
     def build_parser(self) -> FuzzyParser:
@@ -163,7 +160,6 @@ class MaterializedScoringState:
             self.reversed_matcher,
             self.min_length,
             dict(self.flags),
-            parse_cache_size=self.parse_cache_size,
         )
 
     def require_frozen(self) -> FrozenGrammar:
@@ -260,7 +256,6 @@ class SharedScoringSegment:
                 "epoch": state.epoch,
                 "min_length": state.min_length,
                 "flags": dict(state.flags),
-                "parse_cache_size": state.parse_cache_size,
                 "parts": parts,
                 "tracker": _tracker_identity(),
             },
@@ -348,7 +343,6 @@ class SharedScoringSegment:
             int(header["min_length"]),
             {str(name): bool(value)
              for name, value in header["flags"].items()},
-            int(header["parse_cache_size"]),
         )
 
     # --- lifetime ----------------------------------------------------

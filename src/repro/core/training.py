@@ -6,30 +6,39 @@ training dictionary ``T`` and accumulate its derivation into the fuzzy
 grammar's count tables.  The paper reports ~10 s per million training
 passwords; this implementation is linear in total training characters.
 
-Because training is pure counting, it parallelises exactly.  Two
-engines share one worker pool design:
+Training is pure counting, so a password's parse can be counted once
+with its summed multiplicity, and counting parallelises exactly.  The
+training engine is built on both facts:
 
-* :func:`train_grammar` — the in-memory engine: materialise the
-  entries, split them into chunks, parse each chunk in a worker
-  process, fold the results.
-* :func:`train_grammar_streaming` — the out-of-core engine: consume an
-  iterator of bounded chunks (see
-  :func:`repro.datasets.loaders.stream_corpus_chunks`) through a
-  bounded in-flight window, so neither the corpus nor the pool's task
-  queue is ever materialised.  Memory stays flat in corpus size.
+* a **bounded first-seen window** (:class:`_Window`) validates each
+  entry straight into one ``password -> summed count`` table of at most
+  ``window`` distinct passwords (``FuzzyPSMConfig.parse_cache_size``);
+  each time the table fills, and at the end, every password in it is
+  parsed once with the uncached :meth:`FuzzyParser.parse_flat` and
+  counted with its summed count.  A Zipf-shaped corpus therefore pays
+  one parse per distinct password per window, not one per occurrence,
+  and memory is bounded by the window, not the corpus;
+* with ``jobs > 1`` each full window goes to a persistent worker pool
+  as consecutive ``(password, count)`` slices; workers parse them and
+  return compact :class:`~repro.core.deltas.GrammarDelta` records
+  (interned-index count columns), applied in submission order.
+
+Both :func:`train_grammar_streaming` (an iterator of bounded chunks,
+see :func:`repro.datasets.loaders.stream_corpus_chunks`) and
+:func:`train_grammar` with ``jobs > 1`` run through this engine.
+:func:`train_grammar` without a pool keeps its own loop,
+:func:`_train_grammar_serial`, which parses every occurrence: it is the
+reference the engine is checked against.  Dict insertion order is
+first-seen order, so counting a window's passwords in table order
+inserts every key of the count tables where the per-occurrence pass
+would, and ``add(key, n) == n x add(key, 1)``: every route produces a
+grammar whose ``to_dict`` is byte-identical to the reference
+(``tests/test_training_streaming.py``).
 
 Workers are initialised **once** per pool with the parent's compiled
 flat-array matchers (:meth:`FuzzyParser.ensure_compiled_matchers` →
-:meth:`FuzzyParser.from_compiled`), not a rebuilt pointer trie, and
-they return compact :class:`~repro.core.deltas.GrammarDelta` records —
-interned-index count columns — instead of pickling a full
-:class:`FuzzyGrammar` per chunk.  Chunks are aggregated per distinct
-password before parsing and parsed through the worker's LRU parse
-cache, so a skewed real-world corpus pays one parse per distinct
-password per chunk rather than one per occurrence.  Counting commutes
-and deltas are applied in submission order, so both engines produce a
-grammar whose ``to_dict`` is byte-identical to the serial pass
-(``tests/test_training_streaming.py``).
+:meth:`FuzzyParser.from_compiled`), published in a shared-memory
+segment, not a rebuilt pointer trie.
 """
 
 from __future__ import annotations
@@ -57,6 +66,11 @@ from repro.core.trie import PrefixTrie
 #: Training entries may carry a multiplicity, e.g. from a frequency file.
 PasswordEntry = Union[str, Tuple[str, int]]
 
+#: Default bound of the first-seen window, in distinct passwords
+#: (``FuzzyPSMConfig.parse_cache_size``).  A window holds one summed
+#: count per password, so 65,536 of them cost a few MiB.
+DEFAULT_TRAIN_WINDOW = 65_536
+
 #: Corpora smaller than this train serially even when ``jobs > 1``.
 #: Worker startup is a fixed cost of high hundreds of milliseconds
 #: (process spawn plus the compiled-matcher broadcast) against a
@@ -67,11 +81,12 @@ PasswordEntry = Union[str, Tuple[str, int]]
 #: override (tests and tuning).
 PARALLEL_MIN_ENTRIES = 50_000
 
-#: In-flight chunks per worker in the streaming engine.  The window
-#: keeps every worker busy without letting ``apply_async`` results (or
-#: the submitted chunks themselves) pile up unboundedly — this, not
+#: In-flight slices per worker.  Each full window is cut into this many
+#: slices per worker; the bound keeps every worker busy while the next
+#: window is read, without letting ``apply_async`` results (or the
+#: submitted slices themselves) pile up unboundedly — this, not
 #: ``Pool.imap`` (whose feeder thread slurps the whole iterable into
-#: the task queue), is what keeps streamed training memory flat.
+#: the task queue), is what keeps pool training memory flat.
 STREAM_INFLIGHT_PER_JOB = 4
 
 
@@ -84,11 +99,10 @@ def _effective_jobs(jobs: int) -> int:
     """Clamp ``jobs`` to the host's CPU count.
 
     Workers beyond the core count cannot run concurrently — they only
-    add process spawn, chunk pickling and delta IPC on top of the same
-    serial compute (measured at ~2x total time for ``jobs=2`` on one
-    core, BENCH_timing.json ``training_streaming_parallel``).  A clamp
-    to one worker routes to the serial engine, which the caller reports
-    through the ``training.parallel.fallback`` counter.
+    add process spawn, slice pickling and delta IPC on top of the same
+    serial compute.  A clamp to one worker routes to the serial engine,
+    which the caller reports through the ``training.parallel.fallback``
+    counter.
     """
     return min(jobs, _available_cpus())
 
@@ -110,62 +124,95 @@ def build_base_trie(base_dictionary: Iterable[str],
     return trie
 
 
-def _iter_entries(
-    passwords: Iterable[PasswordEntry],
-) -> Iterator[Tuple[str, int]]:
-    """Normalise entries to ``(password, count)``, validating counts.
+def _invalid_count(password: str, count: int) -> ValueError:
+    """The error for a non-positive training count.
 
     A non-positive count would silently corrupt every table it touches
     (:class:`~repro.util.freqdist.FrequencyDistribution` drops zeros and
-    rejects negatives only per-table), so it is rejected here with the
+    rejects negatives only per-table), so it is rejected with the
     offending entry named.
     """
+    return ValueError(
+        f"training count for {password!r} must be positive, got {count!r}"
+    )
+
+
+def _iter_entries(
+    passwords: Iterable[PasswordEntry],
+) -> Iterator[Tuple[str, int]]:
+    """Normalise entries to ``(password, count)``, validating counts."""
     for entry in passwords:
         if isinstance(entry, str):
             yield entry, 1
         else:
             password, count = entry
             if count <= 0:
-                raise ValueError(
-                    f"training count for {password!r} must be positive, "
-                    f"got {count!r}"
-                )
+                raise _invalid_count(password, count)
             yield password, count
 
 
-def _normalise_chunk(chunk: Iterable[PasswordEntry],
-                     skip_empty: bool) -> List[Tuple[str, int]]:
-    """One chunk's entries, validated and with empties resolved."""
-    entries: List[Tuple[str, int]] = []
-    for password, count in _iter_entries(chunk):
-        if not password:
-            if skip_empty:
-                continue
-            raise ValueError("cannot train on an empty password")
-        entries.append((password, count))
-    return entries
+class _Window:
+    """The bounded first-seen window over a stream of entry chunks.
 
-
-def _aggregate_chunk(
-    chunk: List[Tuple[str, int]]
-) -> Dict[str, int]:
-    """Sum a chunk's counts per distinct password, first-seen order.
-
-    Dict insertion order is first-seen order and
-    ``add(key, n) == n x add(key, 1)``, so observing the aggregate once
-    per distinct password yields the same count tables *in the same
-    insertion order* as observing every occurrence — while paying one
-    parse per distinct password instead of one per occurrence.
+    Iterating yields ``password -> summed count`` tables in first-seen
+    order, each holding at most ``size`` distinct passwords (a size
+    below 1 counts as 1): an entry is validated straight into the
+    current table, and a table is handed out when a new password
+    arrives and it is full, and at the end.  ``entries`` counts the
+    entries trained (skipped empties excluded) and ``distinct`` the
+    passwords handed out, so ``distinct / entries`` is the share of
+    entries that cost a parse.
     """
-    aggregated: Dict[str, int] = {}
-    for password, count in chunk:
-        aggregated[password] = aggregated.get(password, 0) + count
-    return aggregated
+
+    __slots__ = ("_chunks", "_skip_empty", "_size", "entries", "distinct")
+
+    def __init__(self, chunks: Iterable[Iterable[PasswordEntry]],
+                 skip_empty: bool, size: int) -> None:
+        self._chunks = chunks
+        self._skip_empty = skip_empty
+        self._size = max(1, size)
+        self.entries = 0
+        self.distinct = 0
+
+    def __iter__(self) -> Iterator[Dict[str, int]]:
+        size = self._size
+        table: Dict[str, int] = {}
+        get = table.get
+        for chunk in self._chunks:
+            if not isinstance(chunk, list):
+                chunk = list(chunk)
+            self.entries += len(chunk)
+            for entry in chunk:
+                # Loaders yield tuples: test for them first.
+                if entry.__class__ is not tuple and isinstance(entry, str):
+                    password, count = entry, 1
+                else:
+                    password, count = entry
+                    if count <= 0:
+                        raise _invalid_count(password, count)
+                if not password:
+                    if not self._skip_empty:
+                        raise ValueError("cannot train on an empty password")
+                    self.entries -= 1
+                    continue
+                seen = get(password)
+                if seen is not None:
+                    table[password] = seen + count
+                elif len(table) < size:
+                    table[password] = count
+                else:
+                    self.distinct += len(table)
+                    yield table
+                    table = {password: count}
+                    get = table.get
+        if table:
+            self.distinct += len(table)
+            yield table
 
 
 #: Per-worker parser and delta builder, created once by the pool
-#: initialiser so every chunk mapped to that worker reuses the same
-#: compiled matcher, parse cache and intern tables.
+#: initialiser so every slice mapped to that worker reuses the same
+#: compiled matcher and intern tables.
 _WORKER_PARSER: Optional[FuzzyParser] = None
 _WORKER_BUILDER: Optional[DeltaBuilder] = None
 
@@ -187,11 +234,11 @@ def _worker_init_shared(segment_name: str) -> None:
     _WORKER_BUILDER = DeltaBuilder(worker_id=os.getpid())
 
 
-def _delta_chunk(chunk: List[Tuple[str, int]]) -> GrammarDelta:
-    """Parse one chunk of ``(password, count)`` pairs into a delta.
+def _delta_slice(items: List[Tuple[str, int]]) -> GrammarDelta:
+    """Parse one slice of distinct ``(password, count)`` pairs.
 
     The delta carries the worker-side parse seconds home: the parent's
-    telemetry backend cannot see into pool processes, so each chunk
+    telemetry backend cannot see into pool processes, so each slice
     ships its own timing for the ``train.chunk.seconds`` histogram.
     """
     parser = _WORKER_PARSER
@@ -200,9 +247,10 @@ def _delta_chunk(chunk: List[Tuple[str, int]]) -> GrammarDelta:
         "pool initialiser did not run"
     )
     start = _now()
-    parse = parser.parse_flat_cached
-    for password, count in _aggregate_chunk(chunk).items():
-        builder.observe(parse(password), count)
+    parse = parser.parse_flat
+    observe = builder.observe
+    for password, count in items:
+        observe(parse(password), count)
     return builder.finish_chunk(_now() - start)
 
 
@@ -238,7 +286,8 @@ def train_grammar(training_passwords: Iterable[PasswordEntry],
                   parser: Optional[FuzzyParser] = None,
                   skip_empty: bool = True,
                   jobs: Optional[int] = None,
-                  parallel_threshold: Optional[int] = None) -> FuzzyGrammar:
+                  parallel_threshold: Optional[int] = None,
+                  window: int = DEFAULT_TRAIN_WINDOW) -> FuzzyGrammar:
     """Learn a :class:`FuzzyGrammar` from the training dictionary.
 
     Args:
@@ -248,17 +297,20 @@ def train_grammar(training_passwords: Iterable[PasswordEntry],
         parser: override the parser (used by the parsing ablation).
         skip_empty: drop empty strings rather than raising.
         jobs: number of worker processes.  ``None``, ``0`` and ``1``
-            train serially; ``N > 1`` chunks the corpus across ``N``
-            processes and folds the per-chunk count deltas, which is
+            train serially, parsing every entry; ``N > 1`` trains the
+            list through the windowed engine and its worker pool
+            (:func:`train_grammar_streaming` over one chunk), which is
             exact (counting commutes — see
             :class:`~repro.core.deltas.DeltaMerger`).  Small corpora
-            fall back to the serial path automatically: below
+            fall back to the serial engine automatically: below
             ``parallel_threshold`` entries the pool's fixed startup
             cost exceeds the entire serial parse time.  ``jobs`` is
             also clamped to the host's CPU count, so a single-core
             host always trains serially (see :func:`_effective_jobs`).
         parallel_threshold: corpus-size cutoff for that fallback
             (default :data:`PARALLEL_MIN_ENTRIES`).
+        window: distinct passwords per first-seen window when
+            ``jobs > 1`` (see :class:`_Window`).
 
     Returns:
         the trained grammar; training is pure counting, so the same
@@ -273,24 +325,10 @@ def train_grammar(training_passwords: Iterable[PasswordEntry],
         return _train_grammar_serial(
             _iter_entries(training_passwords), parser, skip_empty
         )
-    if _effective_jobs(jobs) == 1:
-        # Requested workers can't run concurrently on this host; the
-        # pool would only add IPC on top of the same serial compute.
-        _record_parallel_fallback()
-        return _train_grammar_serial(
-            _iter_entries(training_passwords), parser, skip_empty
-        )
-    jobs = _effective_jobs(jobs)
-    entries = _normalise_chunk(training_passwords, skip_empty)
-    threshold = (
-        PARALLEL_MIN_ENTRIES if parallel_threshold is None
-        else parallel_threshold
+    return train_grammar_streaming(
+        [training_passwords], trie, parser=parser, skip_empty=skip_empty,
+        jobs=jobs, parallel_threshold=parallel_threshold, window=window,
     )
-    if len(entries) < threshold:
-        _record_parallel_fallback()
-        return _train_grammar_serial(iter(entries), parser,
-                                     skip_empty=False)
-    return _train_grammar_parallel(entries, parser, jobs)
 
 
 def _record_parallel_fallback() -> None:
@@ -308,6 +346,7 @@ def train_grammar_streaming(
     skip_empty: bool = True,
     jobs: Optional[int] = None,
     parallel_threshold: Optional[int] = None,
+    window: int = DEFAULT_TRAIN_WINDOW,
 ) -> FuzzyGrammar:
     """Learn a grammar from an out-of-core stream of entry chunks.
 
@@ -315,16 +354,16 @@ def train_grammar_streaming(
     iterator of bounded batches (typically
     :func:`repro.datasets.loaders.stream_corpus_chunks`), consumed
     exactly once and never materialised, so peak memory is governed by
-    the chunk size and the in-flight window rather than the corpus.
+    the chunk size and the ``window`` of distinct passwords
+    (:class:`_Window`) rather than the corpus.
 
-    Serial streaming aggregates each chunk per distinct password and
-    parses through the LRU cache; parallel streaming feeds the same
-    chunks to the delta worker pool through a bounded ``apply_async``
-    window and applies deltas in submission order.  Both produce a
+    Each full window is parsed once per distinct password: in process,
+    or with ``jobs > 1`` as consecutive slices through the delta worker
+    pool, whose deltas are applied in submission order.  Both produce a
     grammar byte-identical (``to_dict``) to :func:`train_grammar` over
     the concatenated entries.
 
-    Parallel runs first buffer chunks until ``parallel_threshold``
+    Parallel runs first read windows until ``parallel_threshold``
     entries have arrived; a stream that ends before reaching it trains
     serially instead (pool startup would dominate) and emits the
     ``training.parallel.fallback`` counter.  ``jobs`` is clamped to
@@ -334,40 +373,49 @@ def train_grammar_streaming(
         raise ValueError(f"jobs must be non-negative, got {jobs}")
     if parser is None:
         parser = FuzzyParser(trie)
-    normalised = (_normalise_chunk(chunk, skip_empty) for chunk in chunks)
+    feed = _Window(chunks, skip_empty, window)
+    windows: Iterator[Dict[str, int]] = iter(feed)
     if not jobs or jobs == 1:
-        return _train_streaming_serial(normalised, parser)
-    if _effective_jobs(jobs) == 1:
-        # Single-core host: see :func:`_effective_jobs`.
-        _record_parallel_fallback()
-        return _train_streaming_serial(normalised, parser)
-    jobs = _effective_jobs(jobs)
-    threshold = (
-        PARALLEL_MIN_ENTRIES if parallel_threshold is None
-        else parallel_threshold
-    )
-    buffered: List[List[Tuple[str, int]]] = []
-    total = 0
-    iterator = iter(normalised)
-    for chunk in iterator:
-        buffered.append(chunk)
-        total += len(chunk)
-        if total >= threshold:
-            break
+        grammar = _train_streaming_serial(windows, parser)
     else:
-        # Stream ended below break-even: the pool's startup cost would
-        # dominate, so degrade to serial — visibly.
-        _record_parallel_fallback()
-        return _train_streaming_serial(iter(buffered), parser)
-    return _train_streaming_parallel(
-        itertools.chain(buffered, iterator), parser, jobs
-    )
+        grammar = _train_windows(feed, windows, parser, jobs,
+                                 parallel_threshold)
+    telemetry = obs.get()
+    if telemetry.enabled:
+        telemetry.incr("train.passwords", feed.entries)
+        telemetry.incr("train.distinct", feed.distinct)
+    return grammar
+
+
+def _train_windows(feed: _Window, windows: Iterator[Dict[str, int]],
+                   parser: FuzzyParser, jobs: int,
+                   parallel_threshold: Optional[int]) -> FuzzyGrammar:
+    """Route windows to the pool once the stream has proved big enough."""
+    workers = _effective_jobs(jobs)
+    if workers > 1:
+        threshold = (
+            PARALLEL_MIN_ENTRIES if parallel_threshold is None
+            else parallel_threshold
+        )
+        buffered: List[Dict[str, int]] = []
+        for table in windows:
+            buffered.append(table)
+            if feed.entries >= threshold:
+                return _train_streaming_parallel(
+                    itertools.chain(buffered, windows), parser, workers
+                )
+        windows = iter(buffered)
+    # A single-core host (see :func:`_effective_jobs`), or a stream
+    # that ended below break-even: the pool's startup cost would
+    # dominate, so degrade to serial — visibly.
+    _record_parallel_fallback()
+    return _train_streaming_serial(windows, parser)
 
 
 def _train_grammar_serial(entries: Iterator[Tuple[str, int]],
                           parser: FuzzyParser,
                           skip_empty: bool) -> FuzzyGrammar:
-    """One in-process pass over normalised ``(password, count)`` pairs."""
+    """The reference pass: parse and count every entry, in order."""
     telemetry = obs.get()
     grammar = FuzzyGrammar()
     observe = grammar.observe
@@ -382,76 +430,43 @@ def _train_grammar_serial(entries: Iterator[Tuple[str, int]],
             observe(parse(password, tally), count)
             trained += 1
     if telemetry.enabled:
+        # Every entry is parsed: nothing is aggregated on this path.
         telemetry.incr("train.passwords", trained)
+        telemetry.incr("train.distinct", trained)
     return grammar
 
 
 def _train_streaming_serial(
-    chunks: Iterator[List[Tuple[str, int]]],
+    windows: Iterator[Dict[str, int]],
     parser: FuzzyParser,
 ) -> FuzzyGrammar:
-    """In-process streamed training: aggregate, parse cached, observe."""
+    """In-process windowed training: parse each window entry, observe."""
     telemetry = obs.get()
     grammar = FuzzyGrammar()
     observe = grammar.observe
-    parse = parser.parse_flat_cached
-    trained = 0
+    parse = parser.parse_flat
     with telemetry.timer("train.stream.seconds"):
-        for chunk in chunks:
-            trained += len(chunk)
+        for table in windows:
             with parse_tally() as tally:
-                for password, count in _aggregate_chunk(chunk).items():
+                for password, count in table.items():
                     observe(parse(password, tally), count)
-    if telemetry.enabled:
-        telemetry.incr("train.passwords", trained)
-    return grammar
-
-
-def _train_grammar_parallel(entries: List[Tuple[str, int]],
-                            parser: FuzzyParser,
-                            jobs: int) -> FuzzyGrammar:
-    """Chunk the corpus over the delta pool and fold the deltas."""
-    if not entries:
-        return FuzzyGrammar()
-    telemetry = obs.get()
-    if telemetry.enabled:
-        telemetry.incr("train.parallel")
-        telemetry.incr("train.passwords", len(entries))
-    # A few chunks per worker smooths over uneven parse costs without
-    # inflating per-chunk messaging overhead.
-    chunk_count = min(jobs * 4, len(entries))
-    step = -(-len(entries) // chunk_count)
-    chunks = [entries[i:i + step] for i in range(0, len(entries), step)]
-    grammar = FuzzyGrammar()
-    merger = DeltaMerger()
-    with telemetry.timer("train.parallel.seconds"):
-        with _training_pool(parser, jobs) as pool:
-            # Ordered application: chunks preserve stream order, so
-            # folding deltas in sequence reproduces the serial
-            # grammar's key insertion order too — serialized models
-            # are byte-identical, not just dict-equal.
-            for delta in pool.imap(_delta_chunk, chunks):
-                if telemetry.enabled:
-                    telemetry.observe(
-                        "train.chunk.seconds", delta.seconds
-                    )
-                with telemetry.timer("train.merge.seconds"):
-                    merger.apply(grammar, delta)
     return grammar
 
 
 def _train_streaming_parallel(
-    chunks: Iterator[List[Tuple[str, int]]],
+    windows: Iterable[Dict[str, int]],
     parser: FuzzyParser,
     jobs: int,
 ) -> FuzzyGrammar:
-    """Streamed chunks through the delta pool, bounded in-flight window.
+    """Windows through the delta pool, as slices in a bounded window.
 
-    ``Pool.imap`` is deliberately avoided: its feeder thread drains the
-    whole input iterable into the task queue, which for an out-of-core
-    stream is exactly the materialisation streaming exists to avoid.
-    Instead at most ``jobs * STREAM_INFLIGHT_PER_JOB`` chunks are in
-    flight; results are popped FIFO, which is submission order, which
+    Each table is cut into consecutive ``(password, count)`` slices,
+    ``STREAM_INFLIGHT_PER_JOB`` per worker.  ``Pool.imap`` is
+    deliberately avoided: its feeder thread drains the whole input
+    iterable into the task queue, which for an out-of-core stream is
+    exactly the materialisation streaming exists to avoid.  Instead at
+    most ``jobs * STREAM_INFLIGHT_PER_JOB`` slices are in flight;
+    results are popped FIFO, which is submission order, which
     preserves byte-identity of the folded grammar.
     """
     telemetry = obs.get()
@@ -459,8 +474,7 @@ def _train_streaming_parallel(
         telemetry.incr("train.parallel")
     grammar = FuzzyGrammar()
     merger = DeltaMerger()
-    trained = 0
-    window: "deque" = deque()
+    inflight: "deque[multiprocessing.pool.AsyncResult]" = deque()
     max_inflight = jobs * STREAM_INFLIGHT_PER_JOB
 
     def _fold(delta: GrammarDelta) -> None:
@@ -471,15 +485,15 @@ def _train_streaming_parallel(
 
     with telemetry.timer("train.parallel.seconds"):
         with _training_pool(parser, jobs) as pool:
-            for chunk in chunks:
-                if not chunk:
-                    continue
-                trained += len(chunk)
-                window.append(pool.apply_async(_delta_chunk, (chunk,)))
-                if len(window) >= max_inflight:
-                    _fold(window.popleft().get())
-            while window:
-                _fold(window.popleft().get())
-    if telemetry.enabled:
-        telemetry.incr("train.passwords", trained)
+            for table in windows:
+                items = list(table.items())
+                step = -(-len(items) // max_inflight)
+                for start in range(0, len(items), step):
+                    inflight.append(pool.apply_async(
+                        _delta_slice, (items[start:start + step],)
+                    ))
+                    if len(inflight) >= max_inflight:
+                        _fold(inflight.popleft().get())
+            while inflight:
+                _fold(inflight.popleft().get())
     return grammar

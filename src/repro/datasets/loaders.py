@@ -21,16 +21,20 @@ Two access regimes share the same line-level semantics:
   :func:`repro.core.training.train_grammar_streaming`, where corpora
   are RockYou-scale and memory must stay flat.
 
-Both regimes apply identical filtering (empty lines, malformed counted
-lines, over-length passwords) in identical order, so a streamed pass
-sees exactly the entries a ``load_corpus(...).expand()`` pass would.
+Both regimes read the file through one block reader
+(:func:`_read_blocks`), which parses a block of lines with one
+comprehension, so they apply identical filtering (empty lines,
+malformed counted lines, over-length passwords) in identical order: a
+streamed pass sees exactly the entries a ``load_corpus(...).expand()``
+pass would.  A count is ASCII digits only, as ``uniq -c`` writes it; a
+line whose count is anything else (``² sup``) is malformed and dropped.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import resource
+from itertools import chain, islice
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro import obs
@@ -40,35 +44,59 @@ from repro.datasets.corpus import PasswordCorpus
 #: Lines inspected by the ``auto`` format sniffer (both regimes).
 _SNIFF_LINES = 100
 
+#: Lines parsed per block by :func:`_read_blocks` (at least
+#: ``_SNIFF_LINES``, so the sniffer sees its sample in the first block).
+_BLOCK_LINES = 8_192
+
 #: Default streaming batch size: large enough to amortise per-chunk
 #: messaging in the parallel trainer, small enough that a few in-flight
 #: chunks of 64-char-max passwords stay well under typical RSS budgets.
 DEFAULT_STREAM_CHUNK = 50_000
 
 
-def _iter_lines(path: str, encoding: str,
-                errors: str) -> Iterator[str]:
-    """Yield lines with trailing newlines stripped, one at a time."""
+def _parse_block(lines: List[str], counted: bool,
+                 max_length: int) -> List[Tuple[str, int]]:
+    """One block of raw lines as ``(password, count)`` entries.
+
+    Empty lines, malformed counted lines and passwords longer than
+    ``max_length`` are dropped.
+    """
+    if counted:
+        return [
+            (password, int(head))
+            for line in lines
+            for head, _, password in (line.strip().partition(" "),)
+            if password and len(password) <= max_length
+            and head.isascii() and head.isdigit()
+        ]
+    return [
+        (password, 1)
+        for line in lines
+        for password in (line.rstrip("\r\n"),)
+        if password and len(password) <= max_length
+    ]
+
+
+def _read_blocks(path: str, fmt: str, encoding: str, errors: str,
+                 max_length: int) -> Iterator[List[Tuple[str, int]]]:
+    """Parse a corpus file ``_BLOCK_LINES`` lines at a time.
+
+    ``fmt="auto"`` sniffs the first block's first ``_SNIFF_LINES``
+    lines.  At most one block of lines is held at a time, so
+    RockYou-scale files read in constant memory.
+    """
+    if fmt not in ("plain", "counted", "auto"):
+        raise ValueError(f"unknown format {fmt!r}")
     with open(path, encoding=encoding, errors=errors) as handle:
-        for line in handle:
-            yield line.rstrip("\r\n")
-
-
-def _parse_line(line: str, fmt: str,
-                max_length: int) -> Optional[Tuple[str, int]]:
-    """One line's ``(password, count)``, or None when filtered out."""
-    if not line:
-        return None
-    if fmt == "counted":
-        head, _, password = line.strip().partition(" ")
-        if not head.isdigit() or not password:
-            return None
-        count = int(head)
-    else:
-        password, count = line, 1
-    if len(password) > max_length:
-        return None
-    return password, count
+        block = list(islice(handle, _BLOCK_LINES))
+        if fmt == "auto":
+            fmt = _sniff_format(
+                line.rstrip("\r\n") for line in block[:_SNIFF_LINES]
+            )
+        counted = fmt == "counted"
+        while block:
+            yield _parse_block(block, counted, max_length)
+            block = list(islice(handle, _BLOCK_LINES))
 
 
 def iter_password_entries(
@@ -77,27 +105,15 @@ def iter_password_entries(
 ) -> Iterator[Tuple[str, int]]:
     """Stream ``(password, count)`` entries from a corpus file.
 
-    The out-of-core reader: one line is held at a time (plus the small
-    sniff buffer when ``fmt="auto"``), so RockYou-scale files stream in
-    constant memory.  Filtering matches :func:`load_corpus` exactly;
-    duplicates are **not** merged — a plain file with ``password`` on
-    three lines yields three entries, like ``PasswordCorpus.expand``.
+    The out-of-core reader: one block of lines is held at a time, so
+    RockYou-scale files stream in constant memory.  Filtering matches
+    :func:`load_corpus` exactly; duplicates are **not** merged — a
+    plain file with ``password`` on three lines yields three entries,
+    like ``PasswordCorpus.expand``.
     """
-    if fmt not in ("plain", "counted", "auto"):
-        raise ValueError(f"unknown format {fmt!r}")
-    lines = _iter_lines(path, encoding, errors)
-    head: List[str] = []
-    if fmt == "auto":
-        for line in lines:
-            head.append(line)
-            if len(head) >= _SNIFF_LINES:
-                break
-        fmt = _sniff_format(head)
-    # Replay the sniff buffer, then continue with the live handle.
-    for line in itertools.chain(head, lines):
-        entry = _parse_line(line, fmt, max_length)
-        if entry is not None:
-            yield entry
+    return chain.from_iterable(
+        _read_blocks(path, fmt, encoding, errors, max_length)
+    )
 
 
 def stream_corpus_chunks(
@@ -125,11 +141,7 @@ def stream_corpus_chunks(
     )
     while True:
         start = _now()
-        chunk: List[Tuple[str, int]] = []
-        for entry in entries:
-            chunk.append(entry)
-            if len(chunk) >= chunk_size:
-                break
+        chunk = list(islice(entries, chunk_size))
         if not chunk:
             return
         if telemetry.enabled:
@@ -187,6 +199,6 @@ def _sniff_format(lines: Iterable[str]) -> str:
     counted = 0
     for line in sample:
         head, _, rest = line.strip().partition(" ")
-        if head.isdigit() and rest:
+        if head.isascii() and head.isdigit() and rest:
             counted += 1
     return "counted" if counted >= 0.9 * len(sample) else "plain"

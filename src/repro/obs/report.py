@@ -3,8 +3,9 @@
 A snapshot (:meth:`repro.obs.core.Telemetry.snapshot`) is the raw
 counter/histogram state.  A *report* adds the derived quantities an
 operator actually asks about — parse-outcome mix, rule-hit shares,
-parse-cache and score-memo hit rates — and is what ``repro profile``
-emits and the experiments runner attaches to its results.
+training's distinct share, the score memo's hit rate — and is what
+``repro profile`` emits and the experiments runner attaches to its
+results.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 #: Bump when the report layout changes; persisted snapshots carry it.
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 
 def _rate(hits: int, misses: int) -> Optional[float]:
@@ -45,9 +46,11 @@ def build_report(
     The returned document is JSON-ready and self-contained: it embeds
     the snapshot it was derived from under ``"telemetry"``.
 
-    ``"parse_cache"`` counts training's parse cache
-    (``parser.cache.*``) and ``"score_memo"`` the meter's score memo
-    (``meter.memo.*``).  ``score_memo_info`` optionally carries the
+    ``"training"`` counts the entries training read
+    (``train.passwords``) and the passwords it parsed
+    (``train.distinct``: one per distinct password per window), and
+    ``"score_memo"`` the meter's score memo (``meter.memo.*``).
+    ``score_memo_info`` optionally carries the
     memo's structural state
     (:meth:`repro.core.meter.FuzzyPSM.score_memo_info` — occupancy and
     capacity); when given, its keys are merged into ``"score_memo"``
@@ -58,6 +61,8 @@ def build_report(
     fallbacks = counters.get("parser.segment.fallback", 0)
     segments = trie_hits + fallbacks
     parses = counters.get("parser.parse", 0)
+    trained = counters.get("train.passwords", 0)
+    distinct = counters.get("train.distinct", 0)
     score_memo = _lru(counters, "meter.memo")
     if score_memo_info is not None:
         score_memo.update(score_memo_info)
@@ -78,7 +83,11 @@ def build_report(
                 "allcaps": counters.get("parser.rule.allcaps", 0),
             },
         },
-        "parse_cache": _lru(counters, "parser.cache"),
+        "training": {
+            "passwords": trained,
+            "distinct": distinct,
+            "distinct_share": _share(distinct, trained),
+        },
         "score_memo": score_memo,
         "stages": {
             name: histogram
@@ -106,20 +115,24 @@ def render_report(report: Dict[str, Any]) -> List[str]:
     ]
     for rule, hits in outcomes["rule_hits"].items():
         lines.append(f"rule {rule:<14}: {hits:,}")
-    for label, key in (("parse cache", "parse_cache"),
-                       ("score memo", "score_memo")):
-        cache = report[key]
+    training = report["training"]
+    lines.append(
+        f"training        : {training['passwords']:,} entries, "
+        f"{training['distinct']:,} parsed (distinct share "
+        f"{_format_optional_rate(training['distinct_share'])})"
+    )
+    memo = report["score_memo"]
+    lines.append(
+        f"score memo      : {memo['hits']:,} hits / "
+        f"{memo['misses']:,} misses "
+        f"(hit rate {_format_optional_rate(memo['hit_rate'])}, "
+        f"{memo['evictions']:,} evictions)"
+    )
+    if "capacity" in memo:
         lines.append(
-            f"{label:<16}: {cache['hits']:,} hits / "
-            f"{cache['misses']:,} misses "
-            f"(hit rate {_format_optional_rate(cache['hit_rate'])}, "
-            f"{cache['evictions']:,} evictions)"
+            f"score memo size : {memo.get('size', 0):,} of "
+            f"{memo['capacity']:,} entries"
         )
-        if "capacity" in cache:
-            lines.append(
-                f"{label + ' size':<16}: {cache.get('size', 0):,} of "
-                f"{cache['capacity']:,} entries"
-            )
     for stage, histogram in report["stages"].items():
         lines.append(
             f"stage {stage:<24}: {histogram['count']:,} x, "

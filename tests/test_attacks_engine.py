@@ -7,7 +7,7 @@ The engine's contract has three load-bearing clauses:
   with ``==``, not a tolerance;
 * **differential equivalence** — its deduplicated guess stream agrees
   with the pre-engine reference enumeration
-  (``FuzzyPSM._iter_guesses_reference``) on every positive-probability
+  (``tests/enumeration_oracle.py``) on every positive-probability
   guess;
 * **beam soundness** — a floor-bounded beam yields exactly the guesses
   at or above the floor, in the same order as the full enumeration.
@@ -33,6 +33,8 @@ from repro.metrics.enumeration import descending_products
 from repro.meters import registry
 from repro.meters.registry import TrainContext
 
+from tests.enumeration_oracle import reference_guesses
+
 BASE = ["password", "dragon", "monkey", "love", "abc", "sunshine"]
 TRAINING = [
     "password1", "Password", "dragon", "monkey12", "love123",
@@ -44,7 +46,7 @@ passwords = st.text(
     min_size=1, max_size=12,
 )
 
-#: The differential tests exhaust ``_iter_guesses_reference`` — the
+#: The differential tests exhaust ``reference_guesses`` — the
 #: pre-engine cross-product enumerator, whose output is exponential in
 #: password length/segmentation — so their grammars must stay small.
 #: (The engine itself streams lazily and is exercised on the big
@@ -88,7 +90,7 @@ class TestReferenceDifferential:
         meter = trained_meter()
         reference = {
             surface: probability
-            for surface, probability in meter._iter_guesses_reference()
+            for surface, probability in reference_guesses(meter)
             if probability > 0.0
         }
         engine_guesses = dict(meter.attack_engine().guesses())
@@ -104,7 +106,7 @@ class TestReferenceDifferential:
         meter = FuzzyPSM.train(base_dictionary=pws, training=pws)
         reference = {
             surface: probability
-            for surface, probability in meter._iter_guesses_reference()
+            for surface, probability in reference_guesses(meter)
             if probability > 0.0
         }
         engine_guesses = dict(meter.attack_engine().guesses(limit=2000))

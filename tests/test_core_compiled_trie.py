@@ -260,11 +260,3 @@ class TestParserEquivalence:
         for probe in random_probes(rng, list(WORDS), 50):
             parser.parse(probe)
         assert not parser.reversed_trie_built
-
-    def test_parse_cached_equals_parse(self, tries):
-        pointer, _, words, rng = tries
-        parser = FuzzyParser(pointer, parse_cache_size=64)
-        probes = random_probes(rng, words, 200)
-        probes.extend(probes[:50])  # force cache hits
-        for probe in probes:
-            assert parser.parse_cached(probe) == parser.parse(probe)

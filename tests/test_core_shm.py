@@ -227,7 +227,7 @@ class TestScoreDifferential:
                 assert expected == 0.0
                 continue
             assert frozen.derivation_probability(
-                parser.parse_flat_cached(password)
+                parser.parse_flat(password)
             ) == expected
 
     @pytest.mark.parametrize("method", START_METHODS)

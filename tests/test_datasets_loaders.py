@@ -108,6 +108,49 @@ class TestValidation:
         assert load_corpus(str(path), name="custom").name == "custom"
 
 
+class TestNonAsciiCounts:
+    """A count is ASCII digits only, as ``uniq -c`` writes it.
+
+    ``"²".isdigit()`` is True but ``int("²")`` raises, so a line such
+    as ``² sup`` must be dropped as malformed, never parsed as a count.
+    """
+
+    GOOD = [(f"password{i}", i + 1) for i in range(20)]
+
+    @pytest.fixture()
+    def path(self, tmp_path):
+        path = tmp_path / "counted.txt"
+        lines = [f"{count} {password}" for password, count in self.GOOD]
+        lines.insert(5, "\u00b2 sup")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return str(path)
+
+    def test_load_corpus_drops_the_line(self, path):
+        for fmt in ("counted", "auto"):
+            assert dict(load_corpus(path, fmt=fmt).items()) == dict(self.GOOD)
+
+    def test_streams_drop_the_line(self, path):
+        assert list(iter_password_entries(path)) == self.GOOD
+        chunks = list(stream_corpus_chunks(path, chunk_size=3))
+        assert [entry for chunk in chunks for entry in chunk] == self.GOOD
+
+    def test_streamed_training_drops_the_line(self, path):
+        from repro.core.meter import FuzzyPSM
+
+        base = ["password"]
+        streamed = FuzzyPSM.train_streaming(
+            base, stream_corpus_chunks(path, chunk_size=4)
+        )
+        assert streamed.to_dict() == FuzzyPSM.train(base, self.GOOD).to_dict()
+
+    def test_sniffer_does_not_take_it_for_a_count(self, tmp_path):
+        path = tmp_path / "plain.txt"
+        path.write_text("\u00b2 sup\n\u00b3 up\n", encoding="utf-8")
+        assert list(iter_password_entries(str(path))) == [
+            ("\u00b2 sup", 1), ("\u00b3 up", 1),
+        ]
+
+
 class TestStreamingEntries:
     """iter_password_entries / stream_corpus_chunks: the out-of-core path."""
 

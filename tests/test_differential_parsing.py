@@ -1,6 +1,6 @@
 """Property-based differential tests: every fast path vs its reference.
 
-The performance layer (compiled trie, parse cache, batch scoring) is
+The performance layer (compiled trie, batch scoring) is
 contractually an execution-strategy change only.  These tests pit each
 fast path against its reference implementation on generated inputs —
 unicode text, leet-dense dictionary mashups, lengths 0-64 — and demand
@@ -96,7 +96,6 @@ _COMPILED, _POINTER = _parser_pair()
 _COMPILED_FULL, _POINTER_FULL = _parser_pair(
     allow_reverse=True, allow_allcaps=True
 )
-_CACHED_PARSER = FuzzyParser(build_base_trie(WORDS), parse_cache_size=64)
 
 _METER = FuzzyPSM.train(WORDS, TRAINING_PASSWORDS)
 
@@ -123,18 +122,6 @@ class TestCompiledVsPointerTrie:
             _METER.probability_many(batch)
             == reference_scores(_METER, batch)
         )
-
-
-class TestParseCache:
-    @given(password=PASSWORDS)
-    @DETERMINISTIC
-    def test_cached_parse_equals_direct_parse(self, password):
-        # Hits and misses alike: a second lookup must return the same
-        # parse whether it was served from the LRU or recomputed.
-        assert _CACHED_PARSER.parse_cached(password) == \
-            _CACHED_PARSER.parse(password)
-        assert _CACHED_PARSER.parse_cached(password) == \
-            _CACHED_PARSER.parse(password)
 
 
 class TestBatchScoring:

@@ -26,6 +26,7 @@ REMOVED_NAMES = (
     "use_compiled_trie", "--no-compile", "ServingSnapshot",
     "SnapshotScorer", "FuzzyPSM.accept", "--workers", "WorkerPool",
     "WorkerCrash", "supervisor_interval", "from_snapshot",
+    "parse_cached", "parse_flat_cached",
 )
 
 
@@ -84,6 +85,27 @@ RATIO_QUOTES = [
     ("batch_vs_loop_scoring", "fuzzypsm_speedup",
      r"`+batch_vs_loop_scoring`+:\s+fuzzyPSM\s+([\d.]+)(?:\u00d7|x)",
      ("EXPERIMENTS.md",)),
+    ("attack_enumeration", "speedup",
+     r"`+attack_enumeration`+:\s+([\d.]+)(?:\u00d7|x)",
+     ("README.md", "DESIGN.md", "EXPERIMENTS.md")),
+    ("frozen_kernel", "speedup",
+     r"`+frozen_kernel`+:\s+([\d.]+)(?:\u00d7|x)",
+     ("EXPERIMENTS.md",)),
+] + [
+    # "`training_streaming_parallel`: in-memory 12.9 s, streamed 4.8 s,
+    # `jobs=2` 2.9 s (4.52x)": one pattern per quoted figure.
+    ("training_streaming_parallel", key,
+     r"`+training_streaming_parallel`+:\s+in-memory\s+" + prefix
+     + r"([\d.]+)", ("README.md", "EXPERIMENTS.md"))
+    for key, prefix in (
+        ("serial_seconds", ""),
+        ("streamed_serial_seconds", r"[\d.]+\s+s,\s+streamed\s+"),
+        ("streamed_parallel_seconds",
+         r"[\d.]+\s+s,\s+streamed\s+[\d.]+\s+s,\s+`+jobs=2`+\s+"),
+        ("parallel_speedup",
+         r"[\d.]+\s+s,\s+streamed\s+[\d.]+\s+s,\s+`+jobs=2`+\s+"
+         r"[\d.]+\s+s\s+\("),
+    )
 ]
 
 

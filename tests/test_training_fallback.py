@@ -40,15 +40,20 @@ def multicore(monkeypatch):
 
 @pytest.fixture()
 def pool_spy(monkeypatch):
-    """Count ``_train_grammar_parallel`` invocations, still delegating."""
+    """Record the entries each pool run trains, still delegating.
+
+    The pool receives first-seen windows of summed counts; every entry
+    below has count 1, so a run's entries are its windows' count sum.
+    """
     calls = []
-    original = training._train_grammar_parallel
+    original = training._train_streaming_parallel
 
-    def spy(entries, parser, jobs):
-        calls.append(len(entries))
-        return original(entries, parser, jobs)
+    def spy(windows, parser, jobs):
+        windows = list(windows)
+        calls.append(sum(sum(table.values()) for table in windows))
+        return original(windows, parser, jobs)
 
-    monkeypatch.setattr(training, "_train_grammar_parallel", spy)
+    monkeypatch.setattr(training, "_train_streaming_parallel", spy)
     return calls
 
 
@@ -61,7 +66,7 @@ class TestFallbackChosen:
         def boom(*_args, **_kwargs):
             raise AssertionError("pool started for a small corpus")
 
-        monkeypatch.setattr(training, "_train_grammar_parallel", boom)
+        monkeypatch.setattr(training, "_train_streaming_parallel", boom)
         train_grammar(TRAINING_PASSWORDS, trie, jobs=2)
 
     def test_fallback_is_observable(self, trie):
@@ -160,13 +165,13 @@ class TestCpuClamp:
     def test_jobs_clamped_to_core_count(self, trie, monkeypatch):
         monkeypatch.setattr(training, "_available_cpus", lambda: 2)
         seen = []
-        original = training._train_grammar_parallel
+        original = training._train_streaming_parallel
 
-        def spy(entries, parser, jobs):
+        def spy(windows, parser, jobs):
             seen.append(jobs)
-            return original(entries, parser, jobs)
+            return original(windows, parser, jobs)
 
-        monkeypatch.setattr(training, "_train_grammar_parallel", spy)
+        monkeypatch.setattr(training, "_train_streaming_parallel", spy)
         train_grammar(TRAINING_PASSWORDS, trie, jobs=8,
                       parallel_threshold=0)
         assert seen == [2]

@@ -22,6 +22,7 @@ from repro.core import training
 from repro.core.grammar import FuzzyGrammar
 from repro.core.meter import FuzzyPSM
 from repro.core.training import (
+    DEFAULT_TRAIN_WINDOW,
     build_base_trie,
     train_grammar,
     train_grammar_streaming,
@@ -142,6 +143,82 @@ class TestParallelEqualsSerial:
         parallel = train_grammar(entries, trie, jobs=2,
                                  parallel_threshold=0)
         assert canonical(parallel) == canonical(serial)
+
+
+@st.composite
+def corpora(draw):
+    """Entries with repeats: plain passwords, counted pairs, empties.
+
+    Every password of the pool occurs, in a shuffled first-seen order,
+    so small windows fill with passwords that are not in sorted order.
+    """
+    pool = draw(st.lists(
+        st.text(alphabet=string.ascii_lowercase + "01!@",
+                min_size=1, max_size=10),
+        min_size=1, max_size=8, unique=True,
+    ))
+    entry = st.one_of(
+        st.sampled_from(pool),
+        st.tuples(st.sampled_from(pool), counts),
+        st.just(""),
+    )
+    repeats = draw(st.lists(entry, max_size=50))
+    return draw(st.permutations(pool + repeats))
+
+
+windows = st.sampled_from([1, 2, 3, DEFAULT_TRAIN_WINDOW])
+chunk_sizes = st.integers(min_value=1, max_value=50)
+DIFFERENTIAL = settings(derandomize=True, deadline=None)
+
+
+@pytest.mark.usefixtures("multicore")
+class TestWindowedEngine:
+    """Every window size, chunking and route equals the reference pass."""
+
+    @given(corpora(), windows, chunk_sizes)
+    @DIFFERENTIAL
+    def test_serial_equals_reference(self, trie, entries, window, size):
+        reference = canonical(train_grammar(entries, trie))
+        streamed = train_grammar_streaming(
+            chunked(entries, size), trie, window=window
+        )
+        assert canonical(streamed) == reference
+
+    @given(corpora(), windows, chunk_sizes)
+    @settings(DIFFERENTIAL, max_examples=8)
+    def test_pool_equals_reference(self, trie, entries, window, size):
+        reference = canonical(train_grammar(entries, trie))
+        pooled = train_grammar_streaming(
+            chunked(entries, size), trie, jobs=2, parallel_threshold=0,
+            window=window,
+        )
+        assert canonical(pooled) == reference
+
+    @given(corpora(), windows, chunk_sizes)
+    @DIFFERENTIAL
+    def test_table_never_exceeds_the_bound(self, entries, window, size):
+        feed = training._Window(chunked(entries, size), True, window)
+        tables = list(feed)
+        assert all(len(table) <= window for table in tables)
+        assert feed.distinct == sum(map(len, tables))
+        assert feed.entries == sum(1 for entry in entries if entry != "")
+
+    @given(corpora(), st.integers(min_value=-2, max_value=0),
+           st.booleans(), windows, chunk_sizes, st.sampled_from([1, 2]))
+    @settings(DIFFERENTIAL, max_examples=30)
+    def test_invalid_entries_raise_the_reference_error(
+        self, trie, entries, count, empty, window, size, jobs
+    ):
+        bad = ("", 1) if empty else ("password1", count)
+        entries = entries + [bad] + entries
+        with pytest.raises(ValueError) as expected:
+            train_grammar(entries, trie, skip_empty=False)
+        with pytest.raises(ValueError) as raised:
+            train_grammar_streaming(
+                chunked(entries, size), trie, skip_empty=False,
+                jobs=jobs, parallel_threshold=0, window=window,
+            )
+        assert str(raised.value) == str(expected.value)
 
 
 class TestStreamingFallback:
