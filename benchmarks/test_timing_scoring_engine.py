@@ -1,34 +1,24 @@
-"""The two-layer scoring engine: frozen kernel + parallel sweeps.
+"""The scoring engine: the frozen kernel and its refresh.
 
-Layer 1 (``frozen_kernel``): :class:`repro.core.frozen.FrozenGrammar`
-compiles the grammar's dict-of-FrequencyDistribution tables into
-interned-index flat arrays.  The bench scores the same derivations
-through the dict kernel and the frozen kernel, asserts bitwise
-equality (the snapshot is an execution strategy, not a model change),
-and records the kernel-for-kernel speedup plus the one-off snapshot
-build cost.
+``frozen_kernel``: :class:`repro.core.frozen.FrozenGrammar` compiles
+the grammar's dict-of-FrequencyDistribution tables into interned-index
+flat arrays.  The bench scores the same derivations through the dict
+kernel and the frozen kernel, asserts bitwise equality (the snapshot
+is an execution strategy, not a model change), and records the
+kernel-for-kernel speedup plus the one-off snapshot build cost.
 
-The refresh (``frozen_refresh``): after an update, the meter builds
-its next snapshot from the stale one, reusing every length table the
-update left alone.  The bench times that refresh against a full build
-of the same grammar state, asserts both snapshots export identical
-tables, and records the medians over repeated updates.
-
-Layer 2 (``scoring_parallel``): the corpus-evaluation workload — a
-large stream with heavy password multiplicity — through three engines:
-the naive per-call loop (how evaluation sweeps scored before the batch
-API), serial ``probability_many``, and ``probability_many(jobs=4)``.
-All three must agree bit for bit; the recorded speedups are measured
-against the naive loop, the path every sweep used to take.
-
-Ordering is conservative: the fast paths run first, each on a fresh
-meter instance, so any cache state left on shared structures favours
-the reference side.
+``frozen_refresh``: after an update, the meter builds its next
+snapshot from the stale one, reusing every length table the update
+left alone.  The bench times that refresh against a full build of the
+same grammar state, asserts both snapshots hold identical tables
+(intern order included), and records the medians over repeated
+updates.
 """
 
 import statistics
 import time
-from itertools import cycle, islice
+from array import array
+from itertools import islice
 
 import pytest
 
@@ -38,11 +28,6 @@ from repro.core.meter import FuzzyPSM
 
 from bench_lib import SMOKE, emit, record
 
-#: The evaluation-stream shape from the ISSUE acceptance bar: >= 100k
-#: scores with ~30% distinct passwords.  Smoke keeps the same shape at
-#: toy scale (equivalence still holds; ratios are skipped).
-STREAM_SIZE = 600 if SMOKE else 100_000
-DISTINCT_SHARE = 0.3
 #: Updates timed by the refresh bench (one refresh + one full build each).
 REFRESH_REPEATS = 9
 
@@ -54,18 +39,6 @@ def meter(corpora, csdn_quarters):
         base_dictionary=corpora["tianya"].unique_passwords(),
         training=list(train.items()),
     )
-
-
-@pytest.fixture(scope="module")
-def evaluation_stream(corpora, csdn_quarters):
-    """~30%-distinct stream: test-quarter uniques topped up from rockyou."""
-    _, test = csdn_quarters
-    pool = list(dict.fromkeys(
-        list(test.unique_passwords())
-        + list(corpora["rockyou"].unique_passwords())
-    ))
-    distinct = pool[:max(1, int(STREAM_SIZE * DISTINCT_SHARE))]
-    return list(islice(cycle(distinct), STREAM_SIZE)), len(distinct)
 
 
 def test_timing_frozen_kernel(meter, csdn_quarters, capsys):
@@ -109,6 +82,21 @@ def test_timing_frozen_kernel(meter, csdn_quarters, capsys):
     assert SMOKE or speedup >= 1.5
 
 
+def _tables(frozen):
+    """Every compiled table of ``frozen``, intern order included."""
+    return (
+        list(frozen.structure_table().items()),
+        [
+            (length, list(index.items()),
+             array("d", probabilities).tobytes(), runs)
+            for length in frozen.terminal_lengths()
+            for index, probabilities, runs in [frozen.terminal_table(length)]
+        ],
+        frozen.capitalization_pair, frozen.reverse_pair,
+        frozen.allcaps_pair, frozen.leet_pairs,
+    )
+
+
 def test_timing_frozen_refresh(meter, csdn_quarters, capsys):
     _, test = csdn_quarters
     # A meter of its own (a copy of the grammar), so the updates below
@@ -129,7 +117,7 @@ def test_timing_frozen_refresh(meter, csdn_quarters, capsys):
         start = time.perf_counter()
         full = FrozenGrammar(own.grammar)
         full_ms.append((time.perf_counter() - start) * 1e3)
-        assert refreshed.to_tables() == full.to_tables()
+        assert _tables(refreshed) == _tables(full)
 
     refresh_median = statistics.median(refresh_ms)
     full_median = statistics.median(full_ms)
@@ -149,51 +137,3 @@ def test_timing_frozen_refresh(meter, csdn_quarters, capsys):
            full_min_ms=min(full_ms), full_max_ms=max(full_ms),
            speedup=speedup)
     assert SMOKE or speedup >= 10
-
-
-def test_timing_parallel_scoring(meter, evaluation_stream, capsys):
-    stream, distinct = evaluation_stream
-
-    def fresh_meter():
-        clone = FuzzyPSM(meter.grammar, meter.trie, meter.config)
-        clone.probability("warmup")  # build the compiled snapshot
-        return clone
-
-    def best_of_three(engine):
-        timings = []
-        for _ in range(3):
-            clone = fresh_meter()  # cold caches for every trial
-            start = time.perf_counter()
-            values = engine(clone)
-            timings.append(time.perf_counter() - start)
-        return values, min(timings)
-
-    parallel, parallel_seconds = best_of_three(
-        lambda clone: clone.probability_many(
-            stream, jobs=4, parallel_threshold=0
-        )
-    )
-    serial, serial_seconds = best_of_three(
-        lambda clone: clone.probability_many(stream)
-    )
-    naive, naive_seconds = best_of_three(
-        lambda clone: [clone.probability(password) for password in stream]
-    )
-
-    assert parallel == serial == naive  # engines must agree bit for bit
-    parallel_speedup = naive_seconds / parallel_seconds
-    serial_speedup = naive_seconds / serial_seconds
-    emit(
-        capsys,
-        f"(timing) parallel scoring: {len(stream):,} scores "
-        f"({distinct:,} distinct) -- per-call {naive_seconds:.2f} s, "
-        f"serial batch {serial_seconds:.2f} s ({serial_speedup:.2f}x), "
-        f"jobs=4 {parallel_seconds:.2f} s ({parallel_speedup:.2f}x)",
-    )
-    record("scoring_parallel", stream=len(stream), distinct=distinct,
-           jobs=4, naive_seconds=naive_seconds,
-           serial_seconds=serial_seconds,
-           parallel_seconds=parallel_seconds,
-           serial_speedup=serial_speedup,
-           parallel_speedup=parallel_speedup)
-    assert SMOKE or parallel_speedup >= 2.0

@@ -1,69 +1,51 @@
-"""Snapshot-plane attach latency and spawn-start parallel scoring.
+"""Snapshot-plane attach latency on the training pool's segment.
 
-The shared-memory snapshot plane (DESIGN.md §16) exists for two
-measurable wins:
+Pool training (``train_grammar(..., jobs=N)`` and its streaming twin)
+publishes the parent's compiled matchers into one trie-only
+shared-memory segment (DESIGN.md §16), and every worker attaches it by
+*name*: no matcher is pickled into a worker or re-deserialized there,
+under fork and spawn alike.
 
-* **millisecond attach** — a worker process opens the model by segment
-  *name* and scores against the publisher's bytes; nothing model-sized
-  is pickled or re-deserialized, so attach latency is independent of
-  corpus scale (the frozen grammar's terminal tables decode lazily);
-* **cheap pools** — with the broadcast tax gone, ``jobs=2`` bulk
-  scoring pays only process start-up, so it wins on far smaller
-  streams than the old pickle-everything pools — even under ``spawn``,
-  where fork/COW never helped.
+This bench builds the parser over the base dictionary, publishes the
+segment the way the training pool does, and measures cold attach +
+materialize in fresh child processes, then the first parse after
+attach.  It asserts that every child parses the probes byte-identically
+to the publisher and, at full scale, that the median attach stays under
+50 ms.
 
-This bench trains fuzzyPSM on a ~10^6-entry Zipf corpus, publishes the
-segment, and measures (a) cold attach + materialize in fresh child
-processes, (b) the first score after attach (lazy-table decode), and
-(c) ``probability_many(jobs=2)`` under ``REPRO_START_METHOD=spawn``
-against the serial batch path on a 100k-password stream — asserting
-bit-identical scores everywhere, attach under 50 ms at full scale, and
-(on multi-core hosts) a >1.5x parallel win.
-
-Smoke mode shrinks the corpus and keeps the equivalence asserts only:
-toy-scale latencies and ratios are meaningless.
+Smoke mode shrinks the dictionary and keeps the equivalence asserts
+only: toy-scale latencies are meaningless.
 """
 
 import json
 import os
-import random
+import statistics
 import subprocess
 import sys
 
-import pytest
-
 from bench_lib import SMOKE, emit, record
 
-from repro.core.meter import FuzzyPSM
+from repro.core.parser import FuzzyParser
+from repro.core.shm import MaterializedScoringState, SharedScoringSegment
+from repro.core.training import build_base_trie
 from repro.obs.core import now
 
-#: Corpus shape (full scale / smoke scale).
-_TOTAL = 20_000 if SMOKE else 1_000_000
-_DISTINCT = 5_000 if SMOKE else 250_000
+#: Base-dictionary words behind the segment (full scale / smoke scale).
 _BASE_WORDS = 2_000 if SMOKE else 20_000
-#: Scored stream (the ISSUE's 100k acceptance stream at full scale).
-_STREAM = 5_000 if SMOKE else 100_000
-_JOBS = 2
 #: Cold attach processes measured; the median is the headline number.
 _ATTACH_RUNS = 3 if SMOKE else 5
 
 #: Full-scale acceptance bound: attach + materialize in a fresh
-#: process must stay under 50 ms against the 10^6-corpus model.
-_ATTACH_BUDGET_SECONDS = 0.050
+#: process must stay under 50 ms.
+_ATTACH_BUDGET_MS = 50.0
 
-_SEED_WORDS = [
-    "password", "dragon", "monkey", "qwerty", "sunshine", "shadow",
-    "master", "killer", "angel", "summer", "love", "soccer", "tiger",
-    "pepper", "silver", "winter", "flower", "cookie",
-]
-
-#: One cold reader: attach by segment name, build the parser, score a
-#: probe.  Timed inside the child so interpreter start-up and imports
-#: are excluded; prints one JSON object on stdout.
+#: One cold reader: attach by segment name, build the parser, parse
+#: the probes.  Timed inside the child so interpreter start-up and
+#: imports are excluded; prints one JSON object on stdout.
 _ATTACH_CHILD = """
 import json, sys, time
 
-name, probe = sys.argv[1], sys.argv[2]
+name, probes = sys.argv[1], json.loads(sys.argv[2])
 
 from repro.core.shm import _worker_attach_state
 
@@ -73,45 +55,24 @@ attach_seconds = time.perf_counter() - start
 
 start = time.perf_counter()
 parser = state.build_parser()
-probability = state.frozen.derivation_probability(parser.parse_flat(probe))
-first_score_seconds = time.perf_counter() - start
+parses = [parser.parse_flat(probe) for probe in probes]
+first_parse_seconds = time.perf_counter() - start
 
 print(json.dumps({
     "attach_seconds": attach_seconds,
-    "first_score_seconds": first_score_seconds,
-    "epoch": state.epoch,
-    "probability": probability,
+    "first_parse_seconds": first_parse_seconds,
+    "parses": parses,
 }))
 """
 
 
-def _corpus_lines() -> list:
-    """A deterministic Zipf-shaped training stream (shuffled)."""
-    rng = random.Random(0)
-    weight = _TOTAL / sum(1.0 / rank for rank in range(1, _DISTINCT + 1))
-    lines = []
-    for rank in range(1, _DISTINCT + 1):
-        word = _SEED_WORDS[rank % len(_SEED_WORDS)]
-        password = f"{word}{rank}" if rank % 3 else f"{rank}{word}"
-        lines.extend([password] * max(1, int(weight / rank)))
-    rng.shuffle(lines)
-    return lines
-
-
-@pytest.fixture(scope="module")
-def corpus_model(corpora):
-    lines = _corpus_lines()
-    base = sorted(corpora["tianya"].unique_passwords())[:_BASE_WORDS]
-    meter = FuzzyPSM.train(base, lines)
-    return meter, lines
-
-
-def _attach_cold(segment_name: str, probe: str) -> dict:
+def _attach_cold(segment_name: str, probes: list) -> dict:
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(root, "src")
     completed = subprocess.run(
-        [sys.executable, "-c", _ATTACH_CHILD, segment_name, probe],
+        [sys.executable, "-c", _ATTACH_CHILD, segment_name,
+         json.dumps(probes)],
         capture_output=True, text=True, env=env, check=False,
     )
     assert completed.returncode == 0, (
@@ -120,91 +81,60 @@ def _attach_cold(segment_name: str, probe: str) -> dict:
     return json.loads(completed.stdout)
 
 
-def test_timing_snapshot_attach(corpus_model, capsys):
-    meter, lines = corpus_model
-    stream = lines[:_STREAM]
-    probe = stream[0]
+def test_timing_snapshot_attach(corpora, capsys):
+    base = sorted(corpora["tianya"].unique_passwords())[:_BASE_WORDS]
+    parser = FuzzyParser(build_base_trie(base))
+    word = max(base, key=len)
+    probes = [word, word.capitalize() + "!2016", word[::-1], "zz9#qq"]
+    expected = json.loads(json.dumps(
+        [parser.parse_flat(probe) for probe in probes]
+    ))
 
     publish_start = now()
-    segment = meter.shared_segment()
+    segment = SharedScoringSegment.create(
+        MaterializedScoringState.from_parser(parser)
+    )
     publish_seconds = now() - publish_start
-    expected_probe = meter.probability(probe)
-
-    # (a) cold attach latency, measured in fresh reader processes.
-    runs = [
-        _attach_cold(segment.name, probe) for _ in range(_ATTACH_RUNS)
-    ]
-    for run in runs:
-        assert run["epoch"] == segment.epoch
-        # Cross-process bit-identity rides along with the timing.
-        assert run["probability"] == expected_probe
-    attach_times = sorted(run["attach_seconds"] for run in runs)
-    attach_median = attach_times[len(attach_times) // 2]
-    first_score = sorted(
-        run["first_score_seconds"] for run in runs
-    )[len(runs) // 2]
-
-    # (b) serial batch vs spawn-start jobs=2 on the scored stream.
-    meter.probability_many(stream[:1])  # warm parser + frozen kernel
-    serial_start = now()
-    serial = meter.probability_many(stream)
-    serial_seconds = now() - serial_start
-
-    saved = os.environ.get("REPRO_START_METHOD")
-    os.environ["REPRO_START_METHOD"] = "spawn"
     try:
-        parallel_start = now()
-        parallel = meter.probability_many(
-            stream, jobs=_JOBS, parallel_threshold=1
-        )
-        parallel_seconds = now() - parallel_start
+        runs = [
+            _attach_cold(segment.name, probes) for _ in range(_ATTACH_RUNS)
+        ]
     finally:
-        if saved is None:
-            del os.environ["REPRO_START_METHOD"]
-        else:
-            os.environ["REPRO_START_METHOD"] = saved
-
-    assert parallel == serial  # bit-identical across the segment plane
-    speedup = serial_seconds / parallel_seconds
+        segment.unlink()
+    for run in runs:
+        # Cross-process byte-identity rides along with the timing.
+        assert run["parses"] == expected
+    attach_ms = [run["attach_seconds"] * 1e3 for run in runs]
+    first_parse_ms = [run["first_parse_seconds"] * 1e3 for run in runs]
+    attach_median = statistics.median(attach_ms)
 
     emit(
         capsys,
-        f"(timing) snapshot plane, {len(lines):,}-entry corpus "
-        f"({_DISTINCT:,} distinct), segment "
-        f"{segment.size / 2**20:6.1f} MiB:\n"
+        f"(timing) snapshot plane, trie-only segment over "
+        f"{len(base):,} base words, {segment.size / 2**20:.1f} MiB:\n"
         f"  publish                    {publish_seconds * 1e3:8.1f} ms\n"
-        f"  cold attach (median of {len(runs)})  "
-        f"{attach_median * 1e3:8.1f} ms\n"
-        f"  first score after attach   {first_score * 1e3:8.1f} ms\n"
-        f"  serial {len(stream):,}-stream     {serial_seconds:8.2f} s\n"
-        f"  spawn jobs={_JOBS} stream       {parallel_seconds:8.2f} s"
-        f"   ({speedup:.2f}x)",
+        f"  cold attach (median of {len(runs)})  {attach_median:8.1f} ms"
+        f"  [{min(attach_ms):.1f}, {max(attach_ms):.1f}]\n"
+        f"  first parse after attach   "
+        f"{statistics.median(first_parse_ms):8.1f} ms",
     )
     record(
         "snapshot_attach",
-        corpus_entries=len(lines),
-        distinct=_DISTINCT,
+        base_words=len(base),
         segment_bytes=segment.size,
-        publish_seconds=publish_seconds,
-        attach_median_seconds=attach_median,
-        first_score_seconds=first_score,
-        stream=len(stream),
-        jobs=_JOBS,
-        serial_seconds=serial_seconds,
-        spawn_parallel_seconds=parallel_seconds,
-        spawn_parallel_speedup=speedup,
+        publish_ms=publish_seconds * 1e3,
+        runs=len(runs),
+        attach_median_ms=attach_median,
+        attach_min_ms=min(attach_ms),
+        attach_max_ms=max(attach_ms),
+        first_parse_median_ms=statistics.median(first_parse_ms),
     )
 
     if SMOKE:
         return  # equivalence asserted above; latencies are toy-scale
 
-    assert attach_median < _ATTACH_BUDGET_SECONDS, (
-        f"cold attach took {attach_median * 1e3:.1f} ms against the "
-        f"{len(lines):,}-entry model (budget "
-        f"{_ATTACH_BUDGET_SECONDS * 1e3:.0f} ms)"
+    assert attach_median < _ATTACH_BUDGET_MS, (
+        f"cold attach took {attach_median:.1f} ms against a "
+        f"{len(base):,}-word base dictionary (budget "
+        f"{_ATTACH_BUDGET_MS:.0f} ms)"
     )
-    if (os.cpu_count() or 1) >= 2:
-        assert speedup > 1.5, (
-            f"spawn-start jobs={_JOBS} only {speedup:.2f}x over serial "
-            f"on a {len(stream):,}-password stream"
-        )

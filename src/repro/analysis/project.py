@@ -141,9 +141,6 @@ class FunctionInfo:
     qualname: str  #: ``outer.inner`` / ``Class.method`` within the module
     name: str
     lineno: int
-    params: Tuple[str, ...]
-    has_vararg: bool
-    has_kwarg: bool
     #: ``(param, dotted annotation)`` pairs, stripped of ``Optional``.
     annotations: Tuple[Tuple[str, str], ...]
     #: Names declared ``global`` inside the body, with the statement line.
@@ -352,7 +349,6 @@ class _ModuleScanner(ast.NodeVisitor):
         ) else None
         args = node.args
         ordered = list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-        params = tuple(arg.arg for arg in ordered)
         annotations = tuple(
             (arg.arg, text)
             for arg in ordered
@@ -377,9 +373,6 @@ class _ModuleScanner(ast.NodeVisitor):
                 qualname=qualname,
                 name=node.name,
                 lineno=node.lineno,
-                params=params,
-                has_vararg=args.vararg is not None,
-                has_kwarg=args.kwarg is not None,
                 annotations=annotations,
                 global_names=tuple(dict.fromkeys(global_names)),
                 global_lineno=global_lineno,

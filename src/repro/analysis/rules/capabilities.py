@@ -8,15 +8,13 @@ first runtime use.  This rule re-runs the same contract statically:
 each capability declared in a ``@register_meter`` decoration must be
 backed by a method that actually exists somewhere on the static MRO
 (resolved through the pass-1 index, so inherited implementations such
-as ``Meter.probability_many`` count), with the required keyword
-parameters (``jobs`` for ``PARALLEL_SCORABLE``).
+as ``Meter.probability_many`` count).
 
-The required-method tables are imported from
+The required-method table is imported from
 :mod:`repro.meters.registry` itself — one source of truth, so the
 static gate can never drift from the runtime gate.  When a base class
 cannot be resolved statically the rule stays silent about missing
-methods (they may live on the unresolved base) but still checks
-signatures of the definitions it can see.
+methods: they may live on the unresolved base.
 """
 
 from __future__ import annotations
@@ -26,11 +24,7 @@ import ast
 from repro.analysis.core import ProjectRule
 from repro.analysis.project import ProjectIndex
 from repro.analysis.registry import register
-from repro.meters.registry import (
-    _CAPABILITY_METHODS,
-    _CAPABILITY_PARAMETERS,
-    Capability,
-)
+from repro.meters.registry import _CAPABILITY_METHODS, Capability
 
 
 @register
@@ -41,8 +35,7 @@ class CapabilityConformanceRule(ProjectRule):
     name = "capability-conformance"
     summary = (
         "every capability declared in @register_meter must be backed "
-        "by a method defined on the class or its static MRO, with the "
-        "required parameters (e.g. jobs= for PARALLEL_SCORABLE)"
+        "by a method defined on the class or its static MRO"
     )
 
     def check(self, tree: ast.Module) -> None:
@@ -67,30 +60,14 @@ class CapabilityConformanceRule(ProjectRule):
                         f"{capability_name!r}",
                     )
                     continue
-                required = _CAPABILITY_METHODS.get(capability, ())
-                parameters = _CAPABILITY_PARAMETERS.get(capability, ())
-                for method in required:
+                for method in _CAPABILITY_METHODS.get(capability, ()):
                     info, complete = index.find_method(qualified, method)
-                    if info is None:
-                        if complete:
-                            self.report_at(
-                                registration.lineno,
-                                1,
-                                f"{cls.name} declares "
-                                f"Capability.{capability_name} but "
-                                f"defines no {method}() anywhere on "
-                                f"its static MRO",
-                            )
-                        continue
-                    for parameter in parameters:
-                        if (
-                            parameter not in info.params
-                            and not info.has_kwarg
-                        ):
-                            self.report_at(
-                                registration.lineno,
-                                1,
-                                f"{cls.name}.{method}() backs "
-                                f"Capability.{capability_name} but "
-                                f"does not accept {parameter}=",
-                            )
+                    if info is None and complete:
+                        self.report_at(
+                            registration.lineno,
+                            1,
+                            f"{cls.name} declares "
+                            f"Capability.{capability_name} but "
+                            f"defines no {method}() anywhere on "
+                            f"its static MRO",
+                        )

@@ -149,11 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         "measure", help="measure passwords with a saved model"
     )
     measure.add_argument("--model", required=True)
-    measure.add_argument(
-        "--score-jobs", type=int, default=None, metavar="N",
-        help="score across N worker processes (parallel-scorable "
-             "meters; results are identical to serial scoring)",
-    )
     measure.add_argument("passwords", nargs="*",
                          help="passwords (stdin lines when omitted)")
 
@@ -184,11 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
                             default=120_000)
     experiment.add_argument("--seed", type=int, default=0)
     experiment.add_argument("--min-frequency", type=int, default=4)
-    experiment.add_argument(
-        "--score-jobs", type=int, default=None, metavar="N",
-        help="bulk-score across N worker processes for meters with "
-             "the parallel-scorable capability",
-    )
     experiment.add_argument(
         "--seeds",
         help="comma-separated seeds for a robustness sweep "
@@ -355,10 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="worker processes for the training stage",
-    )
-    profile.add_argument(
-        "--score-jobs", type=int, default=None, metavar="N",
-        help="worker processes for the scoring stage",
     )
     profile.add_argument(
         "--parse-cache-size", type=int, default=None, metavar="N",
@@ -606,25 +592,6 @@ def _train_streaming(args: argparse.Namespace, spec) -> int:
     return 0
 
 
-def _score_stream(meter, passwords: Sequence[str],
-                  score_jobs: Optional[int]) -> List[float]:
-    """Bulk-score via the registry capability, never a concrete type.
-
-    ``--score-jobs`` only reaches meters whose spec declares the
-    parallel-scorable capability; everything else scores serially —
-    the flag degrades gracefully instead of erroring on, say, a saved
-    Markov model.
-    """
-    spec = registry.spec_for(meter)
-    if (
-        score_jobs is not None
-        and spec is not None
-        and spec.has(Capability.PARALLEL_SCORABLE)
-    ):
-        return meter.probability_many(passwords, jobs=score_jobs)
-    return meter.probability_many(passwords)
-
-
 def _cmd_measure(args: argparse.Namespace) -> int:
     meter = load_meter(args.model)
     passwords: Sequence[str] = args.passwords or [
@@ -632,7 +599,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     ]
     # One batched pass: meters with vectorised overrides (fuzzyPSM's
     # score memo, the PCFG/Markov memos) score repeats only once.
-    probabilities = _score_stream(meter, passwords, args.score_jobs)
+    probabilities = meter.probability_many(passwords)
     print(format_table(
         ["password", "probability", "entropy(bits)"],
         [
@@ -700,7 +667,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         corpus_size=args.corpus_size,
         base_corpus_size=args.base_corpus_size,
         seed=args.seed,
-        score_jobs=args.score_jobs,
     )
     chosen = scenario(args.scenario)
     if args.seeds:
@@ -987,7 +953,7 @@ def _cmd_profile_pipeline(args: argparse.Namespace) -> int:
             )
         with telemetry.timer("profile.score.seconds"):
             for _ in range(max(1, args.repeat)):
-                _score_stream(meter, stream, args.score_jobs)
+                meter.probability_many(stream)
         # Structural memo state (occupancy/capacity) complements the
         # hit/miss/evict counters that live in the telemetry snapshot.
         memo_info = getattr(meter, "score_memo_info", None)
@@ -1003,7 +969,6 @@ def _cmd_profile_pipeline(args: argparse.Namespace) -> int:
         "stream_distinct": stream_corpus.unique,
         "repeat": max(1, args.repeat),
         "jobs": args.jobs,
-        "score_jobs": args.score_jobs,
     }
     if args.output:
         save_telemetry_report(report, args.output)

@@ -49,27 +49,18 @@ build column for column, and shared entries are never mutated, so an
 older snapshot keeps scoring its own epoch.  On the bench grammar one
 update's refresh costs a fraction of a full build (``frozen_refresh``:
 0.25 ms refresh, 11.7 ms full build, medians over 9 updates).
-
-The snapshot holds only dicts, tuples and flat arrays, so it pickles
-cheaply into ``multiprocessing`` workers — the broadcast half of the
-parallel scoring engine (DESIGN.md §11).
 """
 
 from __future__ import annotations
 
 from array import array
 from itertools import islice
-from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
-    TypeVar, Union, overload,
-)
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.grammar import FlatParse, FuzzyGrammar, Structure
 from repro.util.freqdist import FrequencyDistribution
 from repro.util.leet import LEET_RULE_INDEX, LEET_RULE_NAMES
-
-_T = TypeVar("_T")
 
 #: Backwards-compatible alias; the index now lives in
 #: :mod:`repro.util.leet` so the training delta builder shares it.
@@ -83,116 +74,9 @@ _Pair = Tuple[float, float]
 _LeetRun = Tuple[Tuple[int, int], ...]
 
 #: One length's compiled terminal entry: the interned ``base -> i``
-#: index, the flat probability column (an ``array('d')`` when frozen
-#: in-process, a zero-copy ``memoryview('d')`` when attached from a
-#: shared segment — every consumer only indexes it), and the
+#: index, the flat ``array('d')`` probability column, and the
 #: per-terminal leet runs.
 _TerminalEntry = Tuple[Dict[str, int], Sequence[float], Tuple[_LeetRun, ...]]
-
-
-class _LazyTerminalTables(Dict[int, _TerminalEntry]):
-    """Per-length terminal tables materialised on first access.
-
-    An attached snapshot (:meth:`FrozenGrammar.from_tables`) must not
-    decode every interned terminal eagerly: a 1M-corpus model holds
-    hundreds of thousands of them, and rebuilding all the intern dicts
-    costs ~0.3 s — far beyond the millisecond attach budget of the
-    snapshot plane.  Scoring a password only ever touches the handful
-    of lengths its segments have, so each length's
-    ``(index, probabilities, runs)`` entry is built by a stored thunk
-    the first time that length is looked up and cached in the dict
-    proper afterwards.
-
-    Only the access surface :class:`FrozenGrammar` uses is lazy-aware:
-    ``get`` / ``[]`` / ``in`` / ``iter`` / ``len``.  Plain ``dict``
-    views (``values()``/``items()``) would see only the built entries —
-    call :meth:`build_all` first (as :meth:`FrozenGrammar.to_tables`
-    does) when the full mapping is required.
-    """
-
-    __slots__ = ("_pending",)
-
-    def __init__(
-        self, pending: Dict[int, Callable[[], _TerminalEntry]]
-    ) -> None:
-        super().__init__()
-        self._pending = pending
-
-    def _materialise(self, length: int) -> _TerminalEntry:
-        entry = self._pending.pop(length)()
-        dict.__setitem__(self, length, entry)
-        return entry
-
-    def build_all(self) -> None:
-        """Force every pending length (for whole-table consumers)."""
-        for length in list(self._pending):
-            self._materialise(length)
-
-    @overload
-    def get(self, key: int) -> Optional[_TerminalEntry]: ...
-
-    @overload
-    def get(self, key: int, default: _T) -> Union[_TerminalEntry, _T]: ...
-
-    def get(self, key: int, default: Any = None) -> Any:  # type: ignore[override]
-        entry: Optional[_TerminalEntry] = dict.get(self, key)
-        if entry is not None:
-            return entry
-        if key in self._pending:
-            return self._materialise(key)
-        return default
-
-    def __getitem__(self, key: int) -> _TerminalEntry:
-        entry: Optional[_TerminalEntry] = dict.get(self, key)
-        if entry is not None:
-            return entry
-        if key in self._pending:
-            return self._materialise(key)
-        raise KeyError(key)
-
-    def __contains__(self, key: object) -> bool:
-        return dict.__contains__(self, key) or key in self._pending
-
-    def __iter__(self) -> Iterator[int]:
-        # Snapshot both key sets: consumers may materialise entries
-        # (moving keys from pending to built) while iterating.
-        return iter([*dict.__iter__(self), *self._pending])
-
-    def __len__(self) -> int:
-        return dict.__len__(self) + len(self._pending)
-
-
-def _lazy_terminal_builder(
-    length: int,
-    count: int,
-    blob: str,
-    blob_start: int,
-    probabilities: Sequence[float],
-    run_counts: Sequence[int],
-    run_offsets: Sequence[int],
-    run_rules: Sequence[int],
-) -> Callable[[], _TerminalEntry]:
-    """Thunk rebuilding one length's terminal entry from flat columns.
-
-    ``blob`` is the full decoded terminal blob; this length's bases
-    occupy ``count`` fixed-width (``length`` code points) slots starting
-    at ``blob_start``.  The probability column is adopted by reference
-    (zero-copy when it is a segment ``memoryview``), so attached scores
-    read the exact bits the freeze wrote.
-    """
-
-    def build() -> _TerminalEntry:
-        index = {
-            blob[blob_start + i * length:blob_start + (i + 1) * length]: i
-            for i in range(count)
-        }
-        pairs = zip(run_offsets, run_rules)
-        runs = tuple(
-            tuple(islice(pairs, entries)) for entries in run_counts
-        )
-        return (index, probabilities, runs)
-
-    return build
 
 
 def _leet_run(base: str) -> _LeetRun:
@@ -225,9 +109,8 @@ class FrozenGrammar:
 
     ``previous``, when given, must be an earlier snapshot of the same
     grammar object: the new snapshot shares or extends its length
-    tables (see the module docstring).  Without it, or with an attached
-    snapshot (:meth:`from_tables`, which carries no count totals),
-    every table is built from the counts.
+    tables (see the module docstring).  Without it every table is built
+    from the counts.
 
     >>> from repro.core.grammar import Derivation, DerivedSegment
     >>> grammar = FuzzyGrammar()
@@ -407,156 +290,6 @@ class FrozenGrammar:
         """Six ``(P(No), P(Yes))`` pairs, indexed by leet rule number."""
         return self._leet
 
-    # --- flat-column export / attach -----------------------------------
-
-    def to_tables(self) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-        """``(meta, sections)`` flat columns for the snapshot plane.
-
-        Everything the snapshot holds becomes one of the section dtypes
-        the directory codec (:mod:`repro.util.sections`) knows:
-
-        * structures as a ragged ``int64`` encoding — per-structure
-          segment counts (``structure_lens``), the flattened segment
-          lengths (``structure_flat``) and the probability column;
-        * terminals grouped by length in sorted-length order — per
-          length its value and terminal count, then one fixed-width
-          UTF-8 blob of every interned base, the flat probability
-          column, and the leet runs as ragged ``(offset, rule)``
-          columns with per-terminal entry counts and per-length totals
-          (``term_run_totals``) so the attach side slices each length's
-          run span without summing;
-        * the five rule tables flattened into one 18-float
-          ``rule_probs`` column (capitalization, reverse, all-caps,
-          then the six leet pairs, each as ``No, Yes``).
-
-        ``meta`` carries the snapshot :attr:`epoch`.
-        """
-        terminals = self._terminals
-        if isinstance(terminals, _LazyTerminalTables):
-            terminals.build_all()
-        structure_lens = array("q")
-        structure_flat = array("q")
-        structure_probs = array("d")
-        for structure, probability in self._structures.items():
-            structure_lens.append(len(structure))
-            structure_flat.extend(structure)
-            structure_probs.append(probability)
-        term_lengths = array("q")
-        term_counts = array("q")
-        term_probs = array("d")
-        term_run_counts = array("q")
-        term_run_offsets = array("q")
-        term_run_rules = array("q")
-        term_run_totals = array("q")
-        blob_pieces: List[str] = []
-        for length in sorted(terminals):
-            index, probabilities, runs = terminals[length]
-            term_lengths.append(length)
-            term_counts.append(len(index))
-            # Interning appends bases in index order, so iterating the
-            # index dict yields terminal ``i`` at blob slot ``i``.
-            blob_pieces.extend(index)
-            term_probs.extend(probabilities)
-            total = 0
-            for run in runs:
-                term_run_counts.append(len(run))
-                total += len(run)
-                for offset, rule in run:
-                    term_run_offsets.append(offset)
-                    term_run_rules.append(rule)
-            term_run_totals.append(total)
-        rule_probs = array("d", self._capitalization)
-        rule_probs.extend(self._reverse)
-        rule_probs.extend(self._allcaps)
-        for pair in self._leet:
-            rule_probs.extend(pair)
-        sections: Dict[str, Any] = {
-            "structure_lens": structure_lens,
-            "structure_flat": structure_flat,
-            "structure_probs": structure_probs,
-            "term_lengths": term_lengths,
-            "term_counts": term_counts,
-            "term_blob": "".join(blob_pieces),
-            "term_probs": term_probs,
-            "term_run_counts": term_run_counts,
-            "term_run_offsets": term_run_offsets,
-            "term_run_rules": term_run_rules,
-            "term_run_totals": term_run_totals,
-            "rule_probs": rule_probs,
-        }
-        meta = {"epoch": self.epoch}
-        return meta, sections
-
-    @classmethod
-    def from_tables(
-        cls, meta: Dict[str, Any], sections: Dict[str, Any]
-    ) -> "FrozenGrammar":
-        """Rebuild a snapshot from :meth:`to_tables` columns.
-
-        The attach half of the snapshot plane, built for a millisecond
-        budget: structures and the 18 rule probabilities are decoded
-        eagerly (cheap — thousands of small tuples at most), while the
-        terminal tables — the bulk of a large model — become a
-        :class:`_LazyTerminalTables` whose per-length entries
-        materialise on first use.  Probability values are read straight
-        out of the (typically shared-memory) ``float64`` columns, so
-        attached scores are bit-identical to the freeze that wrote
-        them.
-        """
-        self = cls.__new__(cls)
-        self.epoch = int(meta["epoch"])
-        # No count totals travel with the columns, so an attached
-        # snapshot never seeds a refresh: every length rebuilds.
-        self._totals = {}
-        structures: Dict[Structure, float] = {}
-        lens = sections["structure_lens"]
-        flat = sections["structure_flat"]
-        probs = sections["structure_probs"]
-        position = 0
-        for i in range(len(lens)):
-            width = lens[i]
-            structures[tuple(flat[position:position + width])] = probs[i]
-            position += width
-        self._structures = structures
-        blob = sections["term_blob"]
-        term_probs = sections["term_probs"]
-        run_counts = sections["term_run_counts"]
-        run_offsets = sections["term_run_offsets"]
-        run_rules = sections["term_run_rules"]
-        lengths = sections["term_lengths"]
-        counts = sections["term_counts"]
-        totals = sections["term_run_totals"]
-        pending: Dict[int, Callable[[], _TerminalEntry]] = {}
-        blob_position = 0
-        prob_position = 0
-        run_position = 0
-        pair_position = 0
-        for i in range(len(lengths)):
-            length = int(lengths[i])
-            count = int(counts[i])
-            total = int(totals[i])
-            pending[length] = _lazy_terminal_builder(
-                length, count, blob, blob_position,
-                term_probs[prob_position:prob_position + count],
-                run_counts[run_position:run_position + count],
-                run_offsets[pair_position:pair_position + total],
-                run_rules[pair_position:pair_position + total],
-            )
-            blob_position += length * count
-            prob_position += count
-            run_position += count
-            pair_position += total
-        self._terminals = _LazyTerminalTables(pending)
-        rules = sections["rule_probs"]
-        self._capitalization = (rules[0], rules[1])
-        self._reverse = (rules[2], rules[3])
-        self._allcaps = (rules[4], rules[5])
-        self._leet = tuple(
-            (rules[6 + 2 * i], rules[7 + 2 * i])
-            for i in range(len(LEET_RULE_NAMES))
-        )
-        return self
-
     # --- introspection -------------------------------------------------
 
     @property
@@ -567,11 +300,7 @@ class FrozenGrammar:
     @property
     def terminal_count(self) -> int:
         """Number of interned terminals across every length table."""
-        # Keyed access (not ``.values()``) so lazy attached tables
-        # materialise the lengths they are asked for.
-        return sum(
-            len(self._terminals[length][0]) for length in self._terminals
-        )
+        return sum(len(index) for index, _, _ in self._terminals.values())
 
     def is_current(self, grammar: FuzzyGrammar) -> bool:
         """True while the snapshot still reflects ``grammar`` exactly."""

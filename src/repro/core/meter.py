@@ -32,7 +32,6 @@ from typing import (
 )
 
 from repro import obs
-from repro.obs.core import now as _now
 from repro.core.frozen import FrozenGrammar
 from repro.core.grammar import (
     FuzzyGrammar,
@@ -40,12 +39,6 @@ from repro.core.grammar import (
     structure_label,
 )
 from repro.core.parser import FuzzyParser, ParsedPassword, parse_tally
-from repro.core.shm import (
-    MaterializedScoringState,
-    SharedScoringSegment,
-    _worker_attach_state,
-    mp_context,
-)
 from repro.core.training import (
     DEFAULT_TRAIN_WINDOW,
     PasswordEntry,
@@ -54,7 +47,7 @@ from repro.core.training import (
     train_grammar_streaming,
 )
 from repro.core.trie import PrefixTrie
-from repro.meters.base import ProbabilisticMeter, probability_to_entropy
+from repro.meters.base import ProbabilisticMeter
 from repro.meters.registry import Capability, TrainContext, register_meter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -165,8 +158,8 @@ def score_many(
     straight into the frozen scoring kernel: no object is built per
     segment, and none is kept.  Values are bit-identical to per-call
     :meth:`FuzzyPSM.probability`.  This is the only copy of the loop:
-    :meth:`FuzzyPSM.probability_many` passes its score memo, and the
-    scoring-pool worker, whose chunks are distinct, passes none.
+    :meth:`FuzzyPSM.probability_many` passes its score memo; a caller
+    that must not share that memo passes none.
     """
     telemetry = obs.get()
     parse = parser.parse_flat
@@ -208,57 +201,6 @@ def score_many(
     return out
 
 
-#: Distinct-password cutoff below which ``jobs > 1`` still scores
-#: serially.  Workers attach to the meter's shared-memory snapshot
-#: segment by *name* (DESIGN.md §16), so the old per-pool broadcast tax
-#: — pickling compiled matchers and the frozen grammar into every
-#: worker — is gone and the cutoff only has to cover process start-up
-#: itself.  Mirrors the training fallback
-#: (:data:`repro.core.training.PARALLEL_MIN_ENTRIES`); pass
-#: ``parallel_threshold`` to :meth:`FuzzyPSM.probability_many` to
-#: override (tests and tuning).
-PARALLEL_MIN_DISTINCT = 2_000
-
-#: Per-worker scoring state, installed once by ``_worker_init_shared``
-#: so every chunk mapped to that worker reuses the same compiled
-#: matchers and frozen grammar.
-_SCORE_PARSER: Optional[FuzzyParser] = None
-_SCORE_FROZEN: Optional[FrozenGrammar] = None
-
-
-def _worker_init_shared(segment_name: str) -> None:
-    """Process-pool initialiser: attach the shared snapshot **once**.
-
-    Workers receive only a segment *name* — nothing model-sized is
-    pickled, so the initialiser costs the same few milliseconds under
-    ``fork`` and ``spawn`` alike (the broadcast half of DESIGN.md §11,
-    re-based onto the snapshot plane of §16).  The per-process attach
-    cache in :mod:`repro.core.shm` makes re-initialisation with an
-    unchanged name (worker respawns) effectively free.
-    """
-    global _SCORE_PARSER, _SCORE_FROZEN
-    state = _worker_attach_state(segment_name)
-    _SCORE_FROZEN = state.require_frozen()
-    _SCORE_PARSER = state.build_parser()
-
-
-def _score_chunk(chunk: List[str]) -> Tuple[List[float], float]:
-    """Score one chunk of *distinct* passwords in a worker.
-
-    Returns the scores plus the worker-side seconds: the parent's
-    telemetry backend cannot see into pool processes, so each chunk
-    ships its own timing home for the ``meter.parallel.chunk.seconds``
-    histogram (same pattern as training's ``train.chunk.seconds``).
-    """
-    parser = _SCORE_PARSER
-    frozen = _SCORE_FROZEN
-    assert parser is not None and frozen is not None, \
-        "_worker_init_shared did not run"
-    start = _now()
-    values = score_many(parser, frozen, chunk)
-    return values, _now() - start
-
-
 def _build_fuzzypsm(cls: type, context: TrainContext) -> "FuzzyPSM":
     """Registry builder: base dictionary + training + family options."""
     options = context.options
@@ -277,7 +219,6 @@ def _build_fuzzypsm(cls: type, context: TrainContext) -> "FuzzyPSM":
         Capability.STREAM_TRAINABLE,
         Capability.UPDATABLE,
         Capability.BATCH_SCORABLE,
-        Capability.PARALLEL_SCORABLE,
         Capability.PERSISTABLE,
         Capability.BINARY_PERSISTABLE,
     ),
@@ -312,10 +253,6 @@ class FuzzyPSM(ProbabilisticMeter):
         # lazily by :meth:`attack_engine` with the same epoch-keyed
         # invalidation as the frozen snapshot it sits on.
         self._attack_engine: Optional["AttackEngine"] = None
-        # Published shared-memory snapshot segment (DESIGN.md §16),
-        # built lazily by :meth:`shared_segment`; a stale epoch is
-        # unlinked when the replacement is published.
-        self._shared_segment: Optional[SharedScoringSegment] = None
         # LRU of password -> probability under ``self._frozen``, kept
         # by :func:`score_many` for :meth:`probability_many` and
         # emptied whenever :meth:`frozen_grammar` hands out a new
@@ -435,40 +372,6 @@ class FuzzyPSM(ProbabilisticMeter):
                 telemetry.incr("meter.frozen.builds")
         return frozen
 
-    def scoring_state(self) -> MaterializedScoringState:
-        """The scoring snapshot at the current epoch.
-
-        The compiled matchers, the frozen grammar and the parser
-        configuration — everything a scorer in another process needs,
-        and nothing mutable.  This is what :meth:`shared_segment`
-        publishes.
-        """
-        return MaterializedScoringState.from_parser(
-            self._parser, self.frozen_grammar()
-        )
-
-    def shared_segment(self) -> SharedScoringSegment:
-        """The published snapshot segment for the current epoch.
-
-        Packs :meth:`scoring_state` into one shared-memory segment
-        (created lazily, cached by epoch) that the scoring pool's
-        workers attach to by name in milliseconds.
-        Publishing a new epoch unlinks the retired segment — attached
-        processes keep their mappings until they drop them, late
-        attachers fail fast.
-        """
-        segment = self._shared_segment
-        if segment is not None \
-                and segment.epoch == self.frozen_grammar().epoch:
-            return segment
-        telemetry = obs.get()
-        with telemetry.timer("shm.segment.publish.seconds"):
-            fresh = SharedScoringSegment.create(self.scoring_state())
-        if segment is not None:
-            segment.unlink()
-        self._shared_segment = fresh
-        return fresh
-
     def attack_engine(self) -> "AttackEngine":
         """The compiled attack engine, current as of this call.
 
@@ -517,12 +420,7 @@ class FuzzyPSM(ProbabilisticMeter):
             self._grammar.observe(parsed.flat)
         return probability
 
-    def probability_many(
-        self,
-        passwords: Iterable[str],
-        jobs: Optional[int] = None,
-        parallel_threshold: Optional[int] = None,
-    ) -> List[float]:
+    def probability_many(self, passwords: Iterable[str]) -> List[float]:
         """Bulk :meth:`probability`, returning one value per input.
 
         Scores run through :func:`score_many` — per-batch distinct
@@ -530,105 +428,16 @@ class FuzzyPSM(ProbabilisticMeter):
         scoring kernel (:meth:`frozen_grammar`).  Results are exactly
         the per-call values, in order.
 
-        Args:
-            passwords: the stream to score.
-            jobs: worker processes; ``None``/``0``/``1`` score in this
-                process.  ``N > 1`` deduplicates the stream and fans
-                chunks of distinct passwords to a pool whose workers
-                attach the meter's shared snapshot segment once at
-                start-up.  Batches with fewer distinct passwords than
-                the threshold fall back to the serial path
-                automatically (``meter.parallel.fallback.serial``).
-            parallel_threshold: distinct-count cutoff for that fallback
-                (default :data:`PARALLEL_MIN_DISTINCT`).
-
         With ``auto_update`` on, every measurement mutates the grammar,
         so each value depends on all earlier ones — that mode falls
         back to the plain sequential loop.
         """
         if self._config.auto_update:
             return [self.probability(pw) for pw in passwords]
-        telemetry = obs.get()
-        if jobs is not None and jobs > 1:
-            stream = list(passwords)
-            distinct = list(dict.fromkeys(stream))
-            threshold = (
-                PARALLEL_MIN_DISTINCT if parallel_threshold is None
-                else parallel_threshold
-            )
-            if len(distinct) >= threshold:
-                return self._probability_many_parallel(
-                    stream, distinct, jobs
-                )
-            if telemetry.enabled:
-                telemetry.incr("meter.parallel.fallback.serial")
-            passwords = stream
         return score_many(
             self._parser, self.frozen_grammar(), passwords,
             self._score_memo, self._config.parse_cache_size,
         )
-
-    def entropy_many(
-        self,
-        passwords: Iterable[str],
-        jobs: Optional[int] = None,
-        parallel_threshold: Optional[int] = None,
-    ) -> List[float]:
-        """Batch :meth:`entropy`, sharing the bulk/parallel machinery."""
-        return [
-            probability_to_entropy(probability)
-            for probability in self.probability_many(
-                passwords, jobs=jobs, parallel_threshold=parallel_threshold
-            )
-        ]
-
-    def _probability_many_parallel(
-        self, stream: List[str], distinct: List[str], jobs: int
-    ) -> List[float]:
-        """Fan distinct passwords to a scoring pool; reassemble in order.
-
-        The expensive work — parse + frozen-kernel evaluation — is done
-        once per *distinct* password in the pool; the (typically much
-        longer) stream is then reassembled by dict lookup in the
-        parent.  Workers never see the pointer trie or the count-table
-        grammar — nor a pickled copy of anything model-sized: the pool
-        initializer hands each worker the *name* of the meter's shared
-        snapshot segment (:meth:`shared_segment`) and the worker
-        attaches zero-copy, under whatever start method
-        :func:`repro.core.shm.mp_context` selects.
-        """
-        telemetry = obs.get()
-        segment = self.shared_segment()
-        # A few chunks per worker smooths over uneven parse costs
-        # without inflating per-chunk pickling overhead (same shape as
-        # parallel training).
-        chunk_count = min(jobs * 4, len(distinct))
-        step = -(-len(distinct) // chunk_count)
-        chunks = [
-            distinct[i:i + step] for i in range(0, len(distinct), step)
-        ]
-        scores: Dict[str, float] = {}
-        with telemetry.timer("meter.parallel.seconds"):
-            with mp_context().Pool(
-                processes=jobs,
-                initializer=_worker_init_shared,
-                initargs=(segment.name,),
-            ) as pool:
-                for chunk, (values, chunk_seconds) in zip(
-                    chunks, pool.imap(_score_chunk, chunks)
-                ):
-                    if telemetry.enabled:
-                        telemetry.observe(
-                            "meter.parallel.chunk.seconds", chunk_seconds
-                        )
-                    for password, value in zip(chunk, values):
-                        scores[password] = value
-        if telemetry.enabled:
-            telemetry.incr("meter.parallel.calls")
-            telemetry.incr("meter.parallel.scores", len(stream))
-            telemetry.incr("meter.parallel.distinct", len(distinct))
-            telemetry.observe("meter.parallel.size", float(len(stream)))
-        return [scores[password] for password in stream]
 
     def explain(self, password: str) -> Explanation:
         """A structured account of how the password was derived."""

@@ -296,11 +296,11 @@ class FuzzyParser:
     ) -> Tuple[CompiledTrie, Optional[CompiledTrie]]:
         """Materialise and return the compiled matchers for broadcast.
 
-        The parallel scoring engine pickles the flat-array
-        :class:`CompiledTrie` snapshots into its worker pool **once**
-        (pool initializer), instead of letting every worker re-walk a
-        pointer trie — rebuilding tries per worker is what made small
-        parallel training runs slower than serial (DESIGN.md §7).
+        The training pool publishes the flat-array
+        :class:`CompiledTrie` snapshots into a shared-memory segment
+        **once** (DESIGN.md §16), instead of letting every worker
+        re-walk a pointer trie — rebuilding tries per worker is what
+        made small parallel training runs slower than serial.
         Returns ``(forward, reversed_or_None)``; the reversed matcher is
         built only when the reverse extension is on.  A reference
         parser built around pointer tries is never broadcast.

@@ -1,38 +1,37 @@
 """Zero-copy shared-memory snapshot plane (DESIGN.md §16).
 
-The scoring and training pools used to broadcast their model by
-value: pool initializers pickled the compiled trie and frozen grammar
-into each worker, to be re-deserialized per process.  This module
-moves the model's flat tables into one POSIX
+Training pool workers parse with the parent's compiled trie.
+Pickling it into each worker would re-deserialize it per process;
+this module puts the trie's flat tables into one POSIX
 ``multiprocessing.shared_memory`` segment instead, so any number of
 pool workers attach in milliseconds and read the *same* physical
 bytes:
 
 * :class:`SharedScoringSegment` — owner/attachment handle.  ``create``
   packs the :meth:`~repro.core.compiled_trie.CompiledTrie.to_arrays`
-  and :meth:`~repro.core.frozen.FrozenGrammar.to_tables` columns with
-  the section-directory codec (:mod:`repro.util.sections` — the same
+  columns of the forward and (optional) reversed matchers with the
+  section-directory codec (:mod:`repro.util.sections` — the same
   layout as FPSMBIN1 model files) and writes the image into a fresh
-  segment; ``attach`` opens it by name; ``materialize`` rebuilds
-  scoring objects whose numeric columns are ``memoryview`` casts
-  straight into the mapping (no copy, bit-identical scores).
-* :class:`MaterializedScoringState` — the one scoring-snapshot type:
-  the compiled matchers, the frozen grammar, and the parser
-  configuration needed to rebuild a byte-identical
-  :class:`~repro.core.parser.FuzzyParser`.  The publishing side builds
-  it from a live parser (:meth:`~MaterializedScoringState.from_parser`,
-  via ``FuzzyPSM.scoring_state``), ``create`` packs it, and
-  ``materialize`` rebuilds it over an attached segment.
+  segment; ``attach`` opens it by name; ``materialize`` rebuilds the
+  matchers with numeric columns as ``memoryview`` casts straight into
+  the mapping (no copy, byte-identical parses).
+* :class:`MaterializedScoringState` — the one snapshot type: the
+  compiled matchers and the parser configuration needed to rebuild a
+  byte-identical :class:`~repro.core.parser.FuzzyParser`.  The
+  publishing side builds it from a live parser
+  (:meth:`~MaterializedScoringState.from_parser`), ``create`` packs
+  it, and ``materialize`` rebuilds it over an attached segment.
+  Segments carry no grammar: training workers parse, they do not
+  score.
 * :func:`mp_context` — the repo-wide start-method policy: ``fork``
   where available, overridable via ``REPRO_START_METHOD`` (``spawn``
   CI legs run every pool through here).
 * :func:`_worker_attach_state` — the per-process attach cache worker
   initializers call with a segment *name*; re-initialising with a new
-  name (an epoch hot-swap) attaches the new segment and detaches the
-  old one.
+  name attaches the new segment and detaches the old one.
 
 Lifetime rules: exactly one process owns a segment (the one that
-called ``create``); owners must ``unlink`` when the epoch is retired,
+called ``create``); owners must ``unlink`` when the pool winds down,
 and an ``atexit`` hook unlinks anything they leaked.  An owner killed
 before either runs leaves the segment to its ``resource_tracker``,
 which unlinks it once the owner is gone.  Attached processes only ever
@@ -59,7 +58,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.core.compiled_trie import CompiledTrie
-from repro.core.frozen import FrozenGrammar
 from repro.core.parser import FuzzyParser
 from repro.util.sections import decode_sections, pack, read_header
 
@@ -101,54 +99,38 @@ def mp_context(method: Optional[str] = None) -> BaseContext:
 
 
 class MaterializedScoringState:
-    """Everything a scorer needs, frozen at one grammar epoch.
+    """A parser's compiled matchers and configuration.
 
     Built from a live parser by :meth:`from_parser` (what
     :meth:`SharedScoringSegment.create` publishes), or rebuilt from an
     attached segment by :meth:`SharedScoringSegment.materialize` — in
     which case the numeric columns inside
-    ``forward``/``reversed_matcher``/``frozen`` are zero-copy views
-    into the mapping: keep the state (or its parser) alive only while
-    the segment is attached.  ``frozen`` is ``None`` for trie-only
-    training segments.
+    ``forward``/``reversed_matcher`` are zero-copy views into the
+    mapping: keep the state (or its parser) alive only while the
+    segment is attached.
     """
 
-    __slots__ = (
-        "epoch", "forward", "reversed_matcher", "frozen", "min_length",
-        "flags",
-    )
+    __slots__ = ("forward", "reversed_matcher", "min_length", "flags")
 
     def __init__(
         self,
-        epoch: int,
         forward: CompiledTrie,
         reversed_matcher: Optional[CompiledTrie],
-        frozen: Optional[FrozenGrammar],
         min_length: int,
         flags: Dict[str, bool],
     ) -> None:
-        self.epoch = epoch
         self.forward = forward
         self.reversed_matcher = reversed_matcher
-        self.frozen = frozen
         self.min_length = min_length
         self.flags = flags
 
     @classmethod
-    def from_parser(
-        cls, parser: FuzzyParser, frozen: Optional[FrozenGrammar] = None
-    ) -> "MaterializedScoringState":
-        """Snapshot ``parser``'s compiled matchers (and ``frozen``).
-
-        The epoch is the frozen grammar's; a trie-only state (training
-        workers parse, they do not score) is stamped epoch 0.
-        """
+    def from_parser(cls, parser: FuzzyParser) -> "MaterializedScoringState":
+        """Snapshot ``parser``'s compiled matchers and configuration."""
         forward, reversed_matcher = parser.ensure_compiled_matchers()
         return cls(
-            frozen.epoch if frozen is not None else 0,
             forward,
             reversed_matcher,
-            frozen,
             parser.trie.min_length,
             parser.flags,
         )
@@ -161,15 +143,6 @@ class MaterializedScoringState:
             self.min_length,
             dict(self.flags),
         )
-
-    def require_frozen(self) -> FrozenGrammar:
-        """The scoring kernel; trie-only states are rejected."""
-        if self.frozen is None:
-            raise ValueError(
-                f"snapshot at epoch {self.epoch} carries no grammar "
-                "tables (trie-only training segment?)"
-            )
-        return self.frozen
 
 
 def _tracker_identity() -> List[int]:
@@ -204,16 +177,14 @@ atexit.register(_cleanup_owned_segments)
 class SharedScoringSegment:
     """Handle on one snapshot segment (owner or attached reader)."""
 
-    __slots__ = ("name", "epoch", "owner_pid", "_shm", "_closed")
+    __slots__ = ("name", "owner_pid", "_shm", "_closed")
 
     def __init__(
         self,
         shm: shared_memory.SharedMemory,
-        epoch: int,
         owner_pid: Optional[int],
     ) -> None:
         self.name = shm.name
-        self.epoch = epoch
         #: pid of the creating process; ``None`` on attached handles.
         self.owner_pid = owner_pid
         self._shm = shm
@@ -225,12 +196,7 @@ class SharedScoringSegment:
     def create(
         cls, state: MaterializedScoringState
     ) -> "SharedScoringSegment":
-        """Pack a scoring snapshot into a fresh shared segment.
-
-        A state without a frozen grammar yields a trie-only segment
-        (the training engine's: workers there parse, they do not
-        score).
-        """
+        """Pack a parser snapshot into a fresh shared segment."""
         trie_meta, trie_sections = state.forward.to_arrays()
         sections: Dict[str, Any] = {
             f"t.{name}": value for name, value in trie_sections.items()
@@ -243,17 +209,9 @@ class SharedScoringSegment:
                 (f"r.{name}", value)
                 for name, value in rev_sections.items()
             )
-        if state.frozen is not None:
-            grammar_meta, grammar_sections = state.frozen.to_tables()
-            parts["g"] = grammar_meta
-            sections.update(
-                (f"g.{name}", value)
-                for name, value in grammar_sections.items()
-            )
         image = pack(
             MAGIC,
             {
-                "epoch": state.epoch,
                 "min_length": state.min_length,
                 "flags": dict(state.flags),
                 "parts": parts,
@@ -273,7 +231,7 @@ class SharedScoringSegment:
             except FileExistsError:  # pragma: no cover - uuid collision
                 continue
         shm.buf[: len(image)] = image
-        segment = cls(shm, state.epoch, owner_pid=os.getpid())
+        segment = cls(shm, owner_pid=os.getpid())
         _OWNED[segment.name] = segment
         telemetry = obs.get()
         if telemetry.enabled:
@@ -303,14 +261,14 @@ class SharedScoringSegment:
                 )
             except (KeyError, ValueError):  # pragma: no cover - quirk
                 pass
-        segment = cls(shm, int(header["epoch"]), owner_pid=None)
+        segment = cls(shm, owner_pid=None)
         telemetry = obs.get()
         if telemetry.enabled:
             telemetry.incr("shm.segment.attached")
         return segment
 
     def materialize(self) -> MaterializedScoringState:
-        """Rebuild the scoring objects over this segment's bytes."""
+        """Rebuild the parser snapshot over this segment's bytes."""
         view = memoryview(self._shm.buf)
         header = read_header(view, MAGIC)
         sections = decode_sections(header, view)
@@ -330,16 +288,9 @@ class SharedScoringSegment:
             if "r" in parts
             else None
         )
-        frozen = (
-            FrozenGrammar.from_tables(parts["g"], part("g"))
-            if "g" in parts
-            else None
-        )
         return MaterializedScoringState(
-            int(header["epoch"]),
             forward,
             reversed_matcher,
-            frozen,
             int(header["min_length"]),
             {str(name): bool(value)
              for name, value in header["flags"].items()},
@@ -392,7 +343,7 @@ class SharedScoringSegment:
 
         Existing mappings in attached processes stay valid until each
         closes; only the name disappears, so late attachers fail fast
-        instead of reading a retired epoch.
+        instead of reading a retired segment.
         """
         _OWNED.pop(self.name, None)
         self.close()
@@ -406,16 +357,13 @@ class SharedScoringSegment:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         role = "owner" if self.owner_pid is not None else "attached"
-        return (
-            f"SharedScoringSegment({self.name!r}, epoch={self.epoch}, "
-            f"{role})"
-        )
+        return f"SharedScoringSegment({self.name!r}, {role})"
 
 
 #: Single-slot per-process attach cache: ``(segment name, handle,
 #: materialized state)``.  Worker initializers re-run on every pool
-#: (re)build with the current segment name; a changed name is an epoch
-#: hot-swap — attach the new segment, drop and close the old one.
+#: (re)build with the current segment name; a changed name is a swap
+#: — attach the new segment, drop and close the old one.
 _ATTACH_CACHE: Optional[
     Tuple[str, SharedScoringSegment, MaterializedScoringState]
 ] = None
@@ -447,7 +395,7 @@ def _worker_attach_state(name: str) -> MaterializedScoringState:
     (the ``_worker_attach*`` prefix is blessed by FPM012 exactly like
     ``_worker_init*``): repeated calls with the same name — respawned
     tasks, batched re-inits — reuse the existing mapping, so only the
-    first call per epoch pays the (millisecond) attach.
+    first call per segment pays the (millisecond) attach.
     """
     global _ATTACH_CACHE
     cached = _ATTACH_CACHE

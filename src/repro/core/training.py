@@ -265,7 +265,7 @@ def _training_pool(
     they do not score) and every worker gets just the segment name;
     the segment is unlinked when the pool winds down.  The pool comes
     from :func:`repro.core.shm.mp_context`, so ``REPRO_START_METHOD``
-    governs training exactly like scoring and serving.
+    picks its start method.
     """
     segment = SharedScoringSegment.create(
         MaterializedScoringState.from_parser(parser)

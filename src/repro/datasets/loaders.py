@@ -24,9 +24,9 @@ Two access regimes share the same line-level semantics:
 Both regimes read the file through one block reader
 (:func:`_read_blocks`), which parses a block of lines with one
 comprehension, so they apply identical filtering (empty lines,
-malformed counted lines, over-length passwords) in identical order: a
-streamed pass sees exactly the entries a ``load_corpus(...).expand()``
-pass would.  A count is ASCII digits only, as ``uniq -c`` writes it; a
+malformed counted lines, zero counts, over-length passwords) in
+identical order: a streamed pass sees exactly the entries a
+``load_corpus(...).expand()`` pass would.  A count is ASCII digits only, as ``uniq -c`` writes it; a
 line whose count is anything else (``² sup``) is malformed and dropped.
 """
 
@@ -58,8 +58,9 @@ def _parse_block(lines: List[str], counted: bool,
                  max_length: int) -> List[Tuple[str, int]]:
     """One block of raw lines as ``(password, count)`` entries.
 
-    Empty lines, malformed counted lines and passwords longer than
-    ``max_length`` are dropped.
+    Empty lines, malformed counted lines, zero counts (as
+    :class:`~repro.datasets.corpus.PasswordCorpus` drops them) and
+    passwords longer than ``max_length`` are dropped.
     """
     if counted:
         return [
@@ -67,7 +68,7 @@ def _parse_block(lines: List[str], counted: bool,
             for line in lines
             for head, _, password in (line.strip().partition(" "),)
             if password and len(password) <= max_length
-            and head.isascii() and head.isdigit()
+            and head.isascii() and head.isdigit() and head.strip("0")
         ]
     return [
         (password, 1)

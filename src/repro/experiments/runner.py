@@ -53,12 +53,6 @@ class ExperimentConfig:
     #: Worker processes for fuzzyPSM's training pass (None = serial);
     #: parallel chunks merge to bit-identical count tables.
     jobs: Optional[int] = None
-    #: Worker processes for bulk scoring (None = serial).  Applied to
-    #: every meter whose registry spec declares
-    #: :attr:`~repro.meters.registry.Capability.PARALLEL_SCORABLE`;
-    #: results are bit-identical to serial scoring, and small batches
-    #: fall back to the serial path automatically.
-    score_jobs: Optional[int] = None
     meters: Tuple[str, ...] = (
         "fuzzyPSM", "PCFG", "Markov", "Zxcvbn", "KeePSM", "NIST",
     )
@@ -151,7 +145,6 @@ def evaluate_meters(meters: Sequence[Meter], test_corpus: PasswordCorpus,
                     metric: Callable = kendall_tau,
                     metric_name: str = "kendall",
                     min_frequency: int = 1,
-                    score_jobs: Optional[int] = None,
                     ) -> Tuple[Tuple[MeterCurve, ...], int]:
     """Top-k correlation curves of every meter against the ideal meter.
 
@@ -159,11 +152,6 @@ def evaluate_meters(meters: Sequence[Meter], test_corpus: PasswordCorpus,
     empirical frequency at least that value; the paper deems the ideal
     meter meaningful only for ``f_pw >= 4`` (Sec. V-D), so the headline
     comparisons use ``min_frequency=4``.
-
-    ``score_jobs`` is forwarded as ``jobs=N`` to meters that declare
-    the parallel-scoring capability (dispatch goes through the
-    registry spec, never through concrete meter types); the other
-    meters score serially as before.
     """
     ideal = IdealMeter(test_corpus.counts())
     passwords = [
@@ -189,16 +177,7 @@ def evaluate_meters(meters: Sequence[Meter], test_corpus: PasswordCorpus,
         # suite's scoring-cost mix, the per-kind one names the meter.
         with telemetry.timer("experiment.score.seconds"), \
                 telemetry.timer(f"experiment.score.{kind}.seconds"):
-            if (
-                score_jobs is not None
-                and spec is not None
-                and spec.has(registry.Capability.PARALLEL_SCORABLE)
-            ):
-                meter_scores = meter.probability_many(
-                    passwords, jobs=score_jobs
-                )
-            else:
-                meter_scores = meter.probability_many(passwords)
+            meter_scores = meter.probability_many(passwords)
         points = correlation_curve(
             ideal_scores, meter_scores, ks=ks, metric=metric
         )
@@ -322,7 +301,6 @@ def _run_scenario_stages(
         curves, test_unique = evaluate_meters(
             meters, testing, ks=ks, metric=metric,
             metric_name=metric_name, min_frequency=min_frequency,
-            score_jobs=config.score_jobs,
         )
     return ExperimentResult(
         scenario=scenario,

@@ -37,9 +37,6 @@ The capability protocols name the unified lifecycle verbs
 * :class:`BatchScorable` — ``probability_many``/``entropy_many``
   (every :class:`~repro.meters.base.Meter` satisfies this through the
   base-class loop; trained meters override it with vectorised paths);
-* :class:`ParallelScorable` — the bulk path additionally accepts
-  ``jobs=N`` and may fan chunks to a process pool (the registration
-  check verifies the methods really take a ``jobs`` parameter);
 * :class:`Persistable` — ``to_dict``/``from_dict`` snapshots.
 
 Dispatching on concrete meter classes or kind string literals outside
@@ -51,7 +48,6 @@ blessed mechanism.
 from __future__ import annotations
 
 import enum
-import inspect
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -87,9 +83,6 @@ class Capability(enum.Enum):
     UPDATABLE = "updatable"
     #: ``probability_many``/``entropy_many`` bulk scoring.
     BATCH_SCORABLE = "batch-scorable"
-    #: Bulk scoring accepts ``jobs=N`` and can fan work across a
-    #: process pool (DESIGN.md §11).
-    PARALLEL_SCORABLE = "parallel-scorable"
     #: ``to_dict``/``from_dict`` snapshot round-trips.
     PERSISTABLE = "persistable"
     #: ``to_buffers``/``from_buffers`` flat-column snapshots — the
@@ -125,29 +118,6 @@ class BatchScorable(Protocol):
         ...
 
     def entropy_many(self, passwords: Iterable[str]) -> List[float]:
-        ...
-
-
-@runtime_checkable
-class ParallelScorable(Protocol):
-    """A batch-scorable meter whose bulk path can use worker processes.
-
-    The ``jobs`` keyword is the whole contract: ``jobs=N`` may fan the
-    batch out to ``N`` processes, and results must stay bit-identical
-    to the serial path (parallelism is an execution strategy, never a
-    semantics change).  Implementations are free to fall back to
-    serial scoring when the batch is too small to amortise pool
-    start-up.
-    """
-
-    def probability_many(
-        self, passwords: Iterable[str], jobs: Optional[int] = None
-    ) -> List[float]:
-        ...
-
-    def entropy_many(
-        self, passwords: Iterable[str], jobs: Optional[int] = None
-    ) -> List[float]:
         ...
 
 
@@ -196,34 +166,10 @@ _CAPABILITY_METHODS: Dict[Capability, Tuple[str, ...]] = {
     Capability.TRAINABLE: ("train",),
     Capability.UPDATABLE: ("update",),
     Capability.BATCH_SCORABLE: ("probability_many", "entropy_many"),
-    Capability.PARALLEL_SCORABLE: ("probability_many", "entropy_many"),
     Capability.PERSISTABLE: ("to_dict", "from_dict"),
     Capability.BINARY_PERSISTABLE: ("to_buffers", "from_buffers"),
     Capability.STREAM_TRAINABLE: ("train_streaming",),
 }
-
-#: Capabilities whose promised methods must also accept these keyword
-#: parameters (checked via ``inspect.signature`` at registration, so a
-#: meter cannot declare parallel scoring while its batch methods would
-#: reject ``jobs=...`` at call time).
-_CAPABILITY_PARAMETERS: Dict[Capability, Tuple[str, ...]] = {
-    Capability.PARALLEL_SCORABLE: ("jobs",),
-}
-
-
-def _accepts_parameter(method: Any, parameter: str) -> bool:
-    """True when ``method`` can be called with ``parameter=...``."""
-    try:
-        signature = inspect.signature(method)
-    except (TypeError, ValueError):  # pragma: no cover - builtins only
-        return False
-    for param in signature.parameters.values():
-        if param.name == parameter:
-            return True
-        if param.kind is inspect.Parameter.VAR_KEYWORD:
-            return True
-    return False
-
 
 @dataclass(frozen=True)
 class TrainContext:
@@ -336,15 +282,6 @@ def register_meter(
                         f"{capability.value!r} but does not define "
                         f"{method}()"
                     )
-                for parameter in _CAPABILITY_PARAMETERS.get(
-                    capability, ()
-                ):
-                    if not _accepts_parameter(attribute, parameter):
-                        raise ValueError(
-                            f"{cls.__name__} declares capability "
-                            f"{capability.value!r} but {method}() "
-                            f"does not accept {parameter}=..."
-                        )
         doc = (cls.__doc__ or "").strip().splitlines()
         spec = MeterSpec(
             kind=kind,

@@ -810,7 +810,7 @@ METER_FIXTURE = """
         def probability(self, password: str) -> float:
             return 0.0
 
-        def entropy_many(self, passwords, jobs=None):
+        def entropy_many(self, passwords):
             return []
 
 
@@ -818,7 +818,7 @@ METER_FIXTURE = """
         "toyfixture",
         capabilities=(
             Capability.UPDATABLE,
-            Capability.PARALLEL_SCORABLE,
+            Capability.BATCH_SCORABLE,
         ),
     )
     class FixtureMeter(MeterBase):
@@ -830,32 +830,27 @@ METER_FIXTURE = """
 class TestCapabilityConformance:
     """FPM015: declared capabilities must be statically backed."""
 
-    def test_missing_method_and_parameter_are_caught(self, tmp_path):
+    def test_missing_method_is_caught(self, tmp_path):
         # The MRO terminates locally (MeterBase -> object), so the
-        # missing update() is provable; probability_many exists but
-        # lacks the jobs= parameter PARALLEL_SCORABLE requires.
+        # missing update() is provable; the batch methods are defined,
+        # one on the class and one on its base.
         violations = lint_project(
             tmp_path, {"meter.py": METER_FIXTURE}, select=["FPM015"]
         )
-        messages = sorted(v.message for v in violations)
-        assert len(messages) == 2
-        assert any("update" in message for message in messages)
-        assert any("jobs" in message for message in messages)
+        assert [v.rule_id for v in violations] == ["FPM015"]
+        assert "update" in violations[0].message
 
     def test_inherited_methods_satisfy_capabilities(self, tmp_path):
-        # update() on the base class and jobs= on both batch methods:
-        # conformance is resolved over the static MRO, not just the
-        # registered class body.
+        # update() and entropy_many() on the base class: conformance is
+        # resolved over the static MRO, not just the registered class
+        # body.
         fixed = METER_FIXTURE.replace(
-            "def entropy_many(self, passwords, jobs=None):\n"
+            "def entropy_many(self, passwords):\n"
             "            return []",
-            "def entropy_many(self, passwords, jobs=None):\n"
+            "def entropy_many(self, passwords):\n"
             "            return []\n\n"
             "        def update(self, password, count=1):\n"
             "            return None",
-        ).replace(
-            "def probability_many(self, passwords):",
-            "def probability_many(self, passwords, jobs=None):",
         )
         violations = lint_project(
             tmp_path, {"meter.py": fixed}, select=["FPM015"]
@@ -874,10 +869,7 @@ class TestCapabilityConformance:
         violations = lint_project(
             tmp_path, {"meter.py": external}, select=["FPM015"]
         )
-        # Only the provable defect remains: jobs= on a method that is
-        # defined right there.
-        assert [v.rule_id for v in violations] == ["FPM015"]
-        assert "jobs" in violations[0].message
+        assert violations == []
 
 
 class TestIndexBackedDispatch:
@@ -889,7 +881,7 @@ class TestIndexBackedDispatch:
             {
                 "meter.py": METER_FIXTURE.replace(
                     "Capability.UPDATABLE,\n"
-                    "            Capability.PARALLEL_SCORABLE,",
+                    "            Capability.BATCH_SCORABLE,",
                     "Capability.BATCH_SCORABLE,",
                 ),
                 "consumer.py": """

@@ -151,7 +151,7 @@ class TestMeters:
         assert set(self.SEED_KINDS) <= set(listing)
         fuzzy = listing["fuzzypsm"]
         assert fuzzy["capabilities"] == [
-            "batch-scorable", "binary-persistable", "parallel-scorable",
+            "batch-scorable", "binary-persistable",
             "persistable", "stream-trainable", "trainable", "updatable",
         ]
         assert fuzzy["requires_base_dictionary"] is True

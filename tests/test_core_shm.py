@@ -2,10 +2,11 @@
 
 Covers the segment codec round-trip, ownership/lifetime rules, the
 per-process attach cache, the repo-wide start-method policy, and — the
-load-bearing guarantee — score differentials: a reader attached to a
-published segment must score **bit-identically** to the publishing
-meter, in-process and across fork/spawn pool workers alike, including
-after an epoch hot-swap.
+load-bearing guarantee — parse differentials: a reader attached to the
+trie-only segment the training pool publishes must parse
+**byte-identically** to the publishing parser, in-process and across
+fork/spawn pool workers alike, including after a worker swaps to
+another segment.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import textwrap
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.meter import FuzzyPSM
+from repro.core import training
+from repro.core.meter import FuzzyPSM, FuzzyPSMConfig
 from repro.core import shm as shm_module
 from repro.core.shm import (
     SEGMENT_PREFIX,
@@ -54,6 +56,29 @@ PROBE_PASSWORDS = [
 def _train() -> FuzzyPSM:
     """A private meter — segment/update tests must not mutate fixtures."""
     return FuzzyPSM.train(list(BASE_DICTIONARY), list(TRAINING_PASSWORDS))
+
+
+def _publish(meter: FuzzyPSM) -> SharedScoringSegment:
+    """The trie-only segment the training pool publishes for ``meter``."""
+    return SharedScoringSegment.create(
+        MaterializedScoringState.from_parser(meter.parser)
+    )
+
+
+def _scores(meter: FuzzyPSM, parses) -> list:
+    """``parses`` scored through ``meter``'s frozen kernel."""
+    kernel = meter.frozen_grammar().derivation_probability
+    return [kernel(parse) for parse in parses]
+
+
+def _attached_parses(name: str, passwords: list) -> list:
+    """Pool task: parse with the parser published in segment ``name``.
+
+    A worker whose attach cache holds another segment swaps to this
+    one, as a training worker re-initialised with a new name does.
+    """
+    parser = _worker_attach_state(name).build_parser()
+    return [parser.parse_flat(password) for password in passwords]
 
 
 def _segment_files() -> set:
@@ -91,54 +116,31 @@ class TestMpContext:
 class TestSegmentRoundTrip:
     def test_materialized_state_scores_bit_identically(self):
         meter = _train()
-        segment = meter.shared_segment()
+        segment = _publish(meter)
         reader = SharedScoringSegment.attach(segment.name)
         try:
-            state = reader.materialize()
-            assert state.epoch == meter.grammar.epoch
-            parser = state.build_parser()
-            frozen = state.frozen
-            assert frozen is not None
-            for password in PROBE_PASSWORDS:
-                if not password:
-                    continue
-                expected = meter.probability(password)
-                assert frozen.derivation_probability(
-                    parser.parse_flat(password)
-                ) == expected
+            parser = reader.materialize().build_parser()
+            probes = [password for password in PROBE_PASSWORDS if password]
+            parses = [parser.parse_flat(password) for password in probes]
+            assert parses == [
+                meter.parser.parse_flat(password) for password in probes
+            ]
+            assert _scores(meter, parses) == [
+                meter.probability(password) for password in probes
+            ]
+            del parser
         finally:
             reader.close()
-
-    def test_segment_is_cached_per_epoch_and_named(self):
-        meter = _train()
-        segment = meter.shared_segment()
-        assert segment.name.startswith(SEGMENT_PREFIX)
-        assert segment.owner_pid == os.getpid()
-        assert segment.size >= 8
-        assert meter.shared_segment() is segment  # epoch unchanged
-
-    def test_update_publishes_new_epoch_and_unlinks_old(self):
-        meter = _train()
-        old = meter.shared_segment()
-        meter.update("zebra42!", 50)
-        new = meter.shared_segment()
-        assert new is not old
-        assert new.epoch == old.epoch + 1
-        # The retired name is gone: late attachers fail fast.
-        with pytest.raises(FileNotFoundError):
-            SharedScoringSegment.attach(old.name)
-        new.unlink()
+            segment.unlink()
 
     def test_trie_only_segment_has_no_grammar(self):
         meter = _train()
-        segment = SharedScoringSegment.create(
-            MaterializedScoringState.from_parser(meter.parser)
-        )
+        segment = _publish(meter)
         try:
             state = segment.materialize()
-            assert state.frozen is None
+            assert not hasattr(state, "frozen")
             assert state.forward is not None
-            # Parsing still works — training workers only parse.
+            # Parsing works — training workers only parse.
             parsed = state.build_parser().parse("password123")
             assert parsed.to_derivation() == meter.parse(
                 "password123"
@@ -149,29 +151,27 @@ class TestSegmentRoundTrip:
 
 class TestLifetime:
     def test_unlink_removes_dev_shm_entry(self):
-        meter = _train()
-        segment = meter.shared_segment()
+        segment = _publish(_train())
         if os.path.isdir("/dev/shm"):
             assert segment.name in _segment_files()
-        meter._shared_segment = None  # drop the meter's cache
         segment.unlink()
         assert segment.name not in _segment_files()
         assert segment.name not in shm_module._OWNED
+        # The retired name is gone: late attachers fail fast.
+        with pytest.raises(FileNotFoundError):
+            SharedScoringSegment.attach(segment.name)
 
     def test_unlink_and_close_are_idempotent(self):
-        meter = _train()
-        segment = meter.shared_segment()
-        meter._shared_segment = None
+        segment = _publish(_train())
         segment.unlink()
         segment.unlink()
         segment.close()
 
     def test_attached_mapping_survives_owner_unlink(self):
         meter = _train()
-        segment = meter.shared_segment()
+        segment = _publish(meter)
         reader = SharedScoringSegment.attach(segment.name)
         state = reader.materialize()
-        meter._shared_segment = None
         segment.unlink()
         # The name is gone but the existing mapping stays valid.
         assert state.build_parser().parse("password").to_derivation() \
@@ -180,35 +180,40 @@ class TestLifetime:
         reader.close()
 
     def test_create_registers_ownership(self):
-        meter = _train()
-        segment = meter.shared_segment()
+        segment = _publish(_train())
+        assert segment.name.startswith(SEGMENT_PREFIX)
+        assert segment.owner_pid == os.getpid()
+        assert segment.size >= 8
         assert shm_module._OWNED.get(segment.name) is segment
-        meter._shared_segment = None
         segment.unlink()
 
 
 class TestAttachCache:
     def test_same_name_reuses_the_cached_state(self):
-        meter = _train()
-        segment = meter.shared_segment()
-        first = _worker_attach_state(segment.name)
-        second = _worker_attach_state(segment.name)
-        assert second is first
+        segment = _publish(_train())
+        try:
+            first = _worker_attach_state(segment.name)
+            second = _worker_attach_state(segment.name)
+            assert second is first
+        finally:
+            segment.unlink()
 
     def test_new_name_swaps_the_cache(self):
-        meter = _train()
-        old_state = _worker_attach_state(meter.shared_segment().name)
-        meter.update("zebra42!", 50)
-        new_segment = meter.shared_segment()
-        new_state = _worker_attach_state(new_segment.name)
-        assert new_state is not old_state
-        assert new_state.epoch == old_state.epoch + 1
-        cached = shm_module._ATTACH_CACHE
-        assert cached is not None and cached[0] == new_segment.name
+        old_segment = _publish(_train())
+        new_segment = _publish(_train())
+        try:
+            old_state = _worker_attach_state(old_segment.name)
+            new_state = _worker_attach_state(new_segment.name)
+            assert new_state is not old_state
+            cached = shm_module._ATTACH_CACHE
+            assert cached is not None and cached[0] == new_segment.name
+        finally:
+            old_segment.unlink()
+            new_segment.unlink()
 
 
 class TestScoreDifferential:
-    """Published segment == publishing meter, bit for bit."""
+    """Attached parser == publishing parser, byte for byte."""
 
     @given(st.lists(
         st.sampled_from(PROBE_PASSWORDS), min_size=1, max_size=12,
@@ -218,55 +223,86 @@ class TestScoreDifferential:
         meter = getattr(self, "_meter", None)
         if meter is None:
             meter = self._meter = _train()
-        state = _worker_attach_state(meter.shared_segment().name)
-        parser = state.build_parser()
-        frozen = state.frozen
+            self._segment = _publish(meter)
+        parser = _worker_attach_state(self._segment.name).build_parser()
         for password in stream:
-            expected = meter.probability(password)
             if not password:
-                assert expected == 0.0
                 continue
-            assert frozen.derivation_probability(
-                parser.parse_flat(password)
-            ) == expected
+            parse = parser.parse_flat(password)
+            assert parse == meter.parser.parse_flat(password)
+            assert _scores(meter, [parse]) == [meter.probability(password)]
 
     @pytest.mark.parametrize("method", START_METHODS)
     def test_pool_scores_match_serial_including_hot_swap(
         self, method, monkeypatch
     ):
+        # Training workers attach a segment by name and parse.  The
+        # parent scores what they parsed, which must equal its serial
+        # batch; then the same workers swap to a second meter's
+        # segment, whose parser flags differ, and must match it too.
         monkeypatch.setenv(START_METHOD_ENV, method)
-        meter = _train()
-        stream = PROBE_PASSWORDS * 3
-        serial = meter.probability_many(stream)
-        parallel = meter.probability_many(
-            stream, jobs=2, parallel_threshold=1
-        )
-        assert parallel == serial
-        # Epoch hot-swap: the update republishes; a fresh pool attaches
-        # the new segment and must match the updated meter exactly.
-        meter.update("zebra42!", 50)
-        swapped_serial = meter.probability_many(stream)
-        assert swapped_serial != serial
-        swapped_parallel = meter.probability_many(
-            stream, jobs=2, parallel_threshold=1
-        )
-        assert swapped_parallel == swapped_serial
-        meter.shared_segment().unlink()
-        meter._shared_segment = None
+        meters = [
+            _train(),
+            FuzzyPSM.train(
+                list(BASE_DICTIONARY), list(TRAINING_PASSWORDS),
+                FuzzyPSMConfig(allow_reverse=True, allow_allcaps=True),
+            ),
+        ]
+        stream = [password for password in PROBE_PASSWORDS if password]
+        stream += [password[::-1].upper() for password in stream]
+        segments = [_publish(meter) for meter in meters]
+        try:
+            with mp_context().Pool(
+                processes=2,
+                initializer=training._worker_init_shared,
+                initargs=(segments[0].name,),
+            ) as pool:
+                for meter, segment in zip(meters, segments):
+                    halves = pool.starmap(_attached_parses, [
+                        (segment.name, stream[:len(stream) // 2]),
+                        (segment.name, stream[len(stream) // 2:]),
+                    ])
+                    parses = [parse for half in halves for parse in half]
+                    assert parses == [
+                        meter.parser.parse_flat(password)
+                        for password in stream
+                    ]
+                    assert _scores(meter, parses) == \
+                        meter.probability_many(stream)
+            assert _scores(meters[0], parses) != \
+                meters[0].probability_many(stream)
+        finally:
+            for segment in segments:
+                segment.unlink()
 
 
-#: Trains a meter, scores through a ``jobs=2`` pool, prints the
-#: meter's segment name and dies by SIGKILL, before any ``atexit``.
+#: Publishes a trie-only segment the way the training pool does, runs
+#: a spawn pool of training workers that attach it, prints the segment
+#: name and dies by SIGKILL before unlinking it, and before any
+#: ``atexit``.
 _KILLED_OWNER = textwrap.dedent("""
     import os
     import signal
+    from repro.core import training
     from repro.core.meter import FuzzyPSM
+    from repro.core.shm import (
+        MaterializedScoringState, SharedScoringSegment, mp_context,
+    )
 
     meter = FuzzyPSM.train(["password", "dragon", "monkey"],
                            ["password1", "dragon99", "Monkey!"])
-    meter.probability_many([f"pass{n}word" for n in range(40)],
-                           jobs=2, parallel_threshold=1)
-    print(meter.shared_segment().name, flush=True)
+    segment = SharedScoringSegment.create(
+        MaterializedScoringState.from_parser(meter.parser)
+    )
+    with mp_context().Pool(
+        processes=2,
+        initializer=training._worker_init_shared,
+        initargs=(segment.name,),
+    ) as pool:
+        deltas = pool.map(training._delta_slice,
+                          [[(f"pass{n}word", 1)] for n in range(40)])
+    assert len(deltas) == 40
+    print(segment.name, flush=True)
     os.kill(os.getpid(), signal.SIGKILL)
 """)
 

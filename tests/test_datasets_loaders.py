@@ -151,6 +151,44 @@ class TestNonAsciiCounts:
         ]
 
 
+class TestZeroCounts:
+    """A ``0 password`` line is dropped by both reading regimes.
+
+    :class:`PasswordCorpus` drops zero counts, so the in-memory path
+    always trained past them; the streaming reader must drop them too,
+    or streamed training rejects the count it was handed.
+    """
+
+    LINES = "3 password1\n0 dragon\n2 monkey12\n"
+
+    @pytest.fixture()
+    def path(self, tmp_path):
+        path = tmp_path / "counted.txt"
+        path.write_text(self.LINES, encoding="utf-8")
+        return str(path)
+
+    def test_streams_yield_no_zero_count(self, path):
+        expected = [("password1", 3), ("monkey12", 2)]
+        assert list(iter_password_entries(path)) == expected
+        assert list(stream_corpus_chunks(path, chunk_size=10)) == [expected]
+        assert dict(load_corpus(path).items()) == dict(expected)
+
+    def test_streamed_training_equals_in_memory_byte_for_byte(
+        self, path, tmp_path
+    ):
+        from repro.cli import main
+
+        base = tmp_path / "base.txt"
+        base.write_text("password\ndragon\nmonkey\n", encoding="utf-8")
+        outputs = []
+        for extra in ([], ["--stream-chunk", "10"]):
+            output = tmp_path / f"model{len(outputs)}.json"
+            assert main(["train", "--training", path, "--base", str(base),
+                         "--output", str(output), *extra]) == 0
+            outputs.append(output.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 class TestStreamingEntries:
     """iter_password_entries / stream_corpus_chunks: the out-of-core path."""
 

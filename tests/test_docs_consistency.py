@@ -26,7 +26,9 @@ REMOVED_NAMES = (
     "use_compiled_trie", "--no-compile", "ServingSnapshot",
     "SnapshotScorer", "FuzzyPSM.accept", "--workers", "WorkerPool",
     "WorkerCrash", "supervisor_interval", "from_snapshot",
-    "parse_cached", "parse_flat_cached",
+    "parse_cached", "parse_flat_cached", "--score-jobs", "shared_segment",
+    "PARALLEL_SCORABLE", "parallel-scorable", "PARALLEL_MIN_DISTINCT",
+    "from_tables",
 )
 
 
@@ -77,7 +79,7 @@ def test_serve_speedup_matches_the_bench(document):
 
 
 #: ``(bench entry, key, quote pattern, documents)`` of the speed-ups
-#: the documents quote by entry name.
+#: and latencies the documents quote by entry name.
 RATIO_QUOTES = [
     ("parse_compiled_vs_pointer", "ratio",
      r"`+parse_compiled_vs_pointer`+:\s+([\d.]+)(?:\u00d7|x)",
@@ -91,6 +93,9 @@ RATIO_QUOTES = [
     ("frozen_kernel", "speedup",
      r"`+frozen_kernel`+:\s+([\d.]+)(?:\u00d7|x)",
      ("EXPERIMENTS.md",)),
+    ("snapshot_attach", "attach_median_ms",
+     r"`+snapshot_attach`+:\s+cold\s+attach\s+([\d.]+)\s+ms",
+     ("DESIGN.md", "EXPERIMENTS.md")),
 ] + [
     # "`training_streaming_parallel`: in-memory 12.9 s, streamed 4.8 s,
     # `jobs=2` 2.9 s (4.52x)": one pattern per quoted figure.

@@ -43,7 +43,7 @@ class TestCatalogue:
     def test_fuzzypsm_declares_full_lifecycle(self):
         spec = registry.get_spec("fuzzypsm")
         assert spec.capability_names() == [
-            "batch-scorable", "binary-persistable", "parallel-scorable",
+            "batch-scorable", "binary-persistable",
             "persistable", "stream-trainable", "trainable", "updatable",
         ]
         assert spec.requires_base_dictionary

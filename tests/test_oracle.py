@@ -9,8 +9,6 @@ generated corpora, before and after the update phase:
 * ``probability_many`` (the batch loop over the score memo and the
   frozen kernel);
 * per-call ``probability``;
-* ``score_many`` in a reader that attaches a published
-  :class:`SharedScoringSegment` by name;
 * the probability the attack engine reports for its first guesses;
 * HTTP ``/check``, over a fixed input list through one server.
 
@@ -27,8 +25,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.core.meter import FuzzyPSM, FuzzyPSMConfig, score_many  # noqa: E402
-from repro.core.shm import SharedScoringSegment  # noqa: E402
+from repro.core.meter import FuzzyPSM, FuzzyPSMConfig  # noqa: E402
 from repro.serve import ServeConfig  # noqa: E402
 
 from tests.conftest import TRAINING_PASSWORDS, reference_scores  # noqa: E402
@@ -69,18 +66,6 @@ def assert_every_path_is_the_reference(meter: FuzzyPSM, probes) -> None:
     assert meter.probability_many(probes) == expected
     assert [meter.probability(password) for password in probes] \
         == expected
-    segment = SharedScoringSegment.create(meter.scoring_state())
-    reader = SharedScoringSegment.attach(segment.name)
-    try:
-        state = reader.materialize()
-        attached = score_many(
-            state.build_parser(), state.require_frozen(), probes
-        )
-        del state
-    finally:
-        reader.close()
-        segment.unlink()
-    assert attached == expected
     grammar = meter.grammar
     for _surface, probability, derivation in \
             meter.attack_engine().derivations(limit=GUESSES):

@@ -7,6 +7,7 @@ import pytest
 from repro.core import FuzzyPSM
 from repro.meters.markov import MarkovMeter, Smoothing
 from repro.meters.pcfg import PCFGMeter
+from repro.meters.registry import MeterSpec
 from repro.persistence import (
     load_meter,
     meter_from_dict,
@@ -129,7 +130,7 @@ class TestDocumentFormat:
 
     def test_envelope_carries_capability_list(self, fuzzy, pcfg):
         assert meter_to_dict(fuzzy)["capabilities"] == [
-            "batch-scorable", "binary-persistable", "parallel-scorable",
+            "batch-scorable", "binary-persistable",
             "persistable", "stream-trainable", "trainable", "updatable",
         ]
         assert meter_to_dict(pcfg)["capabilities"] == [
@@ -162,20 +163,33 @@ class TestDeterministicBytes:
 
 
 class TestModelsSavedByEarlierVersions:
-    """Model files written while the trie matcher was still an option.
+    """Model files written by earlier versions.
 
     Earlier versions saved ``use_compiled_trie`` in every fuzzyPSM
     config, JSON and FPSMBIN1 alike: ``true`` by default, ``false``
-    from ``repro train --no-compile``.  The option is gone; such files
-    must still load, score bit-identically to the same meter saved by
-    the current code, and re-save without the key.
+    from ``repro train --no-compile``.  Later ones listed the retired
+    ``parallel-scorable`` capability in every fuzzyPSM envelope.  Such
+    files must still load, score bit-identically to the same meter
+    saved by the current code, and re-save as the current code saves.
     """
 
     PROBES = PROBES + ["", "Dragon1", "p@ssword123", "letmein!!", "x"]
 
     @staticmethod
     def _save_as_before(monkeypatch, value):
-        """Make saves write the retired key, exactly where it was."""
+        """Make saves write what an earlier version wrote; return its mark.
+
+        ``True``/``False`` write the retired config key exactly where
+        it was; ``"parallel-scorable"`` adds the retired capability to
+        the envelope's sorted list.
+        """
+        if value == "parallel-scorable":
+            names = MeterSpec.capability_names
+            monkeypatch.setattr(
+                MeterSpec, "capability_names",
+                lambda spec: sorted([*names(spec), value]),
+            )
+            return b'"parallel-scorable"'
         to_dict, to_buffers = FuzzyPSM.to_dict, FuzzyPSM.to_buffers
 
         def legacy_dict(self):
@@ -190,8 +204,9 @@ class TestModelsSavedByEarlierVersions:
 
         monkeypatch.setattr(FuzzyPSM, "to_dict", legacy_dict)
         monkeypatch.setattr(FuzzyPSM, "to_buffers", legacy_buffers)
+        return b"use_compiled_trie"
 
-    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("value", [True, False, "parallel-scorable"])
     @pytest.mark.parametrize("fmt", ["json", "binary"])
     def test_loads_scores_identically_and_resaves_without_key(
         self, fuzzy, tmp_path, monkeypatch, fmt, value
@@ -200,9 +215,9 @@ class TestModelsSavedByEarlierVersions:
         save_meter(fuzzy, str(current), fmt=fmt)
         legacy = tmp_path / "legacy"
         with monkeypatch.context() as patch:
-            self._save_as_before(patch, value)
+            mark = self._save_as_before(patch, value)
             save_meter(fuzzy, str(legacy), fmt=fmt)
-        assert b"use_compiled_trie" in legacy.read_bytes()
+        assert mark in legacy.read_bytes()
 
         old, new = load_meter(str(legacy)), load_meter(str(current))
         assert old.config == new.config
@@ -213,7 +228,7 @@ class TestModelsSavedByEarlierVersions:
 
         resaved = tmp_path / "resaved"
         save_meter(old, str(resaved), fmt=fmt)
-        assert b"use_compiled_trie" not in resaved.read_bytes()
+        assert mark not in resaved.read_bytes()
         assert resaved.read_bytes() == current.read_bytes()
 
 

@@ -1,12 +1,12 @@
-"""Differential tests for the two-layer scoring engine (ISSUE 5).
+"""Differential tests for the frozen scoring kernel.
 
-Layer 1 is the :class:`~repro.core.frozen.FrozenGrammar` kernel: a
-compiled snapshot of the fuzzy grammar's count tables that must score
-every derivation **bit-identically** to
-:meth:`FuzzyGrammar.derivation_probability` — it is an execution
-strategy, not a model change.  Layer 2 is process-parallel
-``probability_many(jobs=N)``, which must reassemble worker results
-into exactly the serial answer.
+:class:`~repro.core.frozen.FrozenGrammar` is a compiled snapshot of
+the fuzzy grammar's count tables that must score every derivation
+**bit-identically** to :meth:`FuzzyGrammar.derivation_probability` — it
+is an execution strategy, not a model change.  The suite pits the
+kernel, its refresh after an update, the batch path
+(``probability_many``) and the NIST/KeePSM batch overrides against
+their references.
 
 As in :mod:`tests.test_differential_parsing`, the fast paths are pit
 against their references on generated inputs with
@@ -22,7 +22,6 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from repro.core import meter as meter_module  # noqa: E402
 from repro.core.frozen import FrozenGrammar, freeze  # noqa: E402
 from repro.core.meter import FuzzyPSM, FuzzyPSMConfig  # noqa: E402
 from repro.meters.keepsm import KeePSMMeter  # noqa: E402
@@ -39,14 +38,6 @@ DETERMINISTIC = settings(max_examples=150, deadline=None,
                          derandomize=True)
 
 _METER = FuzzyPSM.train(BASE_DICTIONARY, TRAINING_PASSWORDS)
-
-#: A fixed stream with duplicates, the empty string, transformed and
-#: unparseable passwords — the shapes the engine special-cases.
-FIXED_STREAM = [
-    "password1", "password1", "Dr@gon99", "", "xyz123",
-    "P@ssword", "dragon", "DRAGON99", "nogard", "password1",
-    "monkey!", "m0nkey", "qqqqqq", "love2016", "evol",
-] * 4
 
 
 class TestFrozenKernel:
@@ -153,12 +144,26 @@ _UPDATE_KINDS = frozenset({
 })
 
 
-def _table_bytes(frozen):
-    """``to_tables()`` with every column as comparable bytes."""
-    meta, sections = frozen.to_tables()
-    return meta, {
-        name: column.tobytes() if isinstance(column, array) else column
-        for name, column in sections.items()
+def _tables(frozen):
+    """Every compiled table of ``frozen`` as comparable values.
+
+    Dict items keep intern order, and probability columns compare as
+    bytes, so two snapshots are equal only when built alike bit for
+    bit.
+    """
+    terminals = {}
+    for length in frozen.terminal_lengths():
+        index, probabilities, runs = frozen.terminal_table(length)
+        terminals[length] = (
+            list(index.items()), array("d", probabilities).tobytes(), runs,
+        )
+    return {
+        "structures": list(frozen.structure_table().items()),
+        "terminals": terminals,
+        "capitalization": frozen.capitalization_pair,
+        "reverse": frozen.reverse_pair,
+        "allcaps": frozen.allcaps_pair,
+        "leet": frozen.leet_pairs,
     }
 
 
@@ -215,7 +220,7 @@ def _replay_updates(corpus, updates):
     def remember(frozen):
         scores = [frozen.derivation_probability(parses[password].flat)
                   for password in probes]
-        history.append((frozen, _table_bytes(frozen), scores))
+        history.append((frozen, _tables(frozen), scores))
 
     def apply(password, count):
         parsed = parses.setdefault(password, meter.parse(password))
@@ -225,19 +230,19 @@ def _replay_updates(corpus, updates):
         kinds.update(_update_kinds(grammar, derivation, count))
         meter.update(password, count)
         refreshed = meter.frozen_grammar()
-        full_meta, full = _table_bytes(FrozenGrammar(grammar))
-        meta, sections = _table_bytes(refreshed)
-        assert meta == full_meta
-        assert sections.keys() == full.keys()
-        for name, column in full.items():
-            assert sections[name] == column, name
+        full = _tables(FrozenGrammar(grammar))
+        tables = _tables(refreshed)
+        assert refreshed.epoch == grammar.epoch
+        assert tables.keys() == full.keys()
+        for name, table in full.items():
+            assert tables[name] == table, name
         for password in probes:
             assert refreshed.derivation_probability(parses[password].flat) \
                 == grammar.derivation_probability(
                     parses[password].to_derivation()
                 )
-        for frozen, table_bytes, scores in history:
-            assert _table_bytes(frozen) == table_bytes
+        for frozen, old_tables, scores in history:
+            assert _tables(frozen) == old_tables
             assert [frozen.derivation_probability(parses[password].flat)
                     for password in probes[:len(scores)]] == scores
         remember(refreshed)
@@ -299,87 +304,9 @@ class TestFrozenRefresh:
         assert index is stale_index and runs is stale_runs
         assert probabilities is not stale_probabilities
 
-    def test_attached_snapshot_seeds_a_full_build(self):
-        meter = FuzzyPSM.train(BASE_DICTIONARY, TRAINING_PASSWORDS)
-        attached = FrozenGrammar.from_tables(
-            *meter.frozen_grammar().to_tables()
-        )
-        meter.update("zebra42!")
-        with obs.session() as telemetry:
-            rebuilt = FrozenGrammar(meter.grammar, attached)
-            counters = telemetry.snapshot()["counters"]
-        assert counters["meter.frozen.tables.reused"] == 0
-        assert counters["meter.frozen.tables.rebuilt"] == \
-            len(meter.grammar.terminals)
-        assert _table_bytes(rebuilt) == \
-            _table_bytes(FrozenGrammar(meter.grammar))
-
 
 class TestParallelScoring:
-    def test_jobs2_equals_serial_equals_per_call(self):
-        per_call = [_METER.probability(pw) for pw in FIXED_STREAM]
-        serial = _METER.probability_many(FIXED_STREAM)
-        parallel = _METER.probability_many(
-            FIXED_STREAM, jobs=2, parallel_threshold=1
-        )
-        assert parallel == serial == per_call
-
-    def test_entropy_many_jobs_equals_per_call(self):
-        parallel = _METER.entropy_many(
-            FIXED_STREAM, jobs=2, parallel_threshold=1
-        )
-        assert parallel == [_METER.entropy(pw) for pw in FIXED_STREAM]
-
-    def test_below_threshold_falls_back_to_serial(self):
-        with obs.session() as telemetry:
-            scores = _METER.probability_many(FIXED_STREAM, jobs=4)
-            counters = telemetry.snapshot()["counters"]
-        assert scores == [_METER.probability(pw) for pw in FIXED_STREAM]
-        # The distinct count is far below PARALLEL_MIN_DISTINCT, so no
-        # pool was spun up and the fallback counter recorded why.
-        assert counters["meter.parallel.fallback.serial"] == 1
-        assert counters["meter.batch.calls"] == 1
-        assert "meter.parallel.calls" not in counters
-
-    def test_parallel_records_telemetry(self):
-        with obs.session() as telemetry:
-            _METER.probability_many(
-                FIXED_STREAM, jobs=2, parallel_threshold=1
-            )
-            counters = telemetry.snapshot()["counters"]
-        assert counters["meter.parallel.calls"] == 1
-        assert counters["meter.parallel.scores"] == len(FIXED_STREAM)
-        assert counters["meter.parallel.distinct"] == \
-            len(set(FIXED_STREAM))
-
-    def test_small_distinct_jobs2_is_not_catastrophic(self):
-        """Regression: jobs=2 at small distinct counts stays sane.
-
-        Before the snapshot plane (DESIGN.md §16) every pool start-up
-        pickled the compiled matchers and frozen grammar into each
-        worker, so small batches under ``jobs=2`` could lose to serial
-        by orders of magnitude — which is why the old parallel cutoff
-        sat at 50k distinct.  Workers now attach to a named shared
-        segment, so even a forced-parallel small batch must stay
-        within a (generous, absolute) budget of the serial run: the
-        bound catches a return of the broadcast tax, not scheduler
-        jitter.
-        """
-        from repro.obs.core import now
-
-        stream = [f"pw{i}x!" for i in range(2_100)]  # just above cutoff
-        _METER.probability_many(stream[:1])  # warm caches/snapshot
-        start = now()
-        serial = _METER.probability_many(stream)
-        serial_seconds = now() - start
-        start = now()
-        parallel = _METER.probability_many(stream, jobs=2)
-        parallel_seconds = now() - start
-        assert parallel == serial
-        assert parallel_seconds <= max(2.0, serial_seconds * 25), (
-            f"jobs=2 took {parallel_seconds:.3f}s vs serial "
-            f"{serial_seconds:.3f}s on {len(stream)} distinct"
-        )
+    """The batch path (``probability_many``) against per-call scoring."""
 
     @given(batch=st.lists(PASSWORDS, max_size=20))
     @DETERMINISTIC
@@ -388,31 +315,6 @@ class TestParallelScoring:
         # kernel; the per-call path goes through the dict kernel.
         assert _METER.probability_many(batch) == \
             [_METER.probability(pw) for pw in batch]
-
-
-class TestWorkerFunctions:
-    """The pool worker, driven in-process for coverage and precision."""
-
-    def teardown_method(self):
-        meter_module._SCORE_PARSER = None
-        meter_module._SCORE_FROZEN = None
-
-    def _init_worker(self, meter):
-        # The worker initializer only ever sees a segment *name*; the
-        # in-process call exercises the same attach + materialize path
-        # a pool worker runs (via the shm attach cache).
-        meter_module._worker_init_shared(meter.shared_segment().name)
-
-    def test_chunk_scores_match_the_meter(self):
-        self._init_worker(_METER)
-        chunk = sorted(set(FIXED_STREAM))
-        values, seconds = meter_module._score_chunk(chunk)
-        assert values == [_METER.probability(pw) for pw in chunk]
-        assert seconds >= 0.0
-
-    def test_uninitialised_worker_is_an_error(self):
-        with pytest.raises(AssertionError):
-            meter_module._score_chunk(["password1"])
 
 
 class TestRuleMeterBatchOverrides:

@@ -103,12 +103,11 @@ def test_micro_batched_equals_unbatched(submissions, window, max_batch):
 def test_batched_scores_match_real_meter_exactly():
     """Same differential against the real frozen-kernel scorer."""
     meter = train_serve_meter()
-    state = meter.scoring_state()
-    parser, frozen = state.build_parser(), state.require_frozen()
+    parser, frozen = meter.parser, meter.frozen_grammar()
     expected = {pw: meter.probability(pw) for pw in SERVE_PASSWORDS}
 
     async def backend(batch):
-        return state.epoch, score_many(parser, frozen, batch)
+        return frozen.epoch, score_many(parser, frozen, batch)
 
     async def main():
         batcher = MicroBatcher(backend, window=0.001, max_batch=8)
@@ -122,7 +121,7 @@ def test_batched_scores_match_real_meter_exactly():
                 passwords, results
             ):
                 assert probability == expected[password]
-                assert epoch == state.epoch
+                assert epoch == frozen.epoch
         finally:
             await batcher.stop()
 
