@@ -4,10 +4,11 @@ The streaming trainer (``train_grammar_streaming``) exists for corpora
 that don't fit comfortably in memory: the loader reads the file a
 block of lines at a time and yields bounded ``(password, count)``
 chunks; the trainer sums entries into a first-seen window of at most
-65,536 distinct passwords and parses each password of a full window
-once, with its summed count; and with ``jobs > 1`` each window is cut
-into slices that persistent workers parse, shipping compact
-count-table deltas back instead of pickled grammars.
+65,536 distinct passwords, parses each password of a full window
+once and counts the window's parses in one batch, with their summed
+counts; and with ``jobs > 1`` each window is cut into slices that
+persistent workers parse and count, shipping the plain counts back
+instead of pickled grammars.
 
 This bench trains fuzzyPSM on a ~10^6-entry Zipf-shaped plain corpus
 three ways —
@@ -219,8 +220,8 @@ def test_timing_streaming_training(training_files, capsys):
     )
     # Streaming exists to bound memory: both streamed engines must undercut
     # the in-memory path's high-water mark AND stay inside a fixed budget
-    # at corpus scale (a breach means a chunk, window or delta started
-    # accumulating).
+    # at corpus scale (a breach means a chunk, window or slice's counts
+    # started accumulating).
     for mode in ("streamed_serial", "streamed_parallel"):
         assert results[mode]["rss_kib"] < results["serial"]["rss_kib"], (
             f"{mode} peak RSS {results[mode]['rss_kib']} KiB is not "

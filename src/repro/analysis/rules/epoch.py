@@ -11,13 +11,13 @@ score long after the mutation.
 The index tells the rule which classes are epoch guarded (their
 ``__init__`` assigns ``_epoch`` alongside count tables) so the rule
 generalises beyond ``FuzzyGrammar`` by construction, and resolves
-parameter annotations so out-of-class mutators — e.g.
-``DeltaMerger.apply(grammar: FuzzyGrammar, ...)`` — are held to the
-same bar as methods.  "On every path" is enforced structurally: the
-bump must be an unconditional top-level statement of the mutating
-function; a bump inside an ``if`` earns a violation that has to be
-justified with a suppression explaining why the guarded paths are
-no-ops.
+parameter annotations so out-of-class mutators — a function taking
+``grammar: FuzzyGrammar`` and adding to its tables — are held to the
+same bar as methods such as :meth:`FuzzyGrammar.fold`.  "On every
+path" is enforced structurally: the bump must be an unconditional
+top-level statement of the mutating function; a bump inside an ``if``
+earns a violation that has to be justified with a suppression
+explaining why the guarded paths are no-ops.
 """
 
 from __future__ import annotations

@@ -134,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--stream-chunk", type=int, default=None, metavar="N",
         help="stream the training corpus off disk in chunks of N "
              "entries instead of loading it into memory (stream-"
-             "trainable kinds; combine with --jobs for the parallel "
-             "delta pool)",
+             "trainable kinds; combine with --jobs for the training "
+             "worker pool)",
     )
     train.add_argument(
         "--model-format", choices=["json", "binary"], default="json",
@@ -563,7 +563,7 @@ def _train_streaming(args: argparse.Namespace, spec) -> int:
     """The out-of-core training path behind ``--stream-chunk``.
 
     The corpus is never materialised: chunks stream straight off disk
-    into the trainer (serial, or the parallel delta pool with
+    into the trainer (serial, or the training worker pool with
     ``--jobs``), so peak memory is bounded by the chunk size and the
     trainer's in-flight window.
     """

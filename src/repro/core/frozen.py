@@ -63,7 +63,7 @@ from repro.util.freqdist import FrequencyDistribution
 from repro.util.leet import LEET_RULE_INDEX, LEET_RULE_NAMES
 
 #: Backwards-compatible alias; the index now lives in
-#: :mod:`repro.util.leet` so the training delta builder shares it.
+#: :mod:`repro.util.leet` so the training counters share it.
 _LEET_RULE_INDEX: Dict[str, int] = LEET_RULE_INDEX
 
 #: One ``(No, Yes)`` probability pair, indexed by a rule's fired flag.

@@ -27,7 +27,9 @@ from typing import (
     Any,
     Dict,
     Hashable,
+    Iterable,
     List,
+    NamedTuple,
     Optional,
     Tuple,
     TypeVar,
@@ -50,13 +52,82 @@ Structure = Tuple[int, ...]
 FlatSegment = Tuple[str, bool, Tuple[int, ...], bool, bool, bool]
 
 #: A flat parse: the structure plus one :data:`FlatSegment` per
-#: segment.  It is what the parser produces and caches, and what
-#: :meth:`FuzzyGrammar.observe`, the training delta builder and the
-#: frozen scoring kernel take, so scoring and training build no object
-#: per segment.
+#: segment.  It is what the parser produces, and what
+#: :meth:`FuzzyGrammar.observe`, the batch counter
+#: (:func:`count_parses`) and the frozen scoring kernel take, so
+#: scoring and training build no object per segment.
 FlatParse = Tuple[Structure, Tuple[FlatSegment, ...]]
 
 _T = TypeVar("_T", bound=Hashable)
+
+
+class ParseCounts(NamedTuple):
+    """What a batch of counted flat parses adds to the count tables.
+
+    Built by :func:`count_parses` and added by
+    :meth:`FuzzyGrammar.fold`; plain dicts, ints and tuples, so a
+    training-pool worker returns it to the parent as it is.
+    """
+
+    #: structure -> summed count, in first-seen order.
+    structures: Dict[Structure, int]
+    #: terminal -> summed count, in first-seen order; their sum is the
+    #: weighted segment count, each boolean table's Yes + No.
+    terminals: Dict[str, int]
+    #: Yes counts of the capitalization, reverse and all-caps tables.
+    capitalized: int
+    reversed_words: int
+    all_caps: int
+    #: Per leet rule in :data:`LEET_RULE_NAMES` order: Yes counts, and
+    #: weighted leet characters (Yes + No).
+    leet_yes: Tuple[int, ...]
+    leet_chars: Tuple[int, ...]
+
+
+def count_parses(pairs: Iterable[Tuple[FlatParse, int]]) -> ParseCounts:
+    """Count a batch of ``(flat parse, count)`` pairs in one pass.
+
+    :meth:`FuzzyGrammar.fold` of the result leaves the tables exactly as
+    :meth:`FuzzyGrammar.observe` of every pair in order would: keys in
+    first-seen order, a pair's count added once per structure, segment
+    and leet character.  Leet Yes is counted character by character on
+    segments with toggles only; leet characters once per distinct
+    terminal.  A count below 1 raises before any table changes.
+    """
+    structures: Dict[Structure, int] = {}
+    terminals: Dict[str, int] = {}
+    structure_count = structures.get
+    terminal_count = terminals.get
+    rule_of = LEET_RULE_INDEX.get
+    capitalized_yes = reversed_yes = all_caps_yes = 0
+    leet_yes = [0] * len(LEET_RULE_NAMES)
+    for (structure, segments), count in pairs:
+        if count < 1:
+            raise ValueError(f"parse count must be positive, got {count!r}")
+        structures[structure] = structure_count(structure, 0) + count
+        for base, capitalized, toggled, reversed_word, all_caps, _ in \
+                segments:
+            terminals[base] = terminal_count(base, 0) + count
+            if capitalized:
+                capitalized_yes += count
+            if reversed_word:
+                reversed_yes += count
+            if all_caps:
+                all_caps_yes += count
+            if toggled:
+                for offset, ch in enumerate(base):
+                    rule = rule_of(ch)
+                    if rule is not None and offset in toggled:
+                        leet_yes[rule] += count
+    leet_chars = [0] * len(LEET_RULE_NAMES)
+    for base, count in terminals.items():
+        for ch in base:
+            rule = rule_of(ch)
+            if rule is not None:
+                leet_chars[rule] += count
+    return ParseCounts(structures, terminals, capitalized_yes,
+                       reversed_yes, all_caps_yes, tuple(leet_yes),
+                       tuple(leet_chars))
 
 
 def structure_label(structure: Structure) -> str:
@@ -195,8 +266,8 @@ class FuzzyGrammar:
 
     def __init__(self) -> None:
         #: Mutation counter: bumped by :meth:`observe` and by
-        #: :meth:`repro.core.deltas.DeltaMerger.apply` (the mutation
-        #: verbs of the training/update lifecycle), so derived snapshots
+        #: :meth:`fold` (the mutation verbs of the training/update
+        #: lifecycle), so derived snapshots
         #: — the :class:`~repro.core.frozen.FrozenGrammar` scoring
         #: kernel — can detect staleness lazily instead of being
         #: invalidated eagerly on every accepted password.
@@ -250,6 +321,36 @@ class FuzzyGrammar:
                 rule = LEET_RULE_INDEX.get(ch)
                 if rule is not None:
                     leet[LEET_RULE_NAMES[rule]].add(offset in toggled, count)
+
+    def fold(self, counts: ParseCounts) -> None:
+        """Add one batch's :func:`count_parses` result to the tables.
+
+        Structures and terminals are added in first-seen order, each
+        boolean table as Yes and (total - Yes), with one epoch tick for
+        the batch.  Folding the batches of a pass in order gives the tables
+        :meth:`observe` of every pair gives.
+        """
+        self._epoch += 1
+        (structures, terminals, capitalized, reversed_words, all_caps,
+         leet_yes, leet_chars) = counts
+        for structure, count in structures.items():
+            self.structures.add(structure, count)
+        tables = self.terminals
+        for base, count in terminals.items():
+            table = tables.get(len(base))
+            if table is None:
+                table = tables[len(base)] = FrequencyDistribution()
+            table.add(base, count)
+        segments = sum(terminals.values())
+        for dist, yes in ((self.capitalization, capitalized),
+                          (self.reverse, reversed_words),
+                          (self.allcaps, all_caps)):
+            dist.add(True, yes)
+            dist.add(False, segments - yes)
+        for name, yes, chars in zip(LEET_RULE_NAMES, leet_yes, leet_chars):
+            dist = self.leet[name]
+            dist.add(True, yes)
+            dist.add(False, chars - yes)
 
     def __eq__(self, other: object) -> bool:
         """True when every count table is identical."""

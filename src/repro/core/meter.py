@@ -43,6 +43,7 @@ from repro.core.training import (
     DEFAULT_TRAIN_WINDOW,
     PasswordEntry,
     build_base_trie,
+    is_count,
     train_grammar,
     train_grammar_streaming,
 )
@@ -478,10 +479,10 @@ class FuzzyPSM(ProbabilisticMeter):
         """
         if not password:
             raise ValueError("cannot accept an empty password")
-        if count <= 0:
+        if not is_count(count):
             raise ValueError(
-                f"accept count for {password!r} must be positive, "
-                f"got {count!r}"
+                f"accept count for {password!r} must be a positive "
+                f"integer, got {count!r}"
             )
         with parse_tally() as tally:
             parse = self._parser.parse_flat(password, tally)

@@ -13,9 +13,10 @@ deterministic procedure:
 
 The parse is produced *flat*: the structure plus one plain tuple per
 segment (:data:`~repro.core.grammar.FlatParse`).  That is what the
-frozen scoring kernel, :meth:`FuzzyGrammar.observe` and the training
-pool's delta builder take, and so what scoring and training move
-between parser and kernel: no object per segment.  The public
+frozen scoring kernel, :meth:`FuzzyGrammar.observe` and the batch
+counter :func:`~repro.core.grammar.count_parses` take, and so what
+scoring and training move between parser and kernel: no object per
+segment.  The public
 :meth:`FuzzyParser.parse` wraps a flat parse in a
 :class:`ParsedPassword` for callers that want named fields and
 :meth:`ParsedPassword.to_derivation`.

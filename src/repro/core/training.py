@@ -18,22 +18,27 @@ training engine is built on both facts:
   counted with its summed count.  A Zipf-shaped corpus therefore pays
   one parse per distinct password per window, not one per occurrence,
   and memory is bounded by the window, not the corpus;
+* a window's parses are counted in one batch
+  (:func:`~repro.core.grammar.count_parses`: plain first-seen dicts
+  and integer totals) and folded into the tables in one pass
+  (:meth:`FuzzyGrammar.fold`);
 * with ``jobs > 1`` each full window goes to a persistent worker pool
-  as consecutive ``(password, count)`` slices; workers parse them and
-  return compact :class:`~repro.core.deltas.GrammarDelta` records
-  (interned-index count columns), applied in submission order.
+  as consecutive ``(password, count)`` slices; workers parse and count
+  them and return the plain counts, which the parent folds in
+  submission order.
 
 Both :func:`train_grammar_streaming` (an iterator of bounded chunks,
 see :func:`repro.datasets.loaders.stream_corpus_chunks`) and
 :func:`train_grammar` with ``jobs > 1`` run through this engine.
 :func:`train_grammar` without a pool keeps its own loop,
 :func:`_train_grammar_serial`, which parses every occurrence: it is the
-reference the engine is checked against.  Dict insertion order is
-first-seen order, so counting a window's passwords in table order
-inserts every key of the count tables where the per-occurrence pass
-would, and ``add(key, n) == n x add(key, 1)``: every route produces a
-grammar whose ``to_dict`` is byte-identical to the reference
-(``tests/test_training_streaming.py``).
+reference the engine is checked against, and it counts through
+:meth:`FuzzyGrammar.observe`, the batch counter's oracle.  Dict
+insertion order is first-seen order, so counting a window's passwords
+in table order inserts every key of the count tables where the
+per-occurrence pass would, and ``add(key, n) == n x add(key, 1)``:
+every route produces a grammar whose ``to_dict`` is byte-identical to
+the reference (``tests/test_training_streaming.py``).
 
 Workers are initialised **once** per pool with the parent's compiled
 flat-array matchers (:meth:`FuzzyParser.ensure_compiled_matchers` →
@@ -52,8 +57,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.obs.core import now as _now
-from repro.core.deltas import DeltaBuilder, DeltaMerger, GrammarDelta
-from repro.core.grammar import FuzzyGrammar
+from repro.core.grammar import FuzzyGrammar, ParseCounts, count_parses
 from repro.core.parser import FuzzyParser, parse_tally
 from repro.core.shm import (
     MaterializedScoringState,
@@ -72,13 +76,16 @@ PasswordEntry = Union[str, Tuple[str, int]]
 DEFAULT_TRAIN_WINDOW = 65_536
 
 #: Corpora smaller than this train serially even when ``jobs > 1``.
-#: Worker startup is a fixed cost of high hundreds of milliseconds
-#: (process spawn plus the compiled-matcher broadcast) against a
-#: ~100 us/password serial parse rate, so the break-even sits in the
-#: tens of thousands of entries.  Below the cutoff ``jobs`` degrades to
-#: the serial path and emits ``training.parallel.fallback`` so the
-#: degradation is visible in telemetry; pass ``parallel_threshold`` to
-#: override (tests and tuning).
+#: Worker startup is a fixed cost (process start plus the
+#: compiled-matcher attach): starting and stopping two workers took
+#: 45 ms under fork and 235 ms under spawn on a 2-core host (Python
+#: 3.11.7, a 10,000-word base dictionary), against a serial rate of
+#: about 9 us per distinct password, parse and count, so the pool
+#: needs thousands to tens of thousands of distinct passwords to pay
+#: for itself.  Below the cutoff ``jobs`` degrades to the serial path
+#: and emits ``training.parallel.fallback`` so the degradation is
+#: visible in telemetry; pass ``parallel_threshold`` to override (tests
+#: and tuning).
 PARALLEL_MIN_ENTRIES = 50_000
 
 #: In-flight slices per worker.  Each full window is cut into this many
@@ -99,7 +106,7 @@ def _effective_jobs(jobs: int) -> int:
     """Clamp ``jobs`` to the host's CPU count.
 
     Workers beyond the core count cannot run concurrently — they only
-    add process spawn, slice pickling and delta IPC on top of the same
+    add process spawn, slice pickling and count IPC on top of the same
     serial compute.  A clamp to one worker routes to the serial engine,
     which the caller reports through the ``training.parallel.fallback``
     counter.
@@ -124,16 +131,27 @@ def build_base_trie(base_dictionary: Iterable[str],
     return trie
 
 
-def _invalid_count(password: str, count: int) -> ValueError:
-    """The error for a non-positive training count.
+def is_count(count: object) -> bool:
+    """Whether ``count`` is a valid multiplicity: a positive integer.
 
-    A non-positive count would silently corrupt every table it touches
+    ``bool`` subclasses ``int`` but is no count, and a float count
+    would leave float totals that no model format can hold.
+    """
+    return isinstance(count, int) and not isinstance(count, bool) \
+        and count > 0
+
+
+def _invalid_count(password: str, count: object) -> ValueError:
+    """The error for a training count that :func:`is_count` rejects.
+
+    Such a count would silently corrupt every table it touches
     (:class:`~repro.util.freqdist.FrequencyDistribution` drops zeros and
     rejects negatives only per-table), so it is rejected with the
     offending entry named.
     """
     return ValueError(
-        f"training count for {password!r} must be positive, got {count!r}"
+        f"training count for {password!r} must be a positive integer, "
+        f"got {count!r}"
     )
 
 
@@ -146,7 +164,7 @@ def _iter_entries(
             yield entry, 1
         else:
             password, count = entry
-            if count <= 0:
+            if not is_count(count):
                 raise _invalid_count(password, count)
             yield password, count
 
@@ -188,8 +206,10 @@ class _Window:
                     password, count = entry, 1
                 else:
                     password, count = entry
-                    if count <= 0:
-                        raise _invalid_count(password, count)
+                    # A positive plain int needs no call to is_count.
+                    if count.__class__ is not int or count <= 0:
+                        if not is_count(count):
+                            raise _invalid_count(password, count)
                 if not password:
                     if not self._skip_empty:
                         raise ValueError("cannot train on an empty password")
@@ -210,11 +230,9 @@ class _Window:
             yield table
 
 
-#: Per-worker parser and delta builder, created once by the pool
-#: initialiser so every slice mapped to that worker reuses the same
-#: compiled matcher and intern tables.
+#: Per-worker parser, created once by the pool initialiser so every
+#: slice mapped to that worker reuses the same compiled matcher.
 _WORKER_PARSER: Optional[FuzzyParser] = None
-_WORKER_BUILDER: Optional[DeltaBuilder] = None
 
 
 def _worker_init_shared(segment_name: str) -> None:
@@ -228,30 +246,28 @@ def _worker_init_shared(segment_name: str) -> None:
     trie — or a pickle.  Per-process setup cost is therefore flat in
     the base dictionary's size under ``fork`` and ``spawn`` alike.
     """
-    global _WORKER_PARSER, _WORKER_BUILDER
+    global _WORKER_PARSER
     state = _worker_attach_state(segment_name)
     _WORKER_PARSER = state.build_parser()
-    _WORKER_BUILDER = DeltaBuilder(worker_id=os.getpid())
 
 
-def _delta_slice(items: List[Tuple[str, int]]) -> GrammarDelta:
-    """Parse one slice of distinct ``(password, count)`` pairs.
+def _count_slice(
+    items: List[Tuple[str, int]],
+) -> Tuple[ParseCounts, float]:
+    """Parse and count one slice of distinct ``(password, count)`` pairs.
 
-    The delta carries the worker-side parse seconds home: the parent's
-    telemetry backend cannot see into pool processes, so each slice
-    ships its own timing for the ``train.chunk.seconds`` histogram.
+    Returns the slice's :class:`~repro.core.grammar.ParseCounts` and
+    the worker-side seconds spent on it: the parent's telemetry backend
+    cannot see into pool processes, so each slice ships its own timing
+    for the ``train.chunk.seconds`` histogram.
     """
     parser = _WORKER_PARSER
-    builder = _WORKER_BUILDER
-    assert parser is not None and builder is not None, (
-        "pool initialiser did not run"
-    )
+    assert parser is not None, "pool initialiser did not run"
     start = _now()
     parse = parser.parse_flat
-    observe = builder.observe
-    for password, count in items:
-        observe(parse(password), count)
-    return builder.finish_chunk(_now() - start)
+    counts = count_parses([(parse(password), count)
+                           for password, count in items])
+    return counts, _now() - start
 
 
 @contextmanager
@@ -301,7 +317,7 @@ def train_grammar(training_passwords: Iterable[PasswordEntry],
             list through the windowed engine and its worker pool
             (:func:`train_grammar_streaming` over one chunk), which is
             exact (counting commutes — see
-            :class:`~repro.core.deltas.DeltaMerger`).  Small corpora
+            :func:`~repro.core.grammar.count_parses`).  Small corpora
             fall back to the serial engine automatically: below
             ``parallel_threshold`` entries the pool's fixed startup
             cost exceeds the entire serial parse time.  ``jobs`` is
@@ -357,11 +373,12 @@ def train_grammar_streaming(
     the chunk size and the ``window`` of distinct passwords
     (:class:`_Window`) rather than the corpus.
 
-    Each full window is parsed once per distinct password: in process,
-    or with ``jobs > 1`` as consecutive slices through the delta worker
-    pool, whose deltas are applied in submission order.  Both produce a
-    grammar byte-identical (``to_dict``) to :func:`train_grammar` over
-    the concatenated entries.
+    Each full window is parsed once per distinct password and counted
+    in one batch: in process, or with ``jobs > 1`` as consecutive
+    slices through the worker pool, whose counts are folded in
+    submission order.  Both produce a grammar byte-identical
+    (``to_dict``) to :func:`train_grammar` over the concatenated
+    entries.
 
     Parallel runs first read windows until ``parallel_threshold``
     entries have arrived; a stream that ends before reaching it trains
@@ -440,16 +457,17 @@ def _train_streaming_serial(
     windows: Iterator[Dict[str, int]],
     parser: FuzzyParser,
 ) -> FuzzyGrammar:
-    """In-process windowed training: parse each window entry, observe."""
+    """In-process windowed training: parse a window, count it, fold."""
     telemetry = obs.get()
     grammar = FuzzyGrammar()
-    observe = grammar.observe
     parse = parser.parse_flat
     with telemetry.timer("train.stream.seconds"):
         for table in windows:
             with parse_tally() as tally:
-                for password, count in table.items():
-                    observe(parse(password, tally), count)
+                grammar.fold(count_parses(zip(
+                    map(parse, table, itertools.repeat(tally)),
+                    table.values(),
+                )))
     return grammar
 
 
@@ -458,7 +476,7 @@ def _train_streaming_parallel(
     parser: FuzzyParser,
     jobs: int,
 ) -> FuzzyGrammar:
-    """Windows through the delta pool, as slices in a bounded window.
+    """Windows through the worker pool, as slices in a bounded window.
 
     Each table is cut into consecutive ``(password, count)`` slices,
     ``STREAM_INFLIGHT_PER_JOB`` per worker.  ``Pool.imap`` is
@@ -466,22 +484,23 @@ def _train_streaming_parallel(
     iterable into the task queue, which for an out-of-core stream is
     exactly the materialisation streaming exists to avoid.  Instead at
     most ``jobs * STREAM_INFLIGHT_PER_JOB`` slices are in flight;
-    results are popped FIFO, which is submission order, which
-    preserves byte-identity of the folded grammar.
+    results are popped FIFO, which is submission order, so folding
+    each slice's counts as it arrives inserts every key where the
+    serial pass would.
     """
     telemetry = obs.get()
     if telemetry.enabled:
         telemetry.incr("train.parallel")
     grammar = FuzzyGrammar()
-    merger = DeltaMerger()
     inflight: "deque[multiprocessing.pool.AsyncResult]" = deque()
     max_inflight = jobs * STREAM_INFLIGHT_PER_JOB
 
-    def _fold(delta: GrammarDelta) -> None:
+    def _fold(result: Tuple[ParseCounts, float]) -> None:
+        counts, seconds = result
         if telemetry.enabled:
-            telemetry.observe("train.chunk.seconds", delta.seconds)
+            telemetry.observe("train.chunk.seconds", seconds)
         with telemetry.timer("train.merge.seconds"):
-            merger.apply(grammar, delta)
+            grammar.fold(counts)
 
     with telemetry.timer("train.parallel.seconds"):
         with _training_pool(parser, jobs) as pool:
@@ -490,7 +509,7 @@ def _train_streaming_parallel(
                 step = -(-len(items) // max_inflight)
                 for start in range(0, len(items), step):
                     inflight.append(pool.apply_async(
-                        _delta_slice, (items[start:start + step],)
+                        _count_slice, (items[start:start + step],)
                     ))
                     if len(inflight) >= max_inflight:
                         _fold(inflight.popleft().get())

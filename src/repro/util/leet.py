@@ -42,7 +42,7 @@ LEET_RULE_NAMES: Tuple[str, ...] = tuple(name for name, _, _ in LEET_PAIRS)
 #: character -> 0-based leet rule number, both directions of a pair
 #: (``"a" -> 0`` and ``"@" -> 0``); the integer-index twin of
 #: :func:`repro.core.grammar.leet_rule_for_char`, shared by the frozen
-#: scoring kernel and the training delta builder so both derive rule
+#: scoring kernel and the training counters so both derive rule
 #: membership without per-call string work.
 LEET_RULE_INDEX: Dict[str, int] = {}
 for _index, (_name, _letter, _sub) in enumerate(LEET_PAIRS):

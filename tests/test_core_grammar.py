@@ -1,16 +1,20 @@
 """Unit tests for the fuzzy PCFG grammar tables and derivations."""
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.grammar import (
     Derivation,
     DerivedSegment,
     FuzzyGrammar,
+    count_parses,
     leet_rule_for_char,
     structure_label,
 )
+from repro.util.leet import LEET_RULE_INDEX, LEET_RULE_NAMES
 
 
 def derivation(*segments):
@@ -181,3 +185,111 @@ class TestSerialisation:
             grammar.derivation_probability(d)
         )
         assert clone.total_passwords == grammar.total_passwords
+
+
+#: Every leet character, both sides of all six pairs, plus characters
+#: that belong to no pair.
+BASE_ALPHABET = "a@s$o0i1e3t7" + "bxz9!"
+
+
+@st.composite
+def flat_parses(draw):
+    """A flat parse whose toggles hold a base's leet offsets, and may
+    hold a duplicated offset and an offset of a non-leet character."""
+    segments = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        base = draw(st.text(alphabet=BASE_ALPHABET, min_size=1,
+                            max_size=8))
+        leet = [i for i, ch in enumerate(base) if ch in LEET_RULE_INDEX]
+        other = [i for i, ch in enumerate(base)
+                 if ch not in LEET_RULE_INDEX]
+        toggled = draw(st.lists(st.sampled_from(leet), unique=True)) \
+            if leet else []
+        if toggled and draw(st.booleans()):
+            toggled.append(toggled[0])
+        if other and draw(st.booleans()):
+            toggled.append(draw(st.sampled_from(other)))
+        segments.append((base, draw(st.booleans()), tuple(toggled),
+                         draw(st.booleans()), draw(st.booleans()),
+                         draw(st.booleans())))
+    return tuple(len(segment[0]) for segment in segments), tuple(segments)
+
+
+@st.composite
+def folds(draw):
+    """Counted parses with repeats, cut into 1-3 consecutive batches."""
+    pool = draw(st.lists(flat_parses(), min_size=1, max_size=6))
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(pool),
+                  st.integers(min_value=1, max_value=5)),
+        max_size=30,
+    ))
+    cuts = sorted(draw(st.lists(
+        st.integers(min_value=0, max_value=len(pairs)), max_size=2,
+    )))
+    return [pairs[start:end]
+            for start, end in zip([0] + cuts, cuts + [len(pairs)])]
+
+
+def observed(batches):
+    """The oracle: one :meth:`FuzzyGrammar.observe` per pair."""
+    grammar = FuzzyGrammar()
+    for pairs in batches:
+        for parse, count in pairs:
+            grammar.observe(parse, count)
+    return grammar
+
+
+def folded(batches):
+    grammar = FuzzyGrammar()
+    for pairs in batches:
+        grammar.fold(count_parses(pairs))
+    return grammar
+
+
+def boolean_counts(grammar):
+    tables = [grammar.capitalization, grammar.reverse, grammar.allcaps]
+    tables += [grammar.leet[name] for name in LEET_RULE_NAMES]
+    return [(table.count(True), table.count(False)) for table in tables]
+
+
+def snapshot(grammar):
+    return json.dumps(grammar.to_dict()), boolean_counts(grammar)
+
+
+DIFFERENTIAL = settings(derandomize=True, deadline=None)
+
+
+class TestBatchCounter:
+    """``fold(count_parses(batch))`` against per-parse ``observe``."""
+
+    @given(folds())
+    @DIFFERENTIAL
+    def test_folds_equal_per_parse_observe(self, batches):
+        assert snapshot(folded(batches)) == snapshot(observed(batches))
+
+    @given(folds(), st.integers(min_value=-2, max_value=0), st.data())
+    @DIFFERENTIAL
+    def test_count_below_one_raises_before_any_table_changes(
+        self, batches, count, data
+    ):
+        grammar = folded(batches)
+        before, epoch = snapshot(grammar), grammar.epoch
+        pairs = [pair for batch in batches for pair in batch]
+        at = data.draw(st.integers(min_value=0, max_value=len(pairs)))
+        parse = pairs[0][0] if pairs else \
+            ((3,), (("abc", False, (), False, False, False),))
+        with pytest.raises(ValueError, match="positive"):
+            grammar.fold(count_parses(
+                pairs[:at] + [(parse, count)] + pairs[at:]
+            ))
+        assert snapshot(grammar) == before
+        assert grammar.epoch == epoch
+
+    @given(folds())
+    @DIFFERENTIAL
+    def test_empty_batch_changes_nothing(self, batches):
+        grammar = folded(batches)
+        before = snapshot(grammar)
+        grammar.fold(count_parses([]))
+        assert snapshot(grammar) == before

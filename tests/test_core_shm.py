@@ -299,9 +299,9 @@ _KILLED_OWNER = textwrap.dedent("""
         initializer=training._worker_init_shared,
         initargs=(segment.name,),
     ) as pool:
-        deltas = pool.map(training._delta_slice,
+        counts = pool.map(training._count_slice,
                           [[(f"pass{n}word", 1)] for n in range(40)])
-    assert len(deltas) == 40
+    assert len(counts) == 40
     print(segment.name, flush=True)
     os.kill(os.getpid(), signal.SIGKILL)
 """)

@@ -28,7 +28,7 @@ REMOVED_NAMES = (
     "WorkerCrash", "supervisor_interval", "from_snapshot",
     "parse_cached", "parse_flat_cached", "--score-jobs", "shared_segment",
     "PARALLEL_SCORABLE", "parallel-scorable", "PARALLEL_MIN_DISTINCT",
-    "from_tables",
+    "from_tables", "DeltaBuilder", "DeltaMerger", "GrammarDelta",
 )
 
 
@@ -96,6 +96,9 @@ RATIO_QUOTES = [
     ("snapshot_attach", "attach_median_ms",
      r"`+snapshot_attach`+:\s+cold\s+attach\s+([\d.]+)\s+ms",
      ("DESIGN.md", "EXPERIMENTS.md")),
+    ("training_serial", "seconds_per_million",
+     r"`+training_serial`+:\s+([\d.]+)\s+s\s+per\s+million",
+     ("EXPERIMENTS.md",)),
 ] + [
     # "`training_streaming_parallel`: in-memory 12.9 s, streamed 4.8 s,
     # `jobs=2` 2.9 s (4.52x)": one pattern per quoted figure.

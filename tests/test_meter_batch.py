@@ -227,6 +227,15 @@ class TestCountValidation:
         meter.update("password1", count=2)
         assert meter.grammar.total_passwords == before + 2
 
+    @pytest.mark.parametrize("count", [1.5, True])
+    def test_accept_rejects_non_integer_counts(self, base_dictionary,
+                                               training_passwords, count):
+        meter = FuzzyPSM.train(base_dictionary, training_passwords)
+        before = meter.grammar.to_dict()
+        with pytest.raises(ValueError, match="'password1'.*integer"):
+            meter.update("password1", count=count)
+        assert meter.grammar.to_dict() == before
+
 
 class TestSerialisation:
     def test_to_dict_reuses_word_list(self, base_dictionary,

@@ -1,9 +1,11 @@
 """Differential tests for the streaming/parallel training engine.
 
 ``train_grammar_streaming`` must be an *execution-strategy* change
-only: whatever route a corpus takes — in-memory serial, streamed
-chunked serial, or streamed through the persistent worker pool with
-count-table deltas — the resulting grammar must serialise to the very
+only: whatever route a corpus takes — in-memory serial (the reference
+pass, one ``FuzzyGrammar.observe`` per entry), streamed chunked serial
+(one batch count and fold per window), or streamed through the
+persistent worker pool (slices counted in the workers, folded in
+submission order) — the resulting grammar must serialise to the very
 same bytes, because model files are compared byte-for-byte across PRs
 (``test_persistence.TestDeterministicBytes``) and the count tables'
 insertion order is part of that contract.
@@ -21,6 +23,7 @@ from repro import obs
 from repro.core import training
 from repro.core.grammar import FuzzyGrammar
 from repro.core.meter import FuzzyPSM
+from repro.core.parser import FuzzyParser
 from repro.core.training import (
     DEFAULT_TRAIN_WINDOW,
     build_base_trie,
@@ -34,6 +37,13 @@ from tests.conftest import BASE_DICTIONARY, TRAINING_PASSWORDS
 @pytest.fixture(scope="module")
 def trie():
     return build_base_trie(BASE_DICTIONARY)
+
+
+@pytest.fixture(scope="module")
+def parsers(trie):
+    """Default flags, and the reverse and all-caps rules on."""
+    return (FuzzyParser(trie),
+            FuzzyParser(trie, allow_reverse=True, allow_allcaps=True))
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +115,7 @@ class TestStreamedSerialEqualsInMemory:
 
 @pytest.mark.usefixtures("multicore")
 class TestParallelEqualsSerial:
-    """The delta pool must reproduce the serial bytes exactly."""
+    """The worker pool must reproduce the serial bytes exactly."""
 
     def _both(self, trie, entries, chunk_size=4):
         serial = train_grammar(entries, trie)
@@ -125,7 +135,7 @@ class TestParallelEqualsSerial:
 
     def test_duplicates_across_chunks(self, trie):
         # The same password in different chunks lands in different
-        # worker deltas; merge order must still reproduce serial counts.
+        # slices' counts; fold order must still reproduce serial counts.
         entries = ["monkey12", "dragon99", "monkey12", "monkey12",
                    "dragon99", "shadow7!"] * 4
         serial, parallel = self._both(trie, entries, chunk_size=3)
@@ -145,18 +155,26 @@ class TestParallelEqualsSerial:
         assert canonical(parallel) == canonical(serial)
 
 
+#: Passwords on which the reverse and all-caps rules fire (with the
+#: ``parsers`` fixture's second parser): ``password`` and ``dragon``
+#: reversed, in capitals, and in capitals with a leet toggle.
+RULE_WORDS = ("1drowssap", "nogard", "PASSWORD1", "PASSW0RD")
+
+
 @st.composite
 def corpora(draw):
     """Entries with repeats: plain passwords, counted pairs, empties.
 
-    Every password of the pool occurs, in a shuffled first-seen order,
-    so small windows fill with passwords that are not in sorted order.
+    Every password of the pool, :data:`RULE_WORDS` included, occurs in
+    a shuffled first-seen order, so small windows fill with passwords
+    that are not in sorted order.
     """
     pool = draw(st.lists(
         st.text(alphabet=string.ascii_lowercase + "01!@",
                 min_size=1, max_size=10),
         min_size=1, max_size=8, unique=True,
     ))
+    pool += [word for word in RULE_WORDS if word not in pool]
     entry = st.one_of(
         st.sampled_from(pool),
         st.tuples(st.sampled_from(pool), counts),
@@ -177,22 +195,26 @@ class TestWindowedEngine:
 
     @given(corpora(), windows, chunk_sizes)
     @DIFFERENTIAL
-    def test_serial_equals_reference(self, trie, entries, window, size):
-        reference = canonical(train_grammar(entries, trie))
-        streamed = train_grammar_streaming(
-            chunked(entries, size), trie, window=window
-        )
-        assert canonical(streamed) == reference
+    def test_serial_equals_reference(self, trie, parsers, entries, window,
+                                     size):
+        for parser in parsers:
+            reference = canonical(train_grammar(entries, trie, parser))
+            streamed = train_grammar_streaming(
+                chunked(entries, size), trie, parser, window=window
+            )
+            assert canonical(streamed) == reference
 
     @given(corpora(), windows, chunk_sizes)
     @settings(DIFFERENTIAL, max_examples=8)
-    def test_pool_equals_reference(self, trie, entries, window, size):
-        reference = canonical(train_grammar(entries, trie))
-        pooled = train_grammar_streaming(
-            chunked(entries, size), trie, jobs=2, parallel_threshold=0,
-            window=window,
-        )
-        assert canonical(pooled) == reference
+    def test_pool_equals_reference(self, trie, parsers, entries, window,
+                                   size):
+        for parser in parsers:
+            reference = canonical(train_grammar(entries, trie, parser))
+            pooled = train_grammar_streaming(
+                chunked(entries, size), trie, parser, jobs=2,
+                parallel_threshold=0, window=window,
+            )
+            assert canonical(pooled) == reference
 
     @given(corpora(), windows, chunk_sizes)
     @DIFFERENTIAL
@@ -203,7 +225,7 @@ class TestWindowedEngine:
         assert feed.distinct == sum(map(len, tables))
         assert feed.entries == sum(1 for entry in entries if entry != "")
 
-    @given(corpora(), st.integers(min_value=-2, max_value=0),
+    @given(corpora(), st.sampled_from([-2, -1, 0, 1.5, True]),
            st.booleans(), windows, chunk_sizes, st.sampled_from([1, 2]))
     @settings(DIFFERENTIAL, max_examples=30)
     def test_invalid_entries_raise_the_reference_error(
