@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-smoke serve-smoke attack-smoke perf-selftest examples reproduce lint coverage clean
+.PHONY: install test bench bench-smoke paper-benches serve-smoke attack-smoke perf-selftest examples reproduce lint coverage clean
 
 install:
 	pip install -e '.[dev]' --no-build-isolation
@@ -26,6 +26,14 @@ bench-smoke:
 		benchmarks/test_timing_serving.py \
 		benchmarks/test_timing_snapshot_attach.py \
 		benchmarks/test_timing_attack_engine.py -q
+
+# The paper's claims: every Fig./Table, ablation and extension bench
+# (orderings, shapes, crossovers) at the default bench scale, so a
+# parse or scoring change that moves one of them fails.
+paper-benches:
+	PYTHONPATH=src python -m pytest benchmarks/test_fig*.py \
+		benchmarks/test_table*.py benchmarks/test_ablation_*.py \
+		benchmarks/test_ext_*.py --benchmark-only -q
 
 # End-to-end smoke of `repro serve` as a real subprocess: trains a
 # tiny model, boots the CLI on an ephemeral port, hits every endpoint

@@ -11,7 +11,7 @@ The paper reports, on a 3.60 GHz i7 PC:
 These benches time the same operations on the bench corpus and assert
 only the order-of-magnitude budgets (absolute hardware differs).
 
-The performance-layer benches (compiled vs pointer trie, bulk vs
+The performance-layer benches (word index vs pointer trie, bulk vs
 per-call measuring, serial vs parallel training) additionally persist
 their numbers to ``BENCH_timing.json`` at the repo root via
 :func:`bench_lib.record`, so the perf trajectory is tracked across PRs.
@@ -28,12 +28,14 @@ import pytest
 
 from repro.core.meter import FuzzyPSM
 from repro.core.parser import FuzzyParser
-from repro.core.training import train_grammar
+from repro.core.training import build_base_trie, train_grammar
 from repro.metrics.guessnumber import MonteCarloEstimator
+from repro.util.leet import LEET_BY_LETTER
 
 from bench_lib import SMOKE, emit, record
+from tests.conftest import pointer_parser
 
-#: Interleaved pointer/compiled repeats of the full-parse comparison.
+#: Interleaved pointer/index repeats of the full-parse comparisons.
 PARSE_REPEATS = 7
 
 #: Interleaved noop/enabled repeats per telemetry stream.
@@ -145,7 +147,7 @@ def test_timing_monte_carlo_estimation(benchmark, meter, capsys):
     assert SMOKE or mean_seconds < 0.001
 
 
-# --- performance layer (compiled trie / batch / parallel) -----------------
+# --- performance layer (word index / batch / parallel) ------------------
 
 
 def test_timing_bulk_vs_single_measuring(meter, csdn_quarters, capsys):
@@ -164,7 +166,7 @@ def test_timing_bulk_vs_single_measuring(meter, csdn_quarters, capsys):
     distinct = test.unique
 
     single_meter = FuzzyPSM(meter.grammar, meter.trie, meter.config)
-    single_meter.probability("warmup")  # build the compiled snapshot
+    single_meter.probability("warmup")  # build the word index
     start = time.perf_counter()
     single = [single_meter.probability(pw) for pw in stream]
     single_seconds = time.perf_counter() - start
@@ -189,50 +191,104 @@ def test_timing_bulk_vs_single_measuring(meter, csdn_quarters, capsys):
     assert SMOKE or speedup >= 2.0
 
 
-def test_timing_compiled_vs_pointer_parse(meter, csdn_quarters, capsys):
-    """Full-parse wall time: compiled leet-canonical trie vs pointer trie.
+def _long_base(words, rng: random.Random, count: int) -> list:
+    """``count`` base words of 30-64 characters, as real leaks hold:
+    bench words run together, each cut at a drawn length."""
+    long_words = set()
+    while len(long_words) < count:
+        word = ""
+        size = rng.randint(30, 64)
+        while len(word) < size:
+            word += rng.choice(words)
+        long_words.add(word[:size])
+    return sorted(long_words)
 
-    Neither parser keeps parses, so this isolates the matcher itself:
-    one walk per reading over leet-canonical edges against the pointer trie's
-    search over exact and leet branches.  The two parsers must produce
-    identical parses; the ratio is recorded for the cross-PR
-    trajectory.
-    """
-    _, test = csdn_quarters
-    probes = test.unique_passwords()
-    # The pointer trie is only ever a reference now: the parser takes
-    # it as its matcher through from_compiled (same longest_fuzzy_match).
-    pointer_parser = FuzzyParser.from_compiled(
-        meter.trie, None, meter.trie.min_length, meter.parser.flags,
-    )
-    compiled_parser = FuzzyParser(meter.trie)
-    compiled_parser.parse("warmup")  # build the compiled snapshot
 
-    # Interleaved repeats, compared by their medians, so that drift of
-    # the host's speed hits both parsers alike.
-    parses = {}
-    timings = {"pointer": [], "compiled": []}
-    for _ in range(PARSE_REPEATS):
-        for name, parser in (("pointer", pointer_parser),
-                             ("compiled", compiled_parser)):
+def _long_probes(words, rng: random.Random, count: int) -> list:
+    """Unseen passwords over the long words: some cut short, leet
+    toggled, capitalised and suffixed, some run into a second one."""
+    probes = []
+    for _ in range(count):
+        word = rng.choice(words)
+        word = word[:rng.randint(len(word) // 2, len(word))]
+        chars = [
+            LEET_BY_LETTER.get(ch, ch) if rng.random() < 0.2 else ch
+            for ch in word
+        ]
+        if rng.random() < 0.3:
+            chars[0] = chars[0].upper()
+        text = "".join(chars) + str(rng.randrange(1000))
+        if rng.random() < 0.2:
+            text += rng.choice(words)[:rng.randint(3, 20)]
+        probes.append(text)
+    return probes
+
+
+def _time_parsers(parsers: dict, probes: list) -> dict:
+    """Interleaved repeats of full parses of ``probes``: per parser the
+    seconds of each repeat.  Every parser must parse alike."""
+    parses, timings = {}, {name: [] for name in parsers}
+    for repeat in range(PARSE_REPEATS):
+        # Each repeat swaps which parser goes first, so drift of the
+        # host's speed hits both alike.
+        for name in sorted(parsers, reverse=bool(repeat % 2)):
+            parser = parsers[name]
             start = time.perf_counter()
             parses[name] = [parser.parse(pw) for pw in probes]
             timings[name].append(time.perf_counter() - start)
-    pointer_seconds = statistics.median(timings["pointer"])
-    compiled_seconds = statistics.median(timings["compiled"])
+    assert parses["index"] == parses["pointer"]
+    return timings
 
-    assert parses["compiled"] == parses["pointer"]
-    ratio = pointer_seconds / compiled_seconds
-    emit(
-        capsys,
-        f"(timing) parse {len(probes):,} unique passwords -- pointer "
-        f"{pointer_seconds:.2f} s, compiled {compiled_seconds:.2f} s "
-        f"({ratio:.2f}x, medians of {PARSE_REPEATS})",
-    )
-    record("parse_compiled_vs_pointer", probes=len(probes),
-           repeats=PARSE_REPEATS, statistic="median",
-           pointer_seconds=pointer_seconds,
-           compiled_seconds=compiled_seconds, ratio=ratio)
+
+def test_timing_index_vs_pointer_parse(meter, csdn_quarters, capsys):
+    """Full-parse wall time: the leet-canonical word index vs the
+    pointer trie, over two base dictionaries.
+
+    Neither parser keeps parses, so this isolates the matcher itself:
+    a few dict probes per segment start against the pointer trie's
+    search over exact and leet branches.  The bench meter's dictionary
+    is scored with the test quarter's passwords; a dictionary of
+    30-64-character words (real leaks hold such entries) with unseen
+    passwords built from them.  The two parsers must produce identical
+    parses; medians, minima and maxima of the interleaved repeats are
+    recorded for the cross-PR trajectory.
+    """
+    _, test = csdn_quarters
+    rng = random.Random(2016)
+    bench_words = sorted(meter.trie.iter_words())
+    long_words = _long_base(bench_words, rng, 500 if SMOKE else 5_000)
+    cases = {
+        "base": (meter.trie, test.unique_passwords()),
+        "long": (
+            build_base_trie(long_words),
+            _long_probes(long_words, rng, 500 if SMOKE else 5_000),
+        ),
+    }
+    values = {"repeats": PARSE_REPEATS, "statistic": "median"}
+    for case, (trie, probes) in cases.items():
+        parsers = {"pointer": pointer_parser(trie), "index": FuzzyParser(trie)}
+        for parser in parsers.values():
+            parser.parse("warmup")  # build the index and the pointer nodes
+        timings = _time_parsers(parsers, probes)
+        prefix = "" if case == "base" else "long_"
+        medians = {}
+        for name, seconds in timings.items():
+            medians[name] = statistics.median(seconds)
+            values[f"{prefix}{name}_seconds"] = medians[name]
+            values[f"{prefix}{name}_min_seconds"] = min(seconds)
+            values[f"{prefix}{name}_max_seconds"] = max(seconds)
+        ratio = medians["pointer"] / medians["index"]
+        values[f"{prefix}base_words"] = len(trie)
+        values[f"{prefix}probes"] = len(probes)
+        values[f"{prefix}ratio"] = ratio
+        emit(
+            capsys,
+            f"(timing) parse {len(probes):,} passwords over {len(trie):,} "
+            f"{'long ' if prefix else ''}base words -- pointer "
+            f"{medians['pointer']:.2f} s, index {medians['index']:.2f} s "
+            f"({ratio:.2f}x, medians of {PARSE_REPEATS})",
+        )
+    record("parse_index_vs_pointer", **values)
 
 
 def test_timing_parallel_training(meter, csdn_quarters, capsys):
@@ -340,23 +396,29 @@ def test_timing_telemetry_overhead(meter, csdn_quarters, capsys):
                 timings[label].append(seconds[label])
         noop = statistics.median(timings["noop"])
         enabled = statistics.median(timings["enabled"])
-        medians[name] = (len(stream), laps, noop, enabled, enabled / noop)
+        ratios = [on / off for on, off
+                  in zip(timings["enabled"], timings["noop"])]
+        medians[name] = (len(stream), laps, noop, enabled, enabled / noop,
+                         min(ratios), max(ratios))
         emit(
             capsys,
             f"(timing) telemetry, {name} stream of {len(stream):,} "
             f"scores x {laps} laps -- noop {noop:.2f} s, enabled "
             f"{enabled:.2f} s ({(enabled / noop - 1) * 100:+.1f}%, "
-            f"medians of {TELEMETRY_REPEATS})",
+            f"medians of {TELEMETRY_REPEATS}; per-repeat ratio "
+            f"{min(ratios):.3f}-{max(ratios):.3f})",
         )
     hit, miss = medians["hit"], medians["miss"]
     record("telemetry_overhead", repeats=TELEMETRY_REPEATS,
            statistic="median", stream=hit[0], laps=hit[1],
            noop_seconds=hit[2], enabled_seconds=hit[3],
-           enabled_ratio=hit[4], miss_stream=miss[0],
+           enabled_ratio=hit[4], enabled_ratio_min=hit[5],
+           enabled_ratio_max=hit[6], miss_stream=miss[0],
            miss_cache_size=cache_size, miss_laps=miss[1],
            miss_noop_seconds=miss[2], miss_enabled_seconds=miss[3],
-           miss_enabled_ratio=miss[4])
+           miss_enabled_ratio=miss[4], miss_enabled_ratio_min=miss[5],
+           miss_enabled_ratio_max=miss[6])
     # Generous 1.15x ceiling against jitter on both streams; the
     # recorded numbers carry the real figures.
-    for name, (_, _, _, _, ratio) in medians.items():
+    for name, (_, _, _, _, ratio, _, _) in medians.items():
         assert SMOKE or ratio < 1.15, (name, ratio)

@@ -1,10 +1,11 @@
 """Snapshot-plane attach latency on the training pool's segment.
 
 Pool training (``train_grammar(..., jobs=N)`` and its streaming twin)
-publishes the parent's compiled matchers into one trie-only
+publishes the columns of the parent's word indexes into one trie-only
 shared-memory segment (DESIGN.md §16), and every worker attaches it by
-*name*: no matcher is pickled into a worker or re-deserialized there,
-under fork and spawn alike.
+*name* and rebuilds the index dicts from the columns: no matcher is
+pickled into a worker or rebuilt from the word list, under fork and
+spawn alike.
 
 This bench builds the parser over the base dictionary, publishes the
 segment the way the training pool does, and measures cold attach +

@@ -1,6 +1,6 @@
 """FPM012: fork-safety of the worker-pool surface (DESIGN.md §13).
 
-Parallel training and scoring broadcast heavy state (compiled trie,
+Parallel training and scoring broadcast heavy state (word index,
 frozen grammar) into worker processes exactly once, through a pool
 ``initializer`` that writes module globals.  Everything else that runs
 in a worker — the task entrypoints and their transitive callees — may

@@ -4,10 +4,10 @@ Layout (bottom-up):
 
 * :mod:`~repro.core.trie` — prefix trie over the base dictionary with
   transformation-aware longest-prefix matching.
-* :mod:`~repro.core.compiled_trie` — the leet-canonical compiled
-  snapshot of that trie used by the parsing hot path.
 * :mod:`~repro.core.grammar` — the fuzzy PCFG rule tables
   (paper Tables IV-VI) and derivation probability arithmetic.
+* :mod:`~repro.core.word_index` — the base dictionary keyed by
+  leet-canonical spelling, which the parsing hot path probes.
 * :mod:`~repro.core.parser` — parses a password into base segments,
   capitalization and leet decisions, with traditional-PCFG fallback.
 * :mod:`~repro.core.training` — the training phase: builds a
@@ -17,7 +17,7 @@ Layout (bottom-up):
 """
 
 from repro.core.trie import PrefixTrie, FuzzyMatch
-from repro.core.compiled_trie import CompiledTrie
+from repro.core.word_index import WordIndex
 from repro.core.grammar import FuzzyGrammar, Derivation, DerivedSegment
 from repro.core.parser import FuzzyParser, ParsedPassword, ParsedSegment, SegmentKind
 from repro.core.training import train_grammar
@@ -38,7 +38,7 @@ from repro.core.suggestions import (
 __all__ = [
     "PrefixTrie",
     "FuzzyMatch",
-    "CompiledTrie",
+    "WordIndex",
     "FuzzyGrammar",
     "Derivation",
     "DerivedSegment",

@@ -23,14 +23,16 @@ segment.  The public
 
 Performance notes (see DESIGN.md "Performance architecture"):
 
-* dictionary matching runs against a :class:`CompiledTrie` — the
-  leet-canonical snapshot of the base trie, one walk per reading —
-  built lazily on first parse.  It is the only matcher a parse ever
-  consults; the pointer :class:`PrefixTrie` is build input, and
-  (through :meth:`FuzzyParser.from_compiled`, which accepts either
-  trie) the reference the parse-level differential tests compare
-  against;
-* the reversed-word trie of the ``allow_reverse`` extension is also
+* each password is folded once onto its leet-canonical spelling
+  (:func:`~repro.core.word_index.canonical`), and dictionary matching
+  probes a :class:`~repro.core.word_index.WordIndex` — the base
+  dictionary keyed by canonical spelling — a few dict probes per
+  segment start.  The index is built lazily on first parse and is the
+  only matcher a parse ever consults; the pointer :class:`PrefixTrie`
+  is build input and, behind the same ``match`` signature
+  (``tests.conftest.pointer_parser``), the reference the parse-level
+  differential tests compare against;
+* the reversed-word index of the ``allow_reverse`` extension is also
   built lazily, on the first parse that needs it, so deserialising a
   reverse-enabled grammar that never parses costs nothing;
 * the parser keeps no parse.  Callers that see repeats deduplicate
@@ -39,8 +41,10 @@ Performance notes (see DESIGN.md "Performance architecture"):
   memoises final probabilities (the meter's score memo,
   :func:`repro.core.meter.score_many`);
 * telemetry probes are counted per batch: a loop passes one
-  :class:`ParseTally` to every parse and folds it in once
-  (:func:`parse_tally`); with telemetry off it passes ``None``.
+  :class:`ParseTally` to every parse, which only keeps the parse's
+  segments; the tally counts what it kept in one loop per
+  :data:`TALLY_BATCH` parses and folds the totals in once
+  (:func:`parse_tally`); with telemetry off the loop passes ``None``.
 """
 
 from __future__ import annotations
@@ -48,10 +52,9 @@ from __future__ import annotations
 import enum
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
-from repro.core.compiled_trie import CompiledTrie
 from repro.core.grammar import (
     Derivation,
     DerivedSegment,
@@ -60,11 +63,8 @@ from repro.core.grammar import (
     segment_surface,
 )
 from repro.core.trie import PrefixTrie, capitalizable
+from repro.core.word_index import WordIndex, canonical
 from repro.util.charclasses import first_run
-
-#: A dictionary matcher: the compiled trie every production parse uses,
-#: or a pointer trie standing in for it as a test-side reference.
-Matcher = Union[CompiledTrie, PrefixTrie]
 
 
 class SegmentKind(enum.Enum):
@@ -145,50 +145,76 @@ class ParsedPassword:
         return Derivation(tuple(seg.to_derived() for seg in self.segments))
 
 
-class ParseTally:
-    """One batch's parse probes, counted as plain ints.
+#: Parses a tally keeps before it counts them.  Their segment tuples
+#: stay alive until then, and a cyclic collection that runs meanwhile
+#: promotes them to an older generation, which brings full collections
+#: forward.  At 32 parses (about 100 tuples) enabled scoring runs as
+#: many collections as the noop backend; at 128 it ran 6% more young
+#: ones and the full ones came sooner.  Counting costs about the same
+#: per parse at 32 as at 128.
+TALLY_BATCH = 32
 
-    A batch loop counts every parse it does into one tally, and
-    :meth:`flush` folds the tally into telemetry with one ``incr_many``
-    (DESIGN.md §9).  One longest-prefix-match attempt is made per
-    produced segment, so ``parser.match.attempts`` is the segment
-    count.  Zero-valued counters are not emitted (report
+
+class ParseTally:
+    """One batch's parse probes, counted in one pass.
+
+    A batch loop hands one tally to every parse it does, and
+    :meth:`FuzzyParser.parse_flat` only appends the parse's segments to
+    ``pending``: no method call per parse.  :meth:`count` counts the
+    pending parses in one loop over plain locals, once
+    :data:`TALLY_BATCH` have gathered and when the batch ends, and
+    :meth:`flush` folds the totals into telemetry with one
+    ``incr_many`` (DESIGN.md §9).  One longest-prefix-match attempt is
+    made per produced segment, so ``parser.match.attempts`` is the
+    segment count.  Zero-valued counters are not emitted (report
     readers default missing probes to 0).
     """
 
     __slots__ = (
-        "parses", "segments", "trie_hits",
+        "pending", "parses", "segments", "trie_hits",
         "capitalized", "leet", "reversed", "allcaps", "shapes",
     )
 
     def __init__(self) -> None:
+        #: The segments of each parse not counted yet.
+        self.pending: List[Tuple[FlatSegment, ...]] = []
         self.parses = self.segments = self.trie_hits = 0
         self.capitalized = self.leet = self.reversed = self.allcaps = 0
         #: Segments per parse -> parses of that many segments, for the
         #: ``parser.segments`` histogram.
         self.shapes: Dict[int, int] = {}
 
-    def count(self, parse: FlatParse) -> None:
-        """Count one parse."""
-        segments = parse[1]
-        size = len(segments)
-        self.parses += 1
-        self.segments += size
+    def count(self) -> None:
+        """Count the pending parses into the totals and drop them."""
+        pending = self.pending
         shapes = self.shapes
-        shapes[size] = shapes.get(size, 0) + 1
-        for _base, capitalized, toggled, reversed_word, all_caps, \
-                dictionary in segments:
-            if dictionary:
-                self.trie_hits += 1
-            # Most segments fire no rule at all.
-            if capitalized or toggled or reversed_word or all_caps:
-                self.capitalized += capitalized
-                self.leet += len(toggled)
-                self.reversed += reversed_word
-                self.allcaps += all_caps
+        segments = trie_hits = capitalized = leet = reversed_ = allcaps = 0
+        for parsed in pending:
+            size = len(parsed)
+            segments += size
+            shapes[size] = shapes.get(size, 0) + 1
+            for _base, cap, toggled, reversed_word, all_caps, \
+                    dictionary in parsed:
+                if dictionary:
+                    trie_hits += 1
+                # Most segments fire no rule at all.
+                if cap or toggled or reversed_word or all_caps:
+                    capitalized += cap
+                    leet += len(toggled)
+                    reversed_ += reversed_word
+                    allcaps += all_caps
+        self.parses += len(pending)
+        self.segments += segments
+        self.trie_hits += trie_hits
+        self.capitalized += capitalized
+        self.leet += leet
+        self.reversed += reversed_
+        self.allcaps += allcaps
+        pending.clear()
 
     def flush(self, telemetry: obs.Telemetry) -> None:
-        """Fold the tally into ``telemetry``."""
+        """Count what is pending and fold the totals into ``telemetry``."""
+        self.count()
         counts = [
             ("parser.parse", self.parses),
             ("parser.match.attempts", self.segments),
@@ -245,17 +271,17 @@ class FuzzyParser:
         self._allow_leet = allow_leet
         self._allow_reverse = allow_reverse
         self._allow_allcaps = allow_allcaps
-        # The forward matcher (compiled trie) and the reverse-rule trie
-        # are both built lazily: ``__init__`` must stay cheap because a
-        # parser is created every time a meter is deserialised, and a
+        # The forward index and the reverse-rule index are both built
+        # lazily: ``__init__`` must stay cheap because a parser is
+        # created every time a meter is deserialised, and a
         # reverse-enabled grammar may never parse at all.  The reverse
         # rule (the paper's named future work) matches a password
-        # prefix against *reversed* dictionary words; a second trie
-        # over the reversed words answers those queries in the same
-        # left-to-right pass.  Palindromes are excluded: their reversed
+        # prefix against *reversed* dictionary words; a second index
+        # over the reversed words answers those queries from the same
+        # folded password.  Palindromes are excluded: their reversed
         # reading is indistinguishable from the plain one.
-        self._compiled: Optional[Matcher] = None
-        self._reversed_matcher: Optional[Matcher] = None
+        self._index: Optional[WordIndex] = None
+        self._reversed_index: Optional[WordIndex] = None
 
     @property
     def trie(self) -> PrefixTrie:
@@ -288,84 +314,76 @@ class FuzzyParser:
     # --- lazy matcher construction ------------------------------------
 
     @property
-    def compiled_trie(self) -> Optional[Matcher]:
-        """The forward matcher, or None when not (yet) built."""
-        return self._compiled
+    def word_index(self) -> Optional[WordIndex]:
+        """The forward index, or None when not (yet) built."""
+        return self._index
 
     def ensure_compiled_matchers(
         self,
-    ) -> Tuple[CompiledTrie, Optional[CompiledTrie]]:
-        """Materialise and return the compiled matchers for broadcast.
+    ) -> Tuple[WordIndex, Optional[WordIndex]]:
+        """Materialise and return the indexes for broadcast.
 
-        The training pool publishes the flat-array
-        :class:`CompiledTrie` snapshots into a shared-memory segment
-        **once** (DESIGN.md §16), instead of letting every worker
-        re-walk a pointer trie — rebuilding tries per worker is what
-        made small parallel training runs slower than serial.
-        Returns ``(forward, reversed_or_None)``; the reversed matcher is
-        built only when the reverse extension is on.  A reference
-        parser built around pointer tries is never broadcast.
+        The training pool publishes the :class:`WordIndex` columns into
+        a shared-memory segment **once** (DESIGN.md §16), instead of
+        letting every worker rebuild them from the word list.  Returns
+        ``(forward, reversed_or_None)``; the reversed index is built
+        only when the reverse extension is on.
         """
-        forward = self._forward_matcher()
-        assert isinstance(forward, CompiledTrie)
-        reversed_matcher: Optional[CompiledTrie] = None
-        if self._allow_reverse:
-            matcher = self._reverse_matcher()
-            assert isinstance(matcher, CompiledTrie)
-            reversed_matcher = matcher
-        return forward, reversed_matcher
+        reversed_index = (
+            self._reverse_matcher() if self._allow_reverse else None
+        )
+        return self._forward_matcher(), reversed_index
 
     @classmethod
     def from_compiled(
         cls,
-        forward: Matcher,
-        reversed_matcher: Optional[Matcher],
+        forward: WordIndex,
+        reversed_index: Optional[WordIndex],
         min_length: int,
         flags: Dict[str, bool],
     ) -> "FuzzyParser":
-        """Rebuild a parser around already-built matchers.
+        """Rebuild a parser around already-built indexes.
 
         The worker-side half of :meth:`ensure_compiled_matchers`: the
-        pool initializer receives the compiled snapshots and ``flags``
+        pool initializer receives the attached indexes and ``flags``
         (the :attr:`flags` dict of the parent parser) and reconstructs
         a parser that parses identically without ever touching a
         pointer trie.  The backing :class:`PrefixTrie` is an empty
-        husk — only the given matchers are consulted.  Both trie types
-        expose the same ``longest_fuzzy_match``, so passing
-        :class:`PrefixTrie` matchers yields the pointer-walk reference
-        parser the differential tests compare against.
+        husk — only the given matchers are consulted, through their
+        ``match`` method, so the test-side pointer reference passes
+        pointer tries behind that method here.
         """
         parser = cls(PrefixTrie(min_length=min_length), **flags)
-        parser._compiled = forward
+        parser._index = forward
         if flags.get("allow_reverse"):
-            if reversed_matcher is None:
+            if reversed_index is None:
                 raise ValueError(
-                    "allow_reverse parser needs a reversed matcher"
+                    "allow_reverse parser needs a reversed index"
                 )
-            parser._reversed_matcher = reversed_matcher
+            parser._reversed_index = reversed_index
         return parser
 
     @property
-    def reversed_trie_built(self) -> bool:
-        """True once the reverse-rule trie has been materialised."""
-        return self._reversed_matcher is not None
+    def reversed_index_built(self) -> bool:
+        """True once the reverse-rule index has been materialised."""
+        return self._reversed_index is not None
 
-    def _forward_matcher(self) -> Matcher:
-        if self._compiled is None:
-            self._compiled = self._trie.compile()
-        return self._compiled
+    def _forward_matcher(self) -> WordIndex:
+        if self._index is None:
+            self._index = self._trie.compile()
+        return self._index
 
-    def _reverse_matcher(self) -> Matcher:
-        if self._reversed_matcher is None:
+    def _reverse_matcher(self) -> WordIndex:
+        if self._reversed_index is None:
             with obs.get().timer("trie.compile.seconds"):
-                self._reversed_matcher = CompiledTrie(
+                self._reversed_index = WordIndex(
                     [
                         word[::-1] for word in self._trie.iter_words()
                         if word != word[::-1]
                     ],
                     self._trie.min_length,
                 )
-        return self._reversed_matcher
+        return self._reversed_index
 
     # --- parsing -------------------------------------------------------
 
@@ -380,13 +398,17 @@ class FuzzyParser:
         """The flat parse of ``password``, counted into ``tally``."""
         parse = self._parse_flat(password)
         if tally is not None:
-            tally.count(parse)
+            pending = tally.pending
+            pending.append(parse[1])
+            if len(pending) >= TALLY_BATCH:
+                tally.count()
         return parse
 
     def _parse_flat(self, password: str) -> FlatParse:
         """The raw parse loop, free of telemetry probes."""
+        folded = canonical(password)
         extended = self._allow_reverse or self._allow_allcaps
-        match = self._forward_matcher().longest_fuzzy_match
+        match = self._forward_matcher().match
         capitalization = self._allow_capitalization
         leet = self._allow_leet
         structure: List[int] = []
@@ -396,13 +418,13 @@ class FuzzyParser:
         while position < length:
             segment: Optional[FlatSegment]
             if extended:
-                segment = self._best_dictionary_segment(password, position)
+                segment = self._best_dictionary_segment(
+                    password, folded, position
+                )
             else:
                 # One candidate direction only: no ranking needed.
-                found = match(password, capitalization, leet, position)
-                segment = None if found is None else (
-                    found[0], found[2], found[3], False, False, True
-                )
+                segment = match(password, folded, position, capitalization,
+                                leet)
             if segment is None:
                 segment = self._fallback_segment(password, position)
             size = len(segment[0])
@@ -411,8 +433,8 @@ class FuzzyParser:
             position += size
         return tuple(structure), tuple(segments)
 
-    def _best_dictionary_segment(self, password: str, position: int
-                                 ) -> Optional[FlatSegment]:
+    def _best_dictionary_segment(self, password: str, folded: str,
+                                 position: int) -> Optional[FlatSegment]:
         """Longest match over both reading directions, from ``position``.
 
         Preference order: longest consumed prefix, then fewest
@@ -420,39 +442,33 @@ class FuzzyParser:
         forward reading, then lexicographic base — fully deterministic.
         """
         candidates: List[Tuple[int, int, int, str, FlatSegment]] = []
-        forward = self._forward_matcher().longest_fuzzy_match(
-            password,
-            allow_capitalization=self._allow_capitalization,
-            allow_leet=self._allow_leet,
-            start=position,
+        leet = self._allow_leet
+        forward = self._forward_matcher().match(
+            password, folded, position, self._allow_capitalization, leet
         )
         if forward is not None:
+            base, capitalized, toggles = forward[:3]
             candidates.append((
-                -forward.length, forward.transformations, 0, forward.base,
-                (forward.base, forward.capitalized, forward.toggled_offsets,
-                 False, False, True),
+                -len(base), capitalized + len(toggles), 0, base, forward,
             ))
         if self._allow_reverse:
             # Capitalization is a first-letter-of-base rule; under
             # reversal it would surface at the segment's end, which
             # users do not do — only exact/leet readings are matched.
-            backward = self._reverse_matcher().longest_fuzzy_match(
-                password,
-                allow_capitalization=False,
-                allow_leet=self._allow_leet,
-                start=position,
+            backward = self._reverse_matcher().match(
+                password, folded, position, False, leet
             )
             if backward is not None:
-                base = backward.base[::-1]
-                length = backward.length
+                reversed_base, _, reversed_toggles = backward[:3]
+                base = reversed_base[::-1]
+                length = len(base)
                 # Leet offsets arrive relative to the observed
                 # (reversed) text; map them onto the stored base.
                 toggles = tuple(sorted(
-                    length - 1 - offset
-                    for offset in backward.toggled_offsets
+                    length - 1 - offset for offset in reversed_toggles
                 ))
                 candidates.append((
-                    -length, backward.transformations + 1, 1, base,
+                    -length, len(toggles) + 1, 1, base,
                     (base, False, toggles, True, False, True),
                 ))
         if self._allow_allcaps:
@@ -469,21 +485,21 @@ class FuzzyParser:
         """An all-caps reading: the observed prefix is a stored word
         with every letter upper-cased (limitation-#2 extension).
 
-        Matching runs against the lower-cased text; the candidate only
+        Matching probes the lower-cased text; the candidate only
         stands if the *observed* prefix really is the all-caps surface
         of the matched base (so plain lower-case words never read as
         all-caps, and single-leading-letter words — where all-caps is
         indistinguishable from first-letter capitalization — lose to
         the cheaper first-letter reading via the direction tag).
         """
-        match = self._forward_matcher().longest_fuzzy_match(
-            remainder.lower(),
-            allow_capitalization=False,
-            allow_leet=self._allow_leet,
+        lowered = remainder.lower()
+        match = self._forward_matcher().match(
+            lowered, canonical(lowered), 0, False, self._allow_leet
         )
         if match is None:
             return None
-        base, length, _, toggles = match
+        base, _, toggles = match[:3]
+        length = len(base)
         observed = remainder[:length]
         if segment_surface(base, False, toggles, False, True) != observed:
             return None
@@ -492,7 +508,7 @@ class FuzzyParser:
         if observed == base:
             return None
         return (
-            -length, match.transformations + 1, 2, base,
+            -length, len(toggles) + 1, 2, base,
             (base, False, toggles, False, True, True),
         )
 

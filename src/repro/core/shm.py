@@ -1,22 +1,22 @@
 """Zero-copy shared-memory snapshot plane (DESIGN.md §16).
 
-Training pool workers parse with the parent's compiled trie.
-Pickling it into each worker would re-deserialize it per process;
-this module puts the trie's flat tables into one POSIX
+Training pool workers parse with the parent's word index.  Pickling
+it into each worker would re-deserialize it per process; this module
+puts the index's flat columns into one POSIX
 ``multiprocessing.shared_memory`` segment instead, so any number of
-pool workers attach in milliseconds and read the *same* physical
-bytes:
+pool workers attach in milliseconds from the *same* physical bytes:
 
 * :class:`SharedScoringSegment` — owner/attachment handle.  ``create``
-  packs the :meth:`~repro.core.compiled_trie.CompiledTrie.to_arrays`
-  columns of the forward and (optional) reversed matchers with the
+  packs the :meth:`~repro.core.word_index.WordIndex.to_arrays`
+  columns of the forward and (optional) reversed indexes with the
   section-directory codec (:mod:`repro.util.sections` — the same
   layout as FPSMBIN1 model files) and writes the image into a fresh
   segment; ``attach`` opens it by name; ``materialize`` rebuilds the
-  matchers with numeric columns as ``memoryview`` casts straight into
-  the mapping (no copy, byte-identical parses).
+  indexes' dicts from those columns
+  (:meth:`~repro.core.word_index.WordIndex.from_arrays`: no per-word
+  Python code, byte-identical parses).
 * :class:`MaterializedScoringState` — the one snapshot type: the
-  compiled matchers and the parser configuration needed to rebuild a
+  word indexes and the parser configuration needed to rebuild a
   byte-identical :class:`~repro.core.parser.FuzzyParser`.  The
   publishing side builds it from a live parser
   (:meth:`~MaterializedScoringState.from_parser`), ``create`` packs
@@ -40,9 +40,9 @@ tracker too; a reader that shares its owner's tracker (every pool
 worker, under fork and spawn alike) leaves that registration alone,
 because removing it would remove the owner's entry, and a reader with
 a tracker of its own removes it (see :meth:`SharedScoringSegment.attach`).
-``close`` is BufferError-safe: materialized states export views into
-the mapping, and while any survive the mapping is left open for the OS
-to reclaim at process exit rather than failing the caller.
+``close`` is BufferError-safe: should a view into the mapping
+survive, the mapping is left open for the OS to reclaim at process
+exit rather than failing the caller.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ from multiprocessing.context import BaseContext
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.core.compiled_trie import CompiledTrie
 from repro.core.parser import FuzzyParser
+from repro.core.word_index import WordIndex
 from repro.util.sections import decode_sections, pack, read_header
 
 #: Magic of the in-segment image (the shared-memory sibling of the
@@ -99,23 +99,19 @@ def mp_context(method: Optional[str] = None) -> BaseContext:
 
 
 class MaterializedScoringState:
-    """A parser's compiled matchers and configuration.
+    """A parser's word indexes and configuration.
 
     Built from a live parser by :meth:`from_parser` (what
     :meth:`SharedScoringSegment.create` publishes), or rebuilt from an
-    attached segment by :meth:`SharedScoringSegment.materialize` — in
-    which case the numeric columns inside
-    ``forward``/``reversed_matcher`` are zero-copy views into the
-    mapping: keep the state (or its parser) alive only while the
-    segment is attached.
+    attached segment by :meth:`SharedScoringSegment.materialize`.
     """
 
     __slots__ = ("forward", "reversed_matcher", "min_length", "flags")
 
     def __init__(
         self,
-        forward: CompiledTrie,
-        reversed_matcher: Optional[CompiledTrie],
+        forward: WordIndex,
+        reversed_matcher: Optional[WordIndex],
         min_length: int,
         flags: Dict[str, bool],
     ) -> None:
@@ -126,7 +122,7 @@ class MaterializedScoringState:
 
     @classmethod
     def from_parser(cls, parser: FuzzyParser) -> "MaterializedScoringState":
-        """Snapshot ``parser``'s compiled matchers and configuration."""
+        """Snapshot ``parser``'s word indexes and configuration."""
         forward, reversed_matcher = parser.ensure_compiled_matchers()
         return cls(
             forward,
@@ -282,9 +278,9 @@ class SharedScoringSegment:
                 if name.startswith(tag)
             }
 
-        forward = CompiledTrie.from_arrays(parts["t"], part("t"))
+        forward = WordIndex.from_arrays(parts["t"], part("t"))
         reversed_matcher = (
-            CompiledTrie.from_arrays(parts["r"], part("r"))
+            WordIndex.from_arrays(parts["r"], part("r"))
             if "r" in parts
             else None
         )
@@ -306,11 +302,11 @@ class SharedScoringSegment:
     def close(self) -> None:
         """Detach this process's mapping (idempotent).
 
-        Materialized states hold zero-copy views into the mapping;
-        while any survive, closing would raise ``BufferError``.  One
-        GC pass is attempted to collect dropped states; if views still
-        remain the mapping is left open (the OS reclaims it at process
-        exit) instead of failing the caller mid-swap.
+        A view into the mapping that is still alive (a section decoded
+        by a caller) makes closing raise ``BufferError``.  One GC pass
+        is attempted to collect dropped views; if views still remain
+        the mapping is left open (the OS reclaims it at process exit)
+        instead of failing the caller mid-swap.
         """
         if self._closed:
             return
@@ -372,10 +368,8 @@ _ATTACH_CACHE: Optional[
 def _cleanup_attach_cache() -> None:
     """Drop the attach cache and detach its mapping at process exit.
 
-    Registered after the owned-segment sweep, so it runs first (LIFO):
-    the cached state's views are usually the last exported pointers
-    into the mapping, and releasing them here lets ``close`` succeed
-    instead of leaving ``SharedMemory.__del__`` to complain during
+    Registered after the owned-segment sweep, so it runs first (LIFO),
+    and ``SharedMemory.__del__`` finds nothing left to close during
     interpreter teardown.
     """
     global _ATTACH_CACHE

@@ -40,10 +40,10 @@ per-occurrence pass would, and ``add(key, n) == n x add(key, 1)``:
 every route produces a grammar whose ``to_dict`` is byte-identical to
 the reference (``tests/test_training_streaming.py``).
 
-Workers are initialised **once** per pool with the parent's compiled
-flat-array matchers (:meth:`FuzzyParser.ensure_compiled_matchers` →
-:meth:`FuzzyParser.from_compiled`), published in a shared-memory
-segment, not a rebuilt pointer trie.
+Workers are initialised **once** per pool with the parent's word
+indexes (:meth:`FuzzyParser.ensure_compiled_matchers` →
+:meth:`FuzzyParser.from_compiled`), published as flat columns in a
+shared-memory segment, not rebuilt from the word list.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ DEFAULT_TRAIN_WINDOW = 65_536
 
 #: Corpora smaller than this train serially even when ``jobs > 1``.
 #: Worker startup is a fixed cost (process start plus the
-#: compiled-matcher attach): starting and stopping two workers took
+#: word-index attach): starting and stopping two workers took
 #: 45 ms under fork and 235 ms under spawn on a 2-core host (Python
 #: 3.11.7, a 10,000-word base dictionary), against a serial rate of
 #: about 9 us per distinct password, parse and count, so the pool
@@ -231,20 +231,21 @@ class _Window:
 
 
 #: Per-worker parser, created once by the pool initialiser so every
-#: slice mapped to that worker reuses the same compiled matcher.
+#: slice mapped to that worker reuses the same word index.
 _WORKER_PARSER: Optional[FuzzyParser] = None
 
 
 def _worker_init_shared(segment_name: str) -> None:
     """Pool initialiser: attach the parent's snapshot segment by name.
 
-    The parent compiles its flat-array matchers once
-    (:meth:`FuzzyParser.ensure_compiled_matchers`) and publishes them
-    into a shared-memory segment (DESIGN.md §16); workers attach
-    zero-copy and wrap the mapped tables with
+    The parent builds its word indexes once
+    (:meth:`FuzzyParser.ensure_compiled_matchers`) and publishes their
+    columns into a shared-memory segment (DESIGN.md §16); workers
+    attach, rebuild the index dicts from the columns and wrap them with
     :meth:`FuzzyParser.from_compiled` without ever touching a pointer
-    trie — or a pickle.  Per-process setup cost is therefore flat in
-    the base dictionary's size under ``fork`` and ``spawn`` alike.
+    trie or the word list — or a pickle.  Per-process setup is a few
+    C-level passes over the columns under ``fork`` and ``spawn``
+    alike.
     """
     global _WORKER_PARSER
     state = _worker_attach_state(segment_name)
@@ -276,7 +277,7 @@ def _training_pool(
 ) -> Iterator[multiprocessing.pool.Pool]:
     """The persistent worker pool for ``parser``, with segment lifetime.
 
-    The parser's flat-array matchers are published into a trie-only
+    The parser's word indexes are published into a trie-only
     shared-memory segment (no grammar tables — training workers parse,
     they do not score) and every worker gets just the segment name;
     the segment is unlinked when the pool winds down.  The pool comes

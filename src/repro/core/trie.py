@@ -20,9 +20,13 @@ character that belongs to a leet pair contributes one Yes/No factor.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional
+from typing import Set, Tuple
 
 from repro.util.leet import LEET_BY_LETTER, LEET_BY_SUBSTITUTE
+
+if TYPE_CHECKING:  # pragma: no cover - the index imports this module
+    from repro.core.word_index import WordIndex
 
 #: Map from an *observed* character to the (rule-relevant) stored
 #: character it may have been toggled from, e.g. ``"0" -> "o"`` and
@@ -117,9 +121,9 @@ class PrefixTrie:
     nodes.  The pointer nodes are built on the first pointer query
     (:meth:`longest_exact_prefix`, :meth:`fuzzy_matches`,
     :meth:`longest_fuzzy_match`), and later inserts keep them in step.
-    Parsing uses the compiled snapshot, so a meter that is trained,
-    loaded or served never builds them; the pointer walk is the
-    reference the compiled matcher is tested against.
+    Parsing uses the compiled :class:`~repro.core.word_index.WordIndex`,
+    so a meter that is trained, loaded or served never builds them;
+    the pointer walk is the reference that index is tested against.
 
     >>> trie = PrefixTrie(["password", "p@ssword", "123qwe"])
     >>> "password" in trie
@@ -190,23 +194,24 @@ class PrefixTrie:
             self._sorted = True
         return iter(self._words)
 
-    def compile(self) -> "CompiledTrie":
-        """Freeze this trie into a :class:`CompiledTrie`.
+    def compile(self) -> "WordIndex":
+        """Freeze this trie's words into a :class:`WordIndex`.
 
-        The compiled form answers the same queries from flat columns
-        (no per-node Python objects) and is what the parser's hot path
-        uses.  It is built from the word list, not from the nodes.  It
-        is a snapshot: words inserted afterwards do not appear in it.
+        The index answers the parser's fuzzy prefix queries with a few
+        dict probes per position (no nodes, no walk) and is what the
+        parser's hot path uses.  It is built from the word list, not
+        from the nodes.  It is a snapshot: words inserted afterwards do
+        not appear in it.
 
-        Compilation cost lands in the ``trie.compile.seconds``
-        telemetry histogram (one observation per snapshot), so a
-        profile can separate matcher build time from parse time.
+        Build cost lands in the ``trie.compile.seconds`` telemetry
+        histogram (one observation per snapshot), so a profile can
+        separate matcher build time from parse time.
         """
         from repro import obs
-        from repro.core.compiled_trie import CompiledTrie
+        from repro.core.word_index import WordIndex
 
         with obs.get().timer("trie.compile.seconds"):
-            return CompiledTrie(self.iter_words(), self._min_length)
+            return WordIndex(self.iter_words(), self._min_length)
 
     # --- exact prefix matching ---------------------------------------
 
@@ -286,9 +291,8 @@ class PrefixTrie:
         transformations.
 
         Ties after both criteria are broken lexicographically on the
-        base word so that parsing is fully deterministic.  The signature
-        is :meth:`CompiledTrie.longest_fuzzy_match`'s, so a pointer trie
-        can stand in for the compiled one as a parse-level reference.
+        base word so that parsing is fully deterministic.  This search
+        is the reference :meth:`WordIndex.match` is tested against.
         """
         matches = self.fuzzy_matches(
             text[start:] if start else text,

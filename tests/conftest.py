@@ -10,6 +10,7 @@ import pytest
 from repro.core import FuzzyPSM
 from repro.core.parser import FuzzyParser
 from repro.core.trie import PrefixTrie
+from repro.core.word_index import canonical
 from repro.datasets import SyntheticEcosystem
 from repro.meters import MarkovMeter, PCFGMeter
 
@@ -28,22 +29,53 @@ TRAINING_PASSWORDS = [
 ]
 
 
+class PointerMatcher:
+    """A pointer trie behind :meth:`WordIndex.match`'s signature.
+
+    The parse loop hands every matcher the password and its folded
+    spelling; the pointer search needs only the password, and its
+    :class:`~repro.core.trie.FuzzyMatch` becomes the same forward flat
+    segment the index returns.
+    """
+
+    def __init__(self, trie: PrefixTrie) -> None:
+        self.trie = trie
+
+    def match(self, text, folded, start, capitalization, leet):
+        found = self.trie.longest_fuzzy_match(text, capitalization, leet,
+                                              start)
+        if found is None:
+            return None
+        return (found.base, found.capitalized, found.toggled_offsets,
+                False, False, True)
+
+
+def longest_match(matcher, text, capitalization=True, leet=True, start=0):
+    """``matcher.match`` at ``text[start:]``, folding ``text`` the way
+    the parse loop does: the forward segment a parse would take there,
+    or None (also past the end of ``text``)."""
+    if start >= len(text):
+        return None
+    return matcher.match(text, canonical(text), start, capitalization, leet)
+
+
 def pointer_parser(trie: PrefixTrie, **flags) -> FuzzyParser:
     """The pointer-trie reference parser for the parse differentials.
 
-    Production parses only ever match against the compiled trie; this
-    parser runs the same rules over plain :class:`PrefixTrie` walks
-    (both tries expose the same ``longest_fuzzy_match``), with the
-    reverse rule's trie built the way the parser builds its own.
+    Production parses only ever probe the word index; this parser runs
+    the same parse loop over plain :class:`PrefixTrie` searches
+    (:class:`PointerMatcher`), with the reverse rule's trie built the
+    way the parser builds its own index.
     """
-    reversed_trie = None
+    reversed_matcher = None
     if flags.get("allow_reverse"):
         reversed_trie = PrefixTrie(min_length=trie.min_length)
         for word in trie.iter_words():
             if word != word[::-1]:
                 reversed_trie.insert(word[::-1])
+        reversed_matcher = PointerMatcher(reversed_trie)
     return FuzzyParser.from_compiled(
-        trie, reversed_trie, trie.min_length, flags
+        PointerMatcher(trie), reversed_matcher, trie.min_length, flags
     )
 
 

@@ -1,23 +1,27 @@
-"""Equivalence suite: compiled (flat-array) trie vs pointer trie.
+"""Equivalence suite: the compiled word index vs the pointer trie.
 
-The compiled trie is an execution-strategy change only — every query
-must be bit-for-bit identical to :class:`PrefixTrie`.  These tests
-drive both implementations with randomized fuzzy corpora (including
-leet-in-base words like ``p@ssword``) and assert identical results.
+:meth:`PrefixTrie.compile` builds a
+:class:`~repro.core.word_index.WordIndex`, an execution-strategy change
+only — every :meth:`~repro.core.word_index.WordIndex.match` must be
+bit-for-bit the pointer trie's search behind the same signature
+(:class:`~tests.conftest.PointerMatcher`).  These tests drive both with
+randomized fuzzy corpora (including leet-in-base words like
+``p@ssword``) and assert identical results.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 
-from repro.core.compiled_trie import CompiledTrie
 from repro.core.parser import FuzzyParser
 from repro.core.trie import PrefixTrie
+from repro.core.word_index import WordIndex
 from repro.util.leet import LEET_BY_LETTER
 
-from tests.conftest import pointer_parser
+from tests.conftest import PointerMatcher, longest_match, pointer_parser
 
 
 WORDS = [
@@ -68,6 +72,26 @@ def random_probes(rng: random.Random, words: list, count: int) -> list:
     return probes
 
 
+def stored_words(index: WordIndex) -> list:
+    """Every word ``index`` holds, sorted, read from its columns."""
+    meta, columns = index.to_arrays()
+    if not columns["keys"]:
+        return []
+    separator = meta["separator"]
+    words = []
+    for key, held in zip(columns["keys"].split(separator),
+                         columns["held"].split(separator)):
+        words += [held[at:at + len(key)] for at in range(0, len(held),
+                                                          len(key))]
+    return sorted(words)
+
+
+def exact(index: WordIndex, word: str) -> bool:
+    """True when ``index`` holds ``word`` verbatim."""
+    found = longest_match(index, word, False, False)
+    return found is not None and found[0] == word
+
+
 @pytest.fixture(scope="module")
 def tries():
     rng = random.Random(20160628)
@@ -85,29 +109,31 @@ class TestBasicQueries:
     def test_contains(self, tries):
         pointer, compiled, words, _ = tries
         for word in words:
-            assert word in compiled
-        for probe in ("", "zz", "p@s", "passwordx", 42, None):
-            assert (probe in compiled) == (probe in pointer)
+            assert exact(compiled, word)
+        for probe in ("", "zz", "p@s", "passwordx", "P@ssword"):
+            assert exact(compiled, probe) == (probe in pointer)
 
     def test_iter_words_lexicographic(self, tries):
         pointer, compiled, words, _ = tries
-        assert list(compiled.iter_words()) == list(pointer.iter_words())
-        assert list(compiled.iter_words()) == sorted(words)
+        assert stored_words(compiled) == list(pointer.iter_words())
+        assert stored_words(compiled) == sorted(words)
 
     def test_longest_exact_prefix(self, tries):
         pointer, compiled, words, rng = tries
         for probe in random_probes(rng, words, 500):
-            assert (
-                compiled.longest_exact_prefix(probe)
-                == pointer.longest_exact_prefix(probe)
+            found = longest_match(compiled, probe, False, False)
+            assert found == longest_match(
+                PointerMatcher(pointer), probe, False, False
             )
+            assert (found and found[0]) == \
+                pointer.longest_exact_prefix(probe)
 
     def test_compile_is_a_snapshot(self):
         trie = PrefixTrie(["password"])
         compiled = trie.compile()
         trie.insert("monkey")
         assert "monkey" in trie
-        assert "monkey" not in compiled
+        assert not exact(compiled, "monkey")
         assert len(compiled) == 1
 
 
@@ -122,36 +148,32 @@ class TestFuzzyEquivalence:
         pointer, compiled, words, rng = tries
         probes = random_probes(rng, words, 1200)
         probes += ["", "P@ssw0rd123", "DRAGON", "he11o!!", "M0nkey1"]
+        reference = PointerMatcher(pointer)
         for probe in probes:
-            expected = pointer.longest_fuzzy_match(
-                probe,
-                allow_capitalization=allow_capitalization,
-                allow_leet=allow_leet,
+            expected = longest_match(
+                reference, probe, allow_capitalization, allow_leet
             )
-            actual = compiled.longest_fuzzy_match(
-                probe,
-                allow_capitalization=allow_capitalization,
-                allow_leet=allow_leet,
+            actual = longest_match(
+                compiled, probe, allow_capitalization, allow_leet
             )
             assert actual == expected, probe
 
     def test_start_offset_equals_slicing(self, tries):
         pointer, compiled, words, rng = tries
+        reference = PointerMatcher(pointer)
         for probe in random_probes(rng, words, 300):
             for start in range(min(len(probe), 5)):
-                expected = pointer.longest_fuzzy_match(probe[start:])
-                actual = compiled.longest_fuzzy_match(probe, start=start)
+                expected = longest_match(reference, probe[start:])
+                actual = longest_match(compiled, probe, start=start)
                 assert actual == expected, (probe, start)
 
     def test_leet_in_base_word(self):
         compiled = PrefixTrie(["p@ssword", "password"]).compile()
         # Observed 'a' must match stored '@' (bidirectional toggles).
-        match = compiled.longest_fuzzy_match("passwords")
-        assert match.base == "password"
-        assert match.toggled_offsets == ()
-        match = compiled.longest_fuzzy_match("p@ssword1")
-        assert match.base == "p@ssword"
-        assert match.toggled_offsets == ()
+        base, _, toggled = longest_match(compiled, "passwords")[:3]
+        assert (base, toggled) == ("password", ())
+        base, _, toggled = longest_match(compiled, "p@ssword1")[:3]
+        assert (base, toggled) == ("p@ssword", ())
 
     def test_tie_breaks_match_pointer_trie(self):
         # Same length, same transformation count -> lexicographic base.
@@ -160,8 +182,8 @@ class TestFuzzyEquivalence:
         compiled = pointer.compile()
         for probe in ("abc1", "a8c1", "obo!", "0b0!", "Abc", "ObO"):
             assert (
-                compiled.longest_fuzzy_match(probe)
-                == pointer.longest_fuzzy_match(probe)
+                longest_match(compiled, probe)
+                == longest_match(PointerMatcher(pointer), probe)
             ), probe
 
 
@@ -169,59 +191,94 @@ class TestLayoutEdgeCases:
     def test_empty_trie(self):
         compiled = PrefixTrie().compile()
         assert len(compiled) == 0
-        assert list(compiled.iter_words()) == []
-        assert "password" not in compiled
-        assert compiled.longest_fuzzy_match("password") is None
+        assert stored_words(compiled) == []
+        assert longest_match(compiled, "password") is None
 
     def test_out_of_alphabet_probe_chars(self):
-        # The packed-key shift is sized to the edge alphabet; ordinals
-        # beyond it must read as misses, never alias another node.
+        # Characters no stored word holds must read as misses.
         compiled = PrefixTrie(["123", "456"]).compile()
-        assert compiled.longest_fuzzy_match("ééé") is None
-        assert "Ĕbc" not in compiled
-        assert compiled.longest_fuzzy_match("123abc").base == "123"
+        assert longest_match(compiled, "ééé") is None
+        assert longest_match(compiled, "Ĕbc") is None
+        assert longest_match(compiled, "123abc")[0] == "123"
 
     def test_digit_only_alphabet_rejects_symbol_partners(self):
-        # With a digit-only alphabet the bound sits below ord('@');
-        # the '@'->'a' toggle must be a miss, not an aliased hit.
+        # Over digit-only words the '@'->'a' toggle must be a miss:
+        # folding '@' gives a letter no stored word holds.
         pointer = PrefixTrie(["111", "000"])
         compiled = pointer.compile()
         for probe in ("@11", "11@", "ooo", "0o0", "aaa"):
             assert (
-                compiled.longest_fuzzy_match(probe)
-                == pointer.longest_fuzzy_match(probe)
+                longest_match(compiled, probe)
+                == longest_match(PointerMatcher(pointer), probe)
             ), probe
 
     def test_unicode_words(self):
         words = ["пароль", "密码密码", "motdepasse"]
         pointer = PrefixTrie(words)
         compiled = pointer.compile()
-        assert list(compiled.iter_words()) == sorted(words)
+        assert stored_words(compiled) == sorted(words)
         for word in words:
-            assert word in compiled
+            assert exact(compiled, word)
             assert (
-                compiled.longest_fuzzy_match(word + "1")
-                == pointer.longest_fuzzy_match(word + "1")
+                longest_match(compiled, word + "1")
+                == longest_match(PointerMatcher(pointer), word + "1")
             )
 
     def test_leet_variants_share_one_canonical_path(self):
-        # Edges are keyed by the leet-canonical character, so words
-        # that differ only by leet substitutes end on one node, which
+        # Words are keyed by their leet-canonical spelling, so words
+        # that differ only by leet substitutes share one key, which
         # holds them in lexicographic order.
         words = ["p@ssword", "passw0rd", "password"]
         compiled = PrefixTrie(words).compile()
-        assert compiled.node_count == 1 + len("password")
-        assert list(compiled.iter_words()) == sorted(words)
+        _, columns = compiled.to_arrays()
+        assert columns["keys"] == "password"
+        assert columns["held"] == "".join(sorted(words))
+        assert stored_words(compiled) == sorted(words)
         for word in words:
-            assert word in compiled
-        assert "p@ssw0rd" not in compiled
-        match = compiled.longest_fuzzy_match("p@ssw0rd")
-        assert match.base == "p@ssword"
-        assert match.toggled_offsets == (5,)
+            assert exact(compiled, word)
+        assert not exact(compiled, "p@ssw0rd")
+        base, _, toggled = longest_match(compiled, "p@ssw0rd")[:3]
+        assert (base, toggled) == ("p@ssword", (5,))
+
+
+class TestColumns:
+    """The flat columns the training pool's segment publishes."""
+
+    @staticmethod
+    def _attached(index: WordIndex) -> WordIndex:
+        # The segment hands numeric columns over as memoryview casts.
+        meta, columns = index.to_arrays()
+        columns = {
+            name: memoryview(value.tobytes()).cast("q")
+            if isinstance(value, array) else value
+            for name, value in columns.items()
+        }
+        return WordIndex.from_arrays(meta, columns)
+
+    @pytest.mark.parametrize("words", [
+        [],
+        WORDS,
+        # A separator must be a character no stored word holds.
+        ["\x00ab", "a\x01c", "a\x00c", "\x02\x03\x04", "p@ss"],
+    ], ids=["empty", "words", "control-characters"])
+    def test_round_trip_answers_alike(self, words):
+        index = PrefixTrie(words).compile()
+        attached = self._attached(index)
+        assert len(attached) == len(index)
+        assert stored_words(attached) == stored_words(index) \
+            == sorted(words)
+        probes = [w + "1" for w in words] + ["P@ssword1", "abc", ""]
+        for probe in probes:
+            assert longest_match(attached, probe) \
+                == longest_match(index, probe), probe
+
+    def test_words_shorter_than_min_length_are_rejected(self):
+        with pytest.raises(ValueError, match="at least 3"):
+            WordIndex(["ab", "abc"], 3)
 
 
 class TestParserEquivalence:
-    """The compiled-trie parser == the pointer-trie reference parser."""
+    """The word-index parser == the pointer-trie reference parser."""
 
     @pytest.mark.parametrize("flags", [
         {},
@@ -243,20 +300,20 @@ class TestParserEquivalence:
     def test_compiled_matcher_is_lazy(self, tries):
         pointer, _, _, _ = tries
         parser = FuzzyParser(pointer)
-        assert parser.compiled_trie is None
+        assert parser.word_index is None
         parser.parse("password")
-        assert isinstance(parser.compiled_trie, CompiledTrie)
+        assert isinstance(parser.word_index, WordIndex)
 
     def test_reversed_trie_is_lazy(self, tries):
         pointer, _, _, _ = tries
         parser = FuzzyParser(pointer, allow_reverse=True)
-        assert not parser.reversed_trie_built
+        assert not parser.reversed_index_built
         parser.parse("password")
-        assert parser.reversed_trie_built
+        assert parser.reversed_index_built
 
     def test_reversed_trie_unused_when_reverse_off(self, tries):
         pointer, _, _, rng = tries
         parser = FuzzyParser(pointer)
         for probe in random_probes(rng, list(WORDS), 50):
             parser.parse(probe)
-        assert not parser.reversed_trie_built
+        assert not parser.reversed_index_built

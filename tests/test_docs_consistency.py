@@ -29,6 +29,7 @@ REMOVED_NAMES = (
     "parse_cached", "parse_flat_cached", "--score-jobs", "shared_segment",
     "PARALLEL_SCORABLE", "parallel-scorable", "PARALLEL_MIN_DISTINCT",
     "from_tables", "DeltaBuilder", "DeltaMerger", "GrammarDelta",
+    "CompiledTrie",
 )
 
 
@@ -81,8 +82,8 @@ def test_serve_speedup_matches_the_bench(document):
 #: ``(bench entry, key, quote pattern, documents)`` of the speed-ups
 #: and latencies the documents quote by entry name.
 RATIO_QUOTES = [
-    ("parse_compiled_vs_pointer", "ratio",
-     r"`+parse_compiled_vs_pointer`+:\s+([\d.]+)(?:\u00d7|x)",
+    ("parse_index_vs_pointer", "ratio",
+     r"`+parse_index_vs_pointer`+:\s+([\d.]+)(?:\u00d7|x)",
      ("README.md", "DESIGN.md", "EXPERIMENTS.md")),
     ("batch_vs_loop_scoring", "fuzzypsm_speedup",
      r"`+batch_vs_loop_scoring`+:\s+fuzzyPSM\s+([\d.]+)(?:\u00d7|x)",

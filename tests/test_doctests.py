@@ -7,6 +7,7 @@ import pytest
 
 MODULES = [
     "repro.core.trie",
+    "repro.core.word_index",
     "repro.core.grammar",
     "repro.core.parser",
     "repro.core.training",

@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro import obs
-from repro.core.compiled_trie import CompiledTrie
+from repro.core.word_index import WordIndex
 from repro.core.meter import FuzzyPSM, FuzzyPSMConfig
 from repro.core.training import build_base_trie, train_grammar
 from repro.core.trie import _Node
@@ -25,6 +25,8 @@ from repro.util.freqdist import FrequencyDistribution
 from tests.conftest import (
     BASE_DICTIONARY,
     TRAINING_PASSWORDS,
+    PointerMatcher,
+    longest_match,
     reference_scores,
 )
 
@@ -268,7 +270,7 @@ class TestSerialisation:
 
     def test_legacy_dict_defaults_to_compiled(self, fuzzy_meter):
         # Older model files name the trie matcher in their config; the
-        # key is ignored and the compiled trie — the only matcher —
+        # key is ignored and the word index — the only matcher —
         # parses.
         data = fuzzy_meter.to_dict()
         data["config"]["use_compiled_trie"] = False
@@ -276,7 +278,7 @@ class TestSerialisation:
         assert clone.config == fuzzy_meter.config
         assert "use_compiled_trie" not in clone.to_dict()["config"]
         clone.parse("password123")
-        assert isinstance(clone.parser.compiled_trie, CompiledTrie)
+        assert isinstance(clone.parser.word_index, WordIndex)
 
 
 class TestPointerNodes:
@@ -301,15 +303,16 @@ class TestPointerNodes:
         assert scores == reference_scores(meter, probes)
         compiled = trie.compile()
         for probe in probes:
-            assert trie.longest_fuzzy_match(probe) == \
-                compiled.longest_fuzzy_match(probe)
+            assert longest_match(PointerMatcher(trie), probe) == \
+                longest_match(compiled, probe)
         assert trie.insert("p@ssw0rdz")
         compiled = trie.compile()
         for probe in ["P@ssw0rdz1", "p@ssw0rdz!", "password"]:
-            assert trie.longest_fuzzy_match(probe) == \
-                compiled.longest_fuzzy_match(probe)
+            assert longest_match(PointerMatcher(trie), probe) == \
+                longest_match(compiled, probe)
+            found = longest_match(compiled, probe, False, False)
             assert trie.longest_exact_prefix(probe) == \
-                compiled.longest_exact_prefix(probe)
+                (found and found[0])
         assert trie.longest_fuzzy_match("P@ssw0rdz1").base == "p@ssw0rdz"
 
 
