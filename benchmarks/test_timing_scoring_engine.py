@@ -1,11 +1,12 @@
-"""The scoring engine: the frozen kernel and its refresh.
+"""The scoring engine: the frozen kernel, its refresh and model set-up.
 
 ``frozen_kernel``: :class:`repro.core.frozen.FrozenGrammar` compiles
 the grammar's dict-of-FrequencyDistribution tables into interned-index
 flat arrays.  The bench scores the same derivations through the dict
 kernel and the frozen kernel, asserts bitwise equality (the snapshot
 is an execution strategy, not a model change), and records the
-kernel-for-kernel speedup plus the one-off snapshot build cost.
+kernel-for-kernel speedup plus the one-off snapshot build cost, as
+medians over interleaved repeats.
 
 ``frozen_refresh``: after an update, the meter builds its next
 snapshot from the stale one, reusing every length table the update
@@ -13,6 +14,12 @@ left alone.  The bench times that refresh against a full build of the
 same grammar state, asserts both snapshots hold identical tables
 (intern order included), and records the medians over repeated
 updates.
+
+``model_setup``: what a user waits for between a saved model and its
+first scores.  The bench saves the meter as FPSMBIN1, then times
+``load_meter``, ``frozen_grammar()`` and the first
+``probability_many`` block (the word-index build plus scoring), and
+asserts that block's scores equal per-call ``probability``.
 """
 
 import statistics
@@ -25,11 +32,25 @@ import pytest
 from repro.core.frozen import FrozenGrammar, freeze
 from repro.core.grammar import FuzzyGrammar
 from repro.core.meter import FuzzyPSM
+from repro.persistence import load_meter, save_meter
 
 from bench_lib import SMOKE, emit, record
 
 #: Updates timed by the refresh bench (one refresh + one full build each).
 REFRESH_REPEATS = 9
+#: Interleaved repeats of the kernel and set-up benches.
+REPEATS = 7
+#: Passwords in the first scored block of the set-up bench.
+FIRST_BLOCK = 4096
+
+
+def _spread(name, values, scale=1.0):
+    """``{name_median, name_min, name_max}`` of ``values`` times ``scale``."""
+    return {
+        f"{name}_median": statistics.median(values) * scale,
+        f"{name}_min": min(values) * scale,
+        f"{name}_max": max(values) * scale,
+    }
 
 
 @pytest.fixture(scope="module")
@@ -49,36 +70,37 @@ def test_timing_frozen_kernel(meter, csdn_quarters, capsys):
     derivations = [parse.to_derivation() for parse in parses]
     flats = [parse.flat for parse in parses]
 
-    start = time.perf_counter()
-    frozen = freeze(meter.grammar)
-    build_seconds = time.perf_counter() - start
+    def timed(score, inputs):
+        start = time.perf_counter()
+        values = [score(item) for item in inputs]
+        return values, time.perf_counter() - start
 
-    def best_of_three(score, inputs):
-        timings = []
-        for _ in range(3):
-            start = time.perf_counter()
-            values = [score(item) for item in inputs]
-            timings.append(time.perf_counter() - start)
-        return values, min(timings)
+    build, frozen_times, dict_times = [], [], []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        frozen = freeze(meter.grammar)
+        build.append(time.perf_counter() - start)
+        frozen_values, seconds = timed(frozen.derivation_probability, flats)
+        frozen_times.append(seconds)
+        dict_values, seconds = timed(
+            meter.grammar.derivation_probability, derivations
+        )
+        dict_times.append(seconds)
+        assert frozen_values == dict_values  # bit-identical, or a bug
 
-    frozen_values, frozen_seconds = best_of_three(
-        frozen.derivation_probability, flats
-    )
-    dict_values, dict_seconds = best_of_three(
-        meter.grammar.derivation_probability, derivations
-    )
-
-    assert frozen_values == dict_values  # bit-identical, or it is a bug
-    speedup = dict_seconds / frozen_seconds
+    speedup = statistics.median(dict_times) / statistics.median(frozen_times)
     emit(
         capsys,
-        f"(timing) frozen kernel: {len(derivations):,} derivations -- "
-        f"dict {dict_seconds:.3f} s, frozen {frozen_seconds:.3f} s "
-        f"({speedup:.2f}x; snapshot build {build_seconds:.3f} s)",
+        f"(timing) frozen kernel: {len(derivations):,} derivations, "
+        f"medians of {REPEATS} -- dict "
+        f"{statistics.median(dict_times):.4f} s, frozen "
+        f"{statistics.median(frozen_times):.4f} s ({speedup:.2f}x; "
+        f"snapshot build {statistics.median(build) * 1e3:.2f} ms)",
     )
-    record("frozen_kernel", derivations=len(derivations),
-           dict_seconds=dict_seconds, frozen_seconds=frozen_seconds,
-           build_seconds=build_seconds, speedup=speedup)
+    record("frozen_kernel", derivations=len(derivations), repeats=REPEATS,
+           **_spread("dict_seconds", dict_times),
+           **_spread("frozen_seconds", frozen_times),
+           **_spread("build_ms", build, 1e3), speedup=speedup)
     assert SMOKE or speedup >= 1.5
 
 
@@ -88,9 +110,9 @@ def _tables(frozen):
         list(frozen.structure_table().items()),
         [
             (length, list(index.items()),
-             array("d", probabilities).tobytes(), runs)
+             array("d", probabilities).tobytes(), rules)
             for length in frozen.terminal_lengths()
-            for index, probabilities, runs in [frozen.terminal_table(length)]
+            for index, probabilities, rules in [frozen.terminal_table(length)]
         ],
         frozen.capitalization_pair, frozen.reverse_pair,
         frozen.allcaps_pair, frozen.leet_pairs,
@@ -137,3 +159,44 @@ def test_timing_frozen_refresh(meter, csdn_quarters, capsys):
            full_min_ms=min(full_ms), full_max_ms=max(full_ms),
            speedup=speedup)
     assert SMOKE or speedup >= 10
+
+
+def test_timing_model_setup(meter, csdn_quarters, tmp_path, capsys):
+    _, test = csdn_quarters
+    block = list(islice(test.unique_passwords(), FIRST_BLOCK))
+    path = str(tmp_path / "model.fpsm")
+    save_meter(meter, path, fmt="binary")
+    expected = [meter.probability(password) for password in block]
+    stages = {"load": [], "frozen": [], "first_block": [], "setup": []}
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        loaded = load_meter(path)
+        loaded_at = time.perf_counter()
+        loaded.frozen_grammar()
+        frozen_at = time.perf_counter()
+        scores = loaded.probability_many(block)
+        done = time.perf_counter()
+        for stage, seconds in (("load", loaded_at - start),
+                               ("frozen", frozen_at - loaded_at),
+                               ("first_block", done - frozen_at),
+                               ("setup", done - start)):
+            stages[stage].append(seconds)
+        assert scores == expected  # bit-identical, or it is a bug
+        del loaded
+
+    medians = {stage: statistics.median(values) * 1e3
+               for stage, values in stages.items()}
+    emit(
+        capsys,
+        f"(timing) model set-up: {len(block):,}-password first block, "
+        f"medians of {REPEATS} -- load {medians['load']:.1f} ms, frozen "
+        f"build {medians['frozen']:.2f} ms, first block "
+        f"{medians['first_block']:.1f} ms, set-up {medians['setup']:.1f} "
+        f"ms [{min(stages['setup']) * 1e3:.1f}, "
+        f"{max(stages['setup']) * 1e3:.1f}]",
+    )
+    spreads = {}
+    for stage, values in stages.items():
+        spreads.update(_spread(f"{stage}_ms", values, 1e3))
+    record("model_setup", repeats=REPEATS, first_block=len(block),
+           terminals=meter.frozen_grammar().terminal_count, **spreads)

@@ -19,6 +19,9 @@ way batch scoring does:
   factor order, and shared by every structure that references the
   length.  A guess is then a tuple of list indices; its surface is a
   string join and its probability a short product over cached floats.
+  The snapshot stores each terminal's leet rules without offsets, so a
+  terminal's ``(offset, rule)`` run is derived from its base when a
+  slot stream opens the terminal (and when the sampler first draws it).
 * **one global heap** — instead of one lattice walk per structure
   merged pairwise, a single frontier over ``(structure, index-vector)``
   nodes yields guesses in globally descending order.  Successors use
@@ -28,7 +31,7 @@ way batch scoring does:
   old path's memory grow with guesses emitted.
 * **bit-identical probabilities** — factors are multiplied in exactly
   the order of :meth:`FrozenGrammar.derivation_probability` (terminal,
-  capitalization, reverse, all-caps, then leet factors in stored-run
+  capitalization, reverse, all-caps, then leet factors in offset
   order; segment factors folded left-to-right into the structure
   probability), so every emitted probability equals the reference
   kernel's value bit for bit (asserted by
@@ -83,7 +86,12 @@ from typing import (
 from repro import obs
 from repro.core.frozen import FrozenGrammar
 from repro.core.grammar import Derivation, DerivedSegment, Structure
-from repro.util.leet import LEET_BY_LETTER, LEET_BY_SUBSTITUTE
+from repro.util.leet import (
+    LEET_BY_LETTER,
+    LEET_BY_SUBSTITUTE,
+    LeetRun,
+    leet_run,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.meter import FuzzyPSM
@@ -557,7 +565,7 @@ class AttackEngine:
         entry = self._frozen.terminal_table(length)
         if entry is None:
             return
-        index, probabilities, runs = entry
+        index, probabilities, _rules = entry
         bases = list(index)
         order = sorted(
             range(len(bases)), key=lambda i: (-probabilities[i], bases[i])
@@ -575,10 +583,12 @@ class AttackEngine:
             ):
                 position = order[cursor]
                 cursor += 1
+                # The snapshot keeps only the rules; the lattice needs
+                # the offsets too, derived once as the terminal opens.
                 stream = self._terminal_stream(
                     bases[position],
                     probabilities[position],
-                    runs[position],
+                    leet_run(bases[position]),
                 )
                 first = next(stream, None)
                 if first is not None:
@@ -599,7 +609,7 @@ class AttackEngine:
         self,
         base: str,
         t_probability: float,
-        run: Tuple[Tuple[int, int], ...],
+        run: LeetRun,
     ) -> Iterator[Tuple[str, float, DerivedSegment]]:
         """Descending ``(surface, factor, segment)`` for one terminal.
 
@@ -610,8 +620,8 @@ class AttackEngine:
         Blessed FPM002 kernel: each variant's factor repeats the exact
         multiplication order of ``FrozenGrammar.derivation_probability``
         for one segment — terminal probability, capitalization,
-        reverse, all-caps, then the leet pair factors in stored-run
-        order — and exact zeros prune the sub-lattice.
+        reverse, all-caps, then the leet pair factors of ``run`` in
+        offset order — and exact zeros prune the sub-lattice.
         """
         options = self._case_options(base, t_probability)
         if not options:
@@ -804,6 +814,9 @@ class FrozenSampler:
         self._terminal_cumulative: Dict[
             int, Tuple[List[str], List[float]]
         ] = {}
+        #: The ``(offset, rule)`` leet run of every base drawn so far;
+        #: the snapshot keeps only the rules, and draws repeat bases.
+        self._runs: Dict[str, LeetRun] = {}
 
     def _terminal_tables(
         self, length: int
@@ -813,7 +826,7 @@ class FrozenSampler:
             entry = self._frozen.terminal_table(length)
             if entry is None:
                 return None
-            index, probabilities, _runs = entry
+            index, probabilities, _rules = entry
             tables = (list(index), list(accumulate(probabilities)))
             self._terminal_cumulative[length] = tables
         return tables
@@ -884,11 +897,12 @@ class FrozenSampler:
             all_caps = (
                 not capitalized and rng.random() < ac_pair[1]
             )
-            entry = self._frozen.terminal_table(length)
-            assert entry is not None
+            run = self._runs.get(base)
+            if run is None:
+                run = self._runs[base] = leet_run(base)
             toggles = tuple(
                 offset
-                for offset, rule in entry[2][t_index]
+                for offset, rule in run
                 if rng.random() < leet_pairs[rule][1]
             )
             segments.append(

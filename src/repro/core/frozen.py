@@ -15,9 +15,13 @@ freeze time every table is compiled once:
 * **structures** — one ``structure -> probability`` map (the division
   is paid per distinct structure, not per score);
 * **terminals** — per segment length, an interned index
-  (``base -> i``) plus a flat ``array('d')`` of probabilities and, per
-  interned terminal, the precomputed ``(offset, leet-rule)`` run so
-  scoring never re-derives which rule a character belongs to;
+  (``base -> i``), a flat ``array('d')`` of probabilities and, per
+  interned terminal, one ``bytes`` of the rule numbers (0-5) of its
+  leet characters in offset order, so an untoggled segment multiplies
+  its leet factors straight off those bytes.  A table's new bases get
+  theirs from one ``bytes.translate`` over their joined UTF-8 encodings
+  (:func:`~repro.util.leet.leet_rule_bytes`); a toggled segment, which
+  needs offsets, derives its ``(offset, rule)`` run from the base;
 * **capitalization / reverse / allcaps** — two-entry ``(No, Yes)``
   tuples indexed directly by the derivation's booleans, with the
   legacy-grammar sentinel semantics of
@@ -40,15 +44,15 @@ snapshot from the stale one instead of recompiling every table.  Count
 tables only grow, through :meth:`FrequencyDistribution.add`, which
 appends unseen keys and strictly raises the total.  So a length table
 whose total has not moved is unchanged and its ``(index, probabilities,
-runs)`` entry is shared by reference; a length whose total moved
+rules)`` entry is shared by reference; a length whose total moved
 recomputes only its probability column, and only the bases appended
-since are interned and get leet runs (the old index is a prefix of the
-table's key order).  Structures and the rule pairs are recomputed, as
-every update moves their totals.  The refreshed snapshot equals a full
-build column for column, and shared entries are never mutated, so an
-older snapshot keeps scoring its own epoch.  On the bench grammar one
+since are interned and get leet rule bytes (the old index is a prefix
+of the table's key order).  Structures and the rule pairs are
+recomputed, as every update moves their totals.  The refreshed
+snapshot equals a full build column for column, and shared entries
+are never mutated, so an older snapshot keeps scoring its own epoch.  On the bench grammar one
 update's refresh costs a fraction of a full build (``frozen_refresh``:
-0.25 ms refresh, 11.7 ms full build, medians over 9 updates).
+0.18 ms refresh, 2.25 ms full build, medians over 9 updates).
 """
 
 from __future__ import annotations
@@ -60,32 +64,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.core.grammar import FlatParse, FuzzyGrammar, Structure
 from repro.util.freqdist import FrequencyDistribution
-from repro.util.leet import LEET_RULE_INDEX, LEET_RULE_NAMES
-
-#: Backwards-compatible alias; the index now lives in
-#: :mod:`repro.util.leet` so the training counters share it.
-_LEET_RULE_INDEX: Dict[str, int] = LEET_RULE_INDEX
+from repro.util.leet import LEET_RULE_INDEX, LEET_RULE_NAMES, leet_rule_bytes
 
 #: One ``(No, Yes)`` probability pair, indexed by a rule's fired flag.
 _Pair = Tuple[float, float]
 
-#: The precomputed leet run of one terminal: ``(offset, rule)`` for
-#: every stored character that belongs to a leet pair, in offset order.
-_LeetRun = Tuple[Tuple[int, int], ...]
-
 #: One length's compiled terminal entry: the interned ``base -> i``
-#: index, the flat ``array('d')`` probability column, and the
-#: per-terminal leet runs.
-_TerminalEntry = Tuple[Dict[str, int], Sequence[float], Tuple[_LeetRun, ...]]
-
-
-def _leet_run(base: str) -> _LeetRun:
-    """The ``(offset, rule)`` pairs of ``base``'s leet characters."""
-    return tuple(
-        (offset, _LEET_RULE_INDEX[ch])
-        for offset, ch in enumerate(base)
-        if ch in _LEET_RULE_INDEX
-    )
+#: index, the flat ``array('d')`` probability column, and per terminal
+#: the rule numbers of its leet characters as one ``bytes``
+#: (:func:`~repro.util.leet.leet_rule_bytes`).
+_TerminalEntry = Tuple[Dict[str, int], Sequence[float], Tuple[bytes, ...]]
 
 
 def _pair(dist: "FrequencyDistribution[bool]") -> _Pair:
@@ -158,9 +146,9 @@ class FrozenGrammar:
             before = known.get(length)
             if before is None:
                 index: Dict[str, int] = {}
-                runs: Tuple[_LeetRun, ...] = ()
+                rules: Tuple[bytes, ...] = ()
             else:
-                index, _, runs = entries[length]
+                index, _, rules = entries[length]
                 if before == total:
                     self._terminals[length] = entries[length]
                     reused += 1
@@ -170,11 +158,11 @@ class FrozenGrammar:
                 fresh = list(islice(table, start, None))
                 index = dict(index)
                 index.update(zip(fresh, range(start, len(table))))
-                runs += tuple(map(_leet_run, fresh))
+                rules += tuple(leet_rule_bytes(fresh))
             probabilities = array(
                 "d", [count / total for _base, count in table.items()]
             )
-            self._terminals[length] = (index, probabilities, runs)
+            self._terminals[length] = (index, probabilities, rules)
         telemetry = obs.get()
         if telemetry.enabled:
             telemetry.incr_many([
@@ -222,6 +210,7 @@ class FrozenGrammar:
         reverse = self._reverse
         allcaps = self._allcaps
         leet = self._leet
+        rule_of = LEET_RULE_INDEX.get
         for base, capitalized, toggled, reversed_word, all_caps, _ in \
                 segments:
             if probability == 0.0:
@@ -237,10 +226,14 @@ class FrozenGrammar:
             seg_probability *= reverse[reversed_word]
             seg_probability *= allcaps[all_caps]
             if toggled:
-                for offset, rule in entry[2][index]:
-                    seg_probability *= leet[rule][offset in toggled]
+                # The stored rules carry no offsets; the few toggled
+                # segments find theirs in the base.
+                for offset, ch in enumerate(base):
+                    rule = rule_of(ch)
+                    if rule is not None:
+                        seg_probability *= leet[rule][offset in toggled]
             else:
-                for _offset, rule in entry[2][index]:
+                for rule in entry[2][index]:
                     seg_probability *= leet[rule][0]
             probability *= seg_probability
         return probability
@@ -261,7 +254,7 @@ class FrozenGrammar:
         return sorted(self._terminals)
 
     def terminal_table(self, length: int) -> Optional[_TerminalEntry]:
-        """One length's compiled ``(intern index, probabilities, leet runs)``.
+        """One length's compiled ``(intern index, probabilities, leet rules)``.
 
         The flat layout documented in the module docstring, exposed so
         the attack engine enumerates interned terminals directly

@@ -42,6 +42,7 @@ from repro.util.leet import (
     LEET_RULE_INDEX,
     LEET_RULE_NAMES,
 )
+from repro.util.sections import check_parallel, check_partition
 
 #: A base structure is the tuple of segment lengths, e.g. ``(8, 1)``.
 Structure = Tuple[int, ...]
@@ -631,14 +632,40 @@ class FuzzyGrammar:
         :meth:`FrequencyDistribution.from_counts` instead of per-item
         :meth:`~FrequencyDistribution.add` calls, which is what makes
         binary model loads of RockYou-scale grammars cheap.
+
+        Inconsistent columns raise ``ValueError``: a length column that
+        does not split its blob or symbol column exactly, parallel
+        columns of unequal length, a rule column of the wrong size, or
+        a negative count.
         """
+        symbols = arrays["structure_symbols"]
+        structure_lens = arrays["structure_lens"]
+        structure_counts = arrays["structure_counts"]
+        blob = arrays["terminal_blob"]
+        terminal_lens = arrays["terminal_lens"]
+        terminal_counts = arrays["terminal_counts"]
+        booleans = arrays["booleans"]
+        leet = arrays["leet"]
+        check_parallel({"structure_lens": structure_lens,
+                        "structure_counts": structure_counts})
+        check_partition(structure_lens, len(symbols), "structure_lens",
+                        "structure_symbols")
+        check_parallel({"terminal_lens": terminal_lens,
+                        "terminal_counts": terminal_counts})
+        check_partition(terminal_lens, len(blob), "terminal_lens",
+                        "terminal_blob")
+        for name, column, size in (
+            ("booleans", booleans, 6),
+            ("leet", leet, 2 * len(LEET_RULE_NAMES)),
+        ):
+            if len(column) != size:
+                raise ValueError(
+                    f"{name} holds {len(column)} counts, not {size}"
+                )
         grammar = cls()
         structure_pairs: List[Tuple[Structure, int]] = []
         offset = 0
-        symbols = arrays["structure_symbols"]
-        for length, count in zip(
-            arrays["structure_lens"], arrays["structure_counts"]
-        ):
+        for length, count in zip(structure_lens, structure_counts):
             structure_pairs.append(
                 (tuple(symbols[offset:offset + length]), count)
             )
@@ -647,11 +674,8 @@ class FuzzyGrammar:
             structure_pairs
         )
         tables: Dict[int, List[Tuple[str, int]]] = {}
-        blob = arrays["terminal_blob"]
         offset = 0
-        for length, count in zip(
-            arrays["terminal_lens"], arrays["terminal_counts"]
-        ):
+        for length, count in zip(terminal_lens, terminal_counts):
             word = blob[offset:offset + length]
             offset += length
             tables.setdefault(length, []).append((word, count))
@@ -659,14 +683,12 @@ class FuzzyGrammar:
             length: FrequencyDistribution.from_counts(pairs)
             for length, pairs in tables.items()
         }
-        booleans = arrays["booleans"]
         grammar.capitalization.add(True, booleans[0])
         grammar.capitalization.add(False, booleans[1])
         grammar.reverse.add(True, booleans[2])
         grammar.reverse.add(False, booleans[3])
         grammar.allcaps.add(True, booleans[4])
         grammar.allcaps.add(False, booleans[5])
-        leet = arrays["leet"]
         for index, name in enumerate(LEET_RULE_NAMES):
             grammar.leet[name].add(True, leet[2 * index])
             grammar.leet[name].add(False, leet[2 * index + 1])

@@ -50,6 +50,7 @@ from repro.core.training import (
 from repro.core.trie import PrefixTrie
 from repro.meters.base import ProbabilisticMeter
 from repro.meters.registry import Capability, TrainContext, register_meter
+from repro.util.sections import check_partition
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.attacks.engine import AttackEngine
@@ -550,12 +551,16 @@ class FuzzyPSM(ProbabilisticMeter):
         flat columns (:meth:`FuzzyGrammar.from_arrays`), and the trie
         is rebuilt from the word blob.  A binary round trip yields a
         meter whose :meth:`to_dict` is byte-identical to the source.
+        Inconsistent columns raise ``ValueError`` (see
+        :meth:`FuzzyGrammar.from_arrays`).
         """
         config = _load_config(meta["config"])
         blob = sections["base_blob"]
+        base_lens = sections["base_lens"]
+        check_partition(base_lens, len(blob), "base_lens", "base_blob")
         words: List[str] = []
         offset = 0
-        for length in sections["base_lens"]:
+        for length in base_lens:
             words.append(blob[offset:offset + length])
             offset += length
         trie = PrefixTrie(words, min_length=config.min_base_length)

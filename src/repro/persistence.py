@@ -263,7 +263,7 @@ def _parse_binary_mapping(path: str, mapped: mmap.mmap) -> Meter:
     meta = header.get("meta", {})
     try:
         return spec.cls.from_buffers(meta, sections)
-    except (KeyError, IndexError, TypeError) as error:
+    except (KeyError, IndexError, TypeError, ValueError) as error:
         raise _binary_error(
             path, f"corrupt section data: {error}"
         ) from error

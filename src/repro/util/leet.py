@@ -9,12 +9,15 @@ decreasing order of observed popularity::
 ``deleet`` maps a (lower-cased) string back to its all-letter base form,
 recording which rules fired; ``leet_variants`` enumerates the forward
 images, which the zxcvbn reimplementation also uses for its l33t matcher.
+``leet_rule_bytes`` and ``leet_run`` give the rule numbers of a word's
+leet characters, as the frozen scoring kernel and the attack engine read
+them.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 #: ``(rule_name, letter, substitute)`` in the paper's priority order.
 LEET_PAIRS: Tuple[Tuple[str, str, str], ...] = (
@@ -49,6 +52,64 @@ for _index, (_name, _letter, _sub) in enumerate(LEET_PAIRS):
     LEET_RULE_INDEX[_letter] = _index
     LEET_RULE_INDEX[_sub] = _index
 del _index, _name, _letter, _sub
+
+#: The ``(offset, rule)`` pairs of a word's leet characters, in offset
+#: order (:func:`leet_run`).
+LeetRun = Tuple[Tuple[int, int], ...]
+
+#: Joins the encoded words of one :func:`leet_rule_bytes` call.  UTF-8
+#: never produces 0xFF, even with ``surrogatepass``, so no word holds it.
+_WORD_BREAK = b"\xff"
+
+#: ``bytes.translate`` table: each of the twelve ASCII leet characters
+#: to its rule number (0-5); the other bytes are deleted or kept as is.
+_RULE_TABLE = bytes(
+    LEET_RULE_INDEX.get(chr(byte), byte) for byte in range(256)
+)
+
+#: Every byte but the leet characters and the word break.  Non-ASCII
+#: characters encode to bytes >= 0x80, so they are deleted too.
+_NOT_LEET = bytes(
+    byte for byte in range(255) if chr(byte) not in LEET_RULE_INDEX
+)
+
+
+def leet_rule_bytes(words: Sequence[str]) -> List[bytes]:
+    """The rule numbers of each word's leet characters, in offset order.
+
+    One ``bytes`` per word, built without a Python step per word or
+    character: the words are encoded (``surrogatepass``, so a lone
+    surrogate is just another non-leet character), joined, translated
+    once and split.
+
+    >>> leet_rule_bytes(["p@ss", "xyz", "t\\u00e97"])
+    [b'\\x00\\x01\\x01', b'', b'\\x05\\x05']
+    """
+    if not words:
+        return []
+    encoded = map(
+        str.encode, words, itertools.repeat("utf-8"),
+        itertools.repeat("surrogatepass"),
+    )
+    return _WORD_BREAK.join(encoded).translate(
+        _RULE_TABLE, _NOT_LEET
+    ).split(_WORD_BREAK)
+
+
+def leet_run(word: str) -> LeetRun:
+    """The ``(offset, rule)`` pairs of ``word``'s leet characters.
+
+    Offsets count characters; the rules are :func:`leet_rule_bytes`'s
+    for the same word, in the same order.
+
+    >>> leet_run("p@ss")
+    ((1, 0), (2, 1), (3, 1))
+    """
+    return tuple(
+        (offset, LEET_RULE_INDEX[ch])
+        for offset, ch in enumerate(word)
+        if ch in LEET_RULE_INDEX
+    )
 
 
 def deleet(text: str) -> Tuple[str, FrozenSet[str]]:

@@ -33,13 +33,20 @@ dtype      packed from             unpacked to
            /``memoryview``         (or ``bytes`` with ``copy=True``)
 =========  ======================  =============================
 
+``utf8`` sections are coded with ``surrogatepass``: a lone surrogate
+(JSON's ``"\ud800"`` decodes to one) round-trips, and valid text keeps
+its plain UTF-8 bytes.
+
 Foreign-endian input (a model file moved between hosts) falls back to
 a byteswapped copy for the numeric dtypes; shared-memory segments
 never cross hosts, so their unpack path is always the zero-copy cast.
 
 All structural failures raise :class:`SectionError` (a ``ValueError``)
 with the reason only; callers wrap it with their own context (file
-path, segment name).
+path, segment name).  :func:`check_partition` and
+:func:`check_parallel` are the checks callers make on the columns they
+decode: a length column must split its blob exactly, and parallel
+columns must be equally long.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from __future__ import annotations
 import json
 import sys
 from array import array
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Sized, Tuple
 
 #: Payload sections are padded to this alignment so ``int64``/``float64``
 #: columns can be cast straight out of the mapping.
@@ -73,7 +80,7 @@ def encode_section(value: Any) -> Tuple[str, bytes, int]:
             f"array({value.typecode!r})"
         )
     if isinstance(value, str):
-        payload = value.encode("utf-8")
+        payload = value.encode("utf-8", "surrogatepass")
         return "utf8", payload, len(payload)
     if isinstance(value, (bytes, bytearray, memoryview)):
         payload = bytes(value)
@@ -206,9 +213,45 @@ def decode_sections(
             else:
                 sections[name] = raw.cast(typecode)
         elif dtype == "utf8":
-            sections[name] = bytes(raw).decode("utf-8")
+            try:
+                sections[name] = bytes(raw).decode(
+                    "utf-8", "surrogatepass"
+                )
+            except UnicodeDecodeError as error:
+                raise SectionError(
+                    f"corrupt utf8 section {name!r}: {error}"
+                ) from error
         elif dtype == "bytes":
             sections[name] = bytes(raw) if copy else raw
         else:
             raise SectionError(f"unknown section dtype {dtype!r}")
     return sections
+
+
+def check_partition(
+    lengths: Sequence[int], size: int, name: str, whole: str
+) -> None:
+    """Require the length column ``name`` to split ``whole`` exactly.
+
+    ``whole`` holds ``size`` elements (characters of a blob, symbols of
+    a structure column); every length must be non-negative and the
+    lengths must sum to ``size``, or a reader would slice the wrong
+    items without noticing.
+    """
+    if len(lengths) and min(lengths) < 0:
+        raise SectionError(f"{name} holds a negative length")
+    covered = sum(lengths)
+    if covered != size:
+        raise SectionError(
+            f"{name} covers {covered} of the {size} elements of {whole}"
+        )
+
+
+def check_parallel(columns: Mapping[str, Sized]) -> None:
+    """Require the columns of one table to be equally long."""
+    sizes = {name: len(column) for name, column in columns.items()}
+    if len(set(sizes.values())) > 1:
+        described = ", ".join(
+            f"{name} {size}" for name, size in sizes.items()
+        )
+        raise SectionError(f"parallel columns differ in length: {described}")

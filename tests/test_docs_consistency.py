@@ -62,6 +62,45 @@ def test_refresh_figures_match_the_bench(document):
                 (document, key, quoted, entry[key])
 
 
+#: How documents quote the ``model_setup`` bench entry's medians.
+SETUP_QUOTE = re.compile(
+    r"`+model_setup`+:\s+([\d.]+) ms\s+from\s+file\s+to\s+first\s+block,"
+    r"\s+([\d.]+) ms\s+of\s+it\s+the\s+frozen\s+build"
+)
+
+
+@pytest.mark.parametrize("document", ["README.md", "DESIGN.md"])
+def test_setup_figures_match_the_bench(document):
+    entry = json.loads(_read("BENCH_timing.json"))["model_setup"]
+    quotes = SETUP_QUOTE.findall(_read(document))
+    assert quotes, f"{document} quotes no model_setup figures"
+    for setup, frozen in quotes:
+        for quoted, key in ((setup, "setup_ms_median"),
+                            (frozen, "frozen_ms_median")):
+            decimals = len(quoted.partition(".")[2])
+            assert float(quoted) == round(entry[key], decimals), \
+                (document, key, quoted, entry[key])
+
+
+#: Bench entries that must carry the host block and report every
+#: repeated timing as median, min and max.  Entries only join this list.
+SPREAD_ENTRIES = ("frozen_refresh", "frozen_kernel", "model_setup")
+HOST_KEYS = ("nproc", "python", "start_method", "git_sha")
+
+
+@pytest.mark.parametrize("name", SPREAD_ENTRIES)
+def test_entries_carry_host_and_spread(name):
+    entry = json.loads(_read("BENCH_timing.json"))[name]
+    missing = [key for key in HOST_KEYS if key not in entry]
+    assert not missing, f"{name} lacks host keys {missing}"
+    medians = [key for key in entry if "median" in key]
+    assert medians, f"{name} reports no median"
+    for key in medians:
+        for statistic in ("min", "max"):
+            partner = key.replace("median", statistic)
+            assert partner in entry, f"{name} has {key} but no {partner}"
+
+
 #: How documents quote the ``serve_throughput`` bench entry's speedup.
 SERVE_QUOTE = re.compile(r"`+serve_throughput`+:\s+([\d.]+)x\s+batched")
 

@@ -10,6 +10,7 @@ and a hostile or truncated file must fail with a diagnostic
 
 import json
 import struct
+from array import array
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.persistence import (
     load_meter,
     save_meter,
 )
+from repro.util.sections import pack, read_header
 
 PASSWORDS = [
     "password", "password", "password123", "Password123", "p@ssw0rd",
@@ -99,6 +101,19 @@ class TestRoundTrip:
         assert loaded.config.allow_allcaps
         assert json.dumps(loaded.to_dict()) == json.dumps(meter.to_dict())
 
+    def test_lone_surrogate_survives(self, tmp_path):
+        # JSON's "\ud800" escape decodes to a lone surrogate, so an
+        # /accept or an update can put one into a terminal.
+        meter = FuzzyPSM.train(PASSWORDS, PASSWORDS)
+        meter.update("x\ud800y1")
+        path = str(tmp_path / "surrogate.bin")
+        save_meter(meter, path, fmt="binary")
+        loaded = load_meter(path)
+        assert loaded.to_dict() == meter.to_dict()
+        for probe in [*PROBES, "x\ud800y1", "\ud800"]:
+            assert loaded.probability(probe) == meter.probability(probe)
+        assert loaded.probability("x\ud800y1") > 0.0
+
 
 class TestFormat:
     def test_magic_and_header(self, binary_path):
@@ -146,6 +161,19 @@ class TestFormat:
         meter = PCFGMeter.train(PASSWORDS)
         with pytest.raises(TypeError, match="binary"):
             save_meter(meter, str(tmp_path / "pcfg.bin"), fmt="binary")
+
+
+def _shorten(sections, name):
+    sections[name] = array("q", [value - 1 for value in sections[name]])
+
+
+def _drop_last(sections, name):
+    sections[name] = sections[name][:-1]
+
+
+def _append(sections, **tails):
+    for name, value in tails.items():
+        sections[name].append(value)
 
 
 def _corrupt(path: str, tmp_path, blob: bytes) -> str:
@@ -207,6 +235,57 @@ class TestErrorPaths:
                    + new_header + blob[start + header_length:])
         path = _corrupt(binary_path, tmp_path, mangled)
         with pytest.raises(ValueError, match="version"):
+            load_meter(path)
+
+    @pytest.mark.parametrize("mutate", [
+        # Every word one character shorter: the blob is sliced wrongly.
+        pytest.param(lambda s: _shorten(s, "terminal_lens"),
+                     id="terminal_lens"),
+        pytest.param(lambda s: _shorten(s, "base_lens"), id="base_lens"),
+        # One count missing: zip would drop the last entry.
+        pytest.param(lambda s: _drop_last(s, "structure_counts"),
+                     id="structure_counts"),
+        pytest.param(lambda s: _drop_last(s, "terminal_counts"),
+                     id="terminal_counts"),
+        # A structure reaching past the symbols (with its own count):
+        # slicing would give it the empty tuple.
+        pytest.param(lambda s: _append(s, structure_lens=2,
+                                       structure_counts=1),
+                     id="structure_lens"),
+        pytest.param(lambda s: s["terminal_counts"].__setitem__(0, -1),
+                     id="negative_count"),
+        # A rule column with a count too many would be read short.
+        pytest.param(lambda s: _append(s, booleans=1), id="booleans"),
+        pytest.param(lambda s: _append(s, leet=1), id="leet"),
+    ])
+    def test_inconsistent_columns_rejected(self, tmp_path, mutate):
+        # Each of these loaded silently (or raised a bare ValueError
+        # that named no file) and gave wrong scores.
+        meter = FuzzyPSM.train(
+            base_dictionary=["dragon", "monkey", "password"],
+            training=["password1", "dragon12", "monkey!", "p@ssword"],
+        )
+        path = str(tmp_path / "model.bin")
+        save_meter(meter, path, fmt="binary")
+        with open(path, "rb") as handle:
+            header = read_header(memoryview(handle.read()), BINARY_MAGIC)
+        meta, sections = meter.to_buffers()
+        mutate(sections)
+        fields = {key: value for key, value in header.items()
+                  if key != "sections"}
+        with open(path, "wb") as handle:
+            handle.write(pack(BINARY_MAGIC, fields, sections))
+        with pytest.raises(ValueError, match="not a valid binary meter"):
+            load_meter(path)
+
+    def test_invalid_utf8_blob_rejected(self, binary_path, tmp_path):
+        blob = bytearray(self._bytes(binary_path))
+        header = read_header(memoryview(bytes(blob)), BINARY_MAGIC)
+        section, = [entry for entry in header["sections"]
+                    if entry["name"] == "base_blob"]
+        blob[section["offset"]] = 0xFF  # never valid in UTF-8
+        path = _corrupt(binary_path, tmp_path, bytes(blob))
+        with pytest.raises(ValueError, match="not a valid binary meter"):
             load_meter(path)
 
     def test_json_loader_still_rejects_json_garbage(self, tmp_path):

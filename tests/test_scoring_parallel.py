@@ -16,6 +16,7 @@ against their references on generated inputs with
 from __future__ import annotations
 
 from array import array
+from dataclasses import replace
 
 import pytest
 
@@ -23,12 +24,21 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from repro.core.frozen import FrozenGrammar, freeze  # noqa: E402
+from repro.core.grammar import (  # noqa: E402
+    Derivation,
+    DerivedSegment,
+    FuzzyGrammar,
+)
 from repro.core.meter import FuzzyPSM, FuzzyPSMConfig  # noqa: E402
+from repro.core.trie import PrefixTrie  # noqa: E402
 from repro.meters.keepsm import KeePSMMeter  # noqa: E402
 from repro.meters.nist import NISTMeter  # noqa: E402
 from repro import obs  # noqa: E402
 
+from repro.util.leet import leet_run  # noqa: E402
+
 from tests.conftest import BASE_DICTIONARY, TRAINING_PASSWORDS  # noqa: E402
+from tests.enumeration_oracle import reference_guesses  # noqa: E402
 from tests.test_differential_parsing import (  # noqa: E402
     PASSWORDS,
     leet_dense,
@@ -153,9 +163,9 @@ def _tables(frozen):
     """
     terminals = {}
     for length in frozen.terminal_lengths():
-        index, probabilities, runs = frozen.terminal_table(length)
+        index, probabilities, rules = frozen.terminal_table(length)
         terminals[length] = (
-            list(index.items()), array("d", probabilities).tobytes(), runs,
+            list(index.items()), array("d", probabilities).tobytes(), rules,
         )
     return {
         "structures": list(frozen.structure_table().items()),
@@ -296,13 +306,108 @@ class TestFrozenRefresh:
             if length != 8:
                 assert fresh.terminal_table(length) is \
                     stale.terminal_table(length), length
-        index, probabilities, runs = fresh.terminal_table(8)
-        stale_index, stale_probabilities, stale_runs = \
+        index, probabilities, rules = fresh.terminal_table(8)
+        stale_index, stale_probabilities, stale_rules = \
             stale.terminal_table(8)
-        # Same support: the index and runs are shared, the probability
+        # Same support: the index and leet rules are shared, the probability
         # column is new.
-        assert index is stale_index and runs is stale_runs
+        assert index is stale_index and rules is stale_rules
         assert probabilities is not stale_probabilities
+
+
+#: Terminal characters the stored leet rules must get right: the twelve
+#: leet characters, upper-case letters (not leet), characters whose
+#: UTF-8 bytes are all >= 0x80 (two and four bytes long), NUL,
+#: the bytes 0x01-0x05 a rule number could be mistaken for, a newline
+#: and a lone surrogate.
+_LEET_COLUMN_CHARS = (
+    "a@s$o0i1e3t7" "ASTB" "\u00e9\u0130\u00df\U0001f600"
+    "\x00\x01\x02\x03\x04\x05\n" "\ud800" "bx"
+)
+
+
+@st.composite
+def leet_column_segment(draw) -> DerivedSegment:
+    """A segment over :data:`_LEET_COLUMN_CHARS` with drawn toggles."""
+    base = draw(st.text(_LEET_COLUMN_CHARS, min_size=1, max_size=6))
+    offsets = [offset for offset, _rule in leet_run(base)]
+    toggles = draw(st.lists(st.sampled_from(offsets), unique=True)
+                   if offsets else st.just([]))
+    return DerivedSegment(base, draw(st.booleans()), tuple(sorted(toggles)))
+
+
+@st.composite
+def leet_column_derivation(draw) -> Derivation:
+    """One or two :func:`leet_column_segment` segments."""
+    return Derivation(tuple(
+        draw(st.lists(leet_column_segment(), min_size=1, max_size=2))
+    ))
+
+
+def _untoggled_and_toggled(derivation: Derivation):
+    """``derivation`` with no toggles, and with every leet offset toggled."""
+    segments = derivation.segments
+    return [
+        Derivation(tuple(
+            replace(segment, toggled_offsets=()) for segment in segments
+        )),
+        Derivation(tuple(
+            replace(segment, toggled_offsets=tuple(
+                offset for offset, _rule in leet_run(segment.base)
+            ))
+            for segment in segments
+        )),
+    ]
+
+
+class TestLeetColumn:
+    """The per-terminal leet rule bytes against the reference."""
+
+    @given(derivations=st.lists(
+        leet_column_derivation(), min_size=1, max_size=4
+    ))
+    @example(derivations=[
+        Derivation((DerivedSegment("p@$$w0rd1", False, (2,)),)),
+        Derivation((DerivedSegment("\u00e93\u01307\u00df", True, (1,)),)),
+        Derivation((DerivedSegment("\x00\x01\x02\x03\x04\x05\n"),
+                    DerivedSegment("a\ud800t", False, (0,)))),
+        Derivation((DerivedSegment("\U0001f600so1e", False, ()),
+                    DerivedSegment("TeST", False, (1,)))),
+    ])
+    @DETERMINISTIC
+    def test_rules_score_like_the_reference(self, derivations):
+        grammar = FuzzyGrammar()
+        probes = [
+            probe for derivation in derivations
+            for probe in (derivation, *_untoggled_and_toggled(derivation))
+        ]
+
+        def assert_scores(frozen):
+            for probe in probes:
+                assert frozen.derivation_probability(probe.flat()) == \
+                    grammar.derivation_probability(probe), probe
+
+        # A chain of refreshes, one observed derivation at a time, then
+        # a full build of the final tables.
+        frozen = FrozenGrammar(grammar)
+        for derivation in derivations:
+            grammar.observe(derivation.flat())
+            frozen = FrozenGrammar(grammar, previous=frozen)
+            assert_scores(frozen)
+        assert_scores(FrozenGrammar(grammar))
+
+        meter = FuzzyPSM(grammar, PrefixTrie([]))
+        reference = {
+            surface: probability
+            for surface, probability in reference_guesses(meter)
+            if probability > 0.0
+        }
+        guesses = dict(meter.attack_engine().guesses())
+        assert set(guesses) == set(reference)
+        for surface, probability in guesses.items():
+            assert probability == pytest.approx(
+                reference[surface], rel=1e-9
+            )
 
 
 class TestParallelScoring:

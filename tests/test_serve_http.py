@@ -470,6 +470,34 @@ def test_every_served_meter_scores_off_the_event_loop():
     assert loop_thread not in threads
 
 
+def test_accepted_lone_surrogate_keeps_checks_scoring():
+    """JSON's ``"\\ud800"`` escape decodes to a lone surrogate, which an
+    /accept stores as a terminal.  The next /check rebuilds the frozen
+    grammar, which encodes every new terminal to find its leet rules:
+    it must answer 200 with the reference score, not 500."""
+    meter = train_serve_meter()
+    replay = train_serve_meter()
+    password = "x\ud800y1"
+    replay.update(password)
+    expected = replay.probability(password)
+    assert expected > 0.0
+
+    async def main():
+        async with running_server(meter, ServeConfig()) as server:
+            async with ServeClient(server.port) as client:
+                accept = await client.request(
+                    "POST", "/accept", {"password": password}
+                )
+                check = await client.request(
+                    "POST", "/check", {"password": password}
+                )
+                return accept, check
+
+    (accept_status, _), (check_status, check) = run(main())
+    assert (accept_status, check_status) == (200, 200), check
+    assert check["probability"] == expected
+
+
 # --- /accept beside /check: one lock per model --------------------------
 
 
