@@ -24,7 +24,6 @@ bench-smoke:
 		benchmarks/test_timing_measure.py \
 		benchmarks/test_timing_lint.py \
 		benchmarks/test_timing_serving.py \
-		benchmarks/test_timing_snapshot_attach.py \
 		benchmarks/test_timing_attack_engine.py -q
 
 # The paper's claims: every Fig./Table, ablation and extension bench
@@ -50,10 +49,11 @@ attack-smoke:
 # Toy-scale self-test of the end-to-end benchmark (perfbench/, the
 # harness BENCHMARK.json runs): every workload end to end, then one
 # planted fault per output check.  It exercises program surface no
-# other target does: repro.core.shm.mp_context, the `repro serve`
-# banner, the meter.batch.* / trie.compile.seconds /
-# meter.frozen.build.seconds probes, and FuzzyPSM.train_streaming,
-# probability_many, attack_engine and frozen_grammar.
+# other target does: repro.core.shm.mp_context (kept only for the
+# harness's host block), the `repro serve` banner, the meter.batch.* /
+# trie.compile.seconds / meter.frozen.build.seconds probes, and
+# FuzzyPSM.train_streaming, probability_many, attack_engine and
+# frozen_grammar.
 perf-selftest:
 	python3 perfbench/selftest.py
 

@@ -12,9 +12,10 @@ These benches time the same operations on the bench corpus and assert
 only the order-of-magnitude budgets (absolute hardware differs).
 
 The performance-layer benches (word index vs pointer trie, bulk vs
-per-call measuring, serial vs parallel training) additionally persist
-their numbers to ``BENCH_timing.json`` at the repo root via
-:func:`bench_lib.record`, so the perf trajectory is tracked across PRs.
+per-call measuring, telemetry cost) and the training throughput
+additionally persist their numbers to ``BENCH_timing.json`` at the
+repo root via :func:`bench_lib.record`, so the perf trajectory is
+tracked across PRs.
 """
 
 import math
@@ -28,7 +29,7 @@ import pytest
 
 from repro.core.meter import FuzzyPSM
 from repro.core.parser import FuzzyParser
-from repro.core.training import build_base_trie, train_grammar
+from repro.core.training import build_base_trie
 from repro.metrics.guessnumber import MonteCarloEstimator
 from repro.util.leet import LEET_BY_LETTER
 
@@ -37,6 +38,9 @@ from tests.conftest import pointer_parser
 
 #: Interleaved pointer/index repeats of the full-parse comparisons.
 PARSE_REPEATS = 7
+
+#: Timed training runs of the throughput bench.
+TRAINING_REPEATS = 5
 
 #: Interleaved noop/enabled repeats per telemetry stream.
 TELEMETRY_REPEATS = 9
@@ -95,18 +99,22 @@ def test_timing_training_throughput(benchmark, corpora, csdn_quarters,
     meter = benchmark.pedantic(
         lambda: FuzzyPSM.train(base_dictionary=base_words,
                                training=items),
-        rounds=1, iterations=1,
+        rounds=TRAINING_REPEATS, iterations=1,
     )
-    seconds = benchmark.stats["mean"]
-    per_million = seconds / train.total * 1e6
+    seconds = {statistic: benchmark.stats[statistic]
+               for statistic in ("median", "min", "max")}
+    per_million = seconds["median"] / train.total * 1e6
     emit(
         capsys,
-        f"(timing) training: {seconds:.2f} s for {train.total:,} "
-        f"passwords (+{len(base_words):,}-word base trie) -> "
-        f"{per_million:.1f} s per million (paper: ~10 s per million)",
+        f"(timing) training: {seconds['median']:.2f} s for "
+        f"{train.total:,} passwords (+{len(base_words):,}-word base "
+        f"trie, median of {TRAINING_REPEATS}) -> {per_million:.1f} s per "
+        f"million (paper: ~10 s per million)",
     )
-    record("training_serial", seconds=seconds,
-           passwords=train.total, seconds_per_million=per_million)
+    record("training_serial", passwords=train.total,
+           repeats=TRAINING_REPEATS, seconds_per_million=per_million,
+           **{f"seconds_{statistic}": value
+              for statistic, value in seconds.items()})
     assert meter.grammar.total_passwords == train.total
     # Same order of magnitude as the paper's figure (pure Python
     # against the authors' C-era constant: allow a generous 60x).
@@ -289,40 +297,6 @@ def test_timing_index_vs_pointer_parse(meter, csdn_quarters, capsys):
             f"({ratio:.2f}x, medians of {PARSE_REPEATS})",
         )
     record("parse_index_vs_pointer", **values)
-
-
-def test_timing_parallel_training(meter, csdn_quarters, capsys):
-    """Serial vs ``jobs=2`` training: identical grammars, both timed.
-
-    The container may expose a single CPU, so no speedup is asserted —
-    the contract under test is exactness of the chunk-and-merge path;
-    the timings go to ``BENCH_timing.json`` where multi-core runs show
-    the scaling.  ``parallel_threshold=0`` forces the pool: the bench
-    corpus sits below ``PARALLEL_MIN_ENTRIES``, where production calls
-    would (correctly) fall back to serial — exactly because of the
-    startup cost these numbers record.
-    """
-    train, _ = csdn_quarters
-    items = list(train.items())
-    trie = meter.trie
-
-    start = time.perf_counter()
-    serial = train_grammar(items, trie)
-    serial_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    parallel = train_grammar(items, trie, jobs=2, parallel_threshold=0)
-    parallel_seconds = time.perf_counter() - start
-
-    assert parallel == serial  # chunk-and-merge is exact
-    emit(
-        capsys,
-        f"(timing) training {train.total:,} passwords -- serial "
-        f"{serial_seconds:.2f} s, jobs=2 {parallel_seconds:.2f} s",
-    )
-    record("training_serial_vs_jobs2", passwords=train.total,
-           serial_seconds=serial_seconds,
-           parallel_seconds=parallel_seconds)
 
 
 def test_timing_telemetry_overhead(meter, csdn_quarters, capsys):

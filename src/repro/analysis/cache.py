@@ -37,7 +37,7 @@ from repro.analysis.core import Violation
 
 #: Bump on any change to rule behavior, the index format, or the
 #: violation schema: stale caches must never survive an upgrade.
-ANALYZER_VERSION = "2026.10"
+ANALYZER_VERSION = "2026.10.2"
 
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE_PATH = ".repro_lint_cache.json"

@@ -67,12 +67,6 @@ POOL_CONSTRUCTORS = frozenset({"Pool", "Process", "ProcessPoolExecutor"})
 #: the ``initializer=`` call site is in another module.
 WORKER_INIT_PREFIX = "_worker_init"
 
-#: Function-name prefix for the shared-memory attach helpers
-#: (``repro.core.shm``): the per-process attach cache they maintain is
-#: broadcast-once state exactly like an initializer's globals, so they
-#: are blessed the same way.
-WORKER_ATTACH_PREFIX = "_worker_attach"
-
 #: Top-level directories that map straight to module prefixes when the
 #: file is not under ``src/``.
 _BARE_PACKAGE_ROOTS = frozenset({"tests", "benchmarks", "tools", "examples"})
@@ -618,9 +612,7 @@ class ProjectIndex:
                 else:
                     entrypoints.add(qualified)
             for info in module.functions:
-                if info.name.startswith(
-                    (WORKER_INIT_PREFIX, WORKER_ATTACH_PREFIX)
-                ):
+                if info.name.startswith(WORKER_INIT_PREFIX):
                     blessed.add(f"{module.module}.{info.qualname}")
         self.worker_entrypoints = frozenset(entrypoints)
         self.blessed_initializers = frozenset(blessed)

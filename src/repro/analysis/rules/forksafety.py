@@ -1,21 +1,19 @@
 """FPM012: fork-safety of the worker-pool surface (DESIGN.md §13).
 
-Parallel training and scoring broadcast heavy state (word index,
-frozen grammar) into worker processes exactly once, through a pool
-``initializer`` that writes module globals.  Everything else that runs
-in a worker — the task entrypoints and their transitive callees — may
-*read* those globals but must never write them: a write would silently
-diverge per-worker state from the parent and from sibling workers,
-breaking the byte-identical-parallel-training guarantee (PR 6) in a
-way no test that happens to fork after the write can see.
+A worker pool (``repro lint --jobs``) broadcasts heavy state into its
+worker processes exactly once, through a pool ``initializer`` that
+writes module globals.  Everything else that runs in a worker — the
+task entrypoints and their transitive callees — may *read* those
+globals but must never write them: a write would silently diverge
+per-worker state from the parent and from sibling workers, so parallel
+results would stop matching serial ones in a way no test that happens
+to fork after the write can see.
 
 The rule leans on the pass-1 :class:`ProjectIndex`: worker entrypoints
 come from real ``pool.imap``/``apply_async``/``Process(target=...)``
 call sites anywhere in the project, the blessed writers are functions
 actually installed via ``initializer=`` (plus the ``_worker_init*``
-and ``_worker_attach*`` naming conventions — the latter being the
-shared-memory attach cache of :mod:`repro.core.shm`, broadcast-once
-state of the same kind), and reachability is the transitive closure
+naming convention), and reachability is the transitive closure
 over the approximate call graph.  A ``global`` statement is the write
 signal — rebinding a broadcast-once global is exactly the bug class.
 
@@ -42,9 +40,8 @@ class ForkSafetyRule(ProjectRule):
     summary = (
         "worker entrypoints and their transitive callees may read but "
         "never write broadcast-once module globals (only _worker_init* "
-        "pool initializers and _worker_attach* segment-attach helpers "
-        "may), and pool task targets must be picklable module-level "
-        "functions"
+        "pool initializers may), and pool task targets must be "
+        "picklable module-level functions"
     )
 
     def check(self, tree: ast.Module) -> None:
@@ -69,8 +66,8 @@ class ForkSafetyRule(ProjectRule):
                 1,
                 f"worker-reachable function {info.qualname!r} writes "
                 f"module global(s) {names} after fork; only a blessed "
-                f"_worker_init* initializer or _worker_attach* helper "
-                f"may write broadcast-once state",
+                f"_worker_init* initializer may write broadcast-once "
+                f"state",
             )
 
         nested_names = {

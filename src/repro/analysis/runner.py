@@ -191,9 +191,9 @@ def discover_files(paths: Sequence[str]) -> List[str]:
 # --- the parallel file pass ------------------------------------------
 #
 # The index pickles into each worker exactly once (pool initializer),
-# task chunks carry only (path, source) pairs.  This is the same
-# broadcast-once pattern train_grammar uses — and the one FPM012
-# polices, so the linter's own pool is written under its own rule.
+# task chunks carry only (path, source) pairs.  This broadcast-once
+# pattern is the one FPM012 polices, so the linter's own pool is
+# written under its own rule.
 
 _WORKER_INDEX: Optional[ProjectIndex] = None
 _WORKER_SELECT: Optional[Tuple[str, ...]] = None

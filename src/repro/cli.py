@@ -32,7 +32,7 @@ import json
 import os
 import signal
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.datasets.loaders import (
     load_corpus,
@@ -62,6 +62,14 @@ from repro.meters.registry import Capability, TrainContext
 from repro.persistence import load_meter, save_meter
 from repro.serve import ReproServer, ServeConfig, SnapshotRegistry
 from repro.survey.analysis import survey_report
+
+
+def _positive_int(text: str) -> int:
+    """An argparse type: a positive integer (exit 2 otherwise)."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,23 +127,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable whole-word capitalization (fuzzyPSM)",
     )
     train.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="parse the training corpus across N worker processes; "
-             "count tables are merged exactly (fuzzyPSM)",
-    )
-    train.add_argument(
-        "--parse-cache-size", type=int, default=None, metavar="N",
+        "--parse-cache-size", type=_positive_int, default=None,
+        metavar="N",
         help="most distinct passwords training parses per window "
-             "(bounds streamed and --jobs training memory) and capacity "
-             "of the score memo used for bulk scoring (fuzzyPSM; "
-             "default 65536)",
+             "(bounds training memory) and capacity of the score memo "
+             "used for bulk scoring (fuzzyPSM; default 65536)",
     )
     train.add_argument(
         "--stream-chunk", type=int, default=None, metavar="N",
         help="stream the training corpus off disk in chunks of N "
              "entries instead of loading it into memory (stream-"
-             "trainable kinds; combine with --jobs for the training "
-             "worker pool)",
+             "trainable kinds)",
     )
     train.add_argument(
         "--model-format", choices=["json", "binary"], default="json",
@@ -343,11 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="score the stream N times (exercises the score memo)",
     )
     profile.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for the training stage",
-    )
-    profile.add_argument(
-        "--parse-cache-size", type=int, default=None, metavar="N",
+        "--parse-cache-size", type=_positive_int, default=None,
+        metavar="N",
         help="most distinct passwords training parses per window and "
              "capacity of the score memo (telemetry mode)",
     )
@@ -508,7 +507,6 @@ def _train_context(args: argparse.Namespace,
         options={
             "markov_order": args.order,
             "markov_smoothing": Smoothing(args.smoothing),
-            "jobs": args.jobs,
             "fuzzy_config": _fuzzy_config(args),
         },
     )
@@ -563,9 +561,8 @@ def _train_streaming(args: argparse.Namespace, spec) -> int:
     """The out-of-core training path behind ``--stream-chunk``.
 
     The corpus is never materialised: chunks stream straight off disk
-    into the trainer (serial, or the training worker pool with
-    ``--jobs``), so peak memory is bounded by the chunk size and the
-    trainer's in-flight window.
+    into the trainer, so peak memory is bounded by the chunk size and
+    the trainer's window.
     """
     base_dictionary: Sequence[str] = ()
     if args.base:
@@ -584,7 +581,6 @@ def _train_streaming(args: argparse.Namespace, spec) -> int:
         base_dictionary,
         counted_chunks(),
         config=_fuzzy_config(args),
-        jobs=args.jobs,
     )
     save_meter(meter, args.output, fmt=args.model_format)
     print(f"trained {meter.name} on {trained} streamed passwords "
@@ -932,7 +928,7 @@ def _cmd_profile_pipeline(args: argparse.Namespace) -> int:
     training = load_corpus(args.train_corpus)
     stream_corpus = load_corpus(args.stream)
     stream = list(stream_corpus.expand())
-    options = {"jobs": args.jobs}
+    options: Dict[str, Any] = {}
     if args.parse_cache_size is not None:
         from repro.core.meter import FuzzyPSMConfig
         options["fuzzy_config"] = FuzzyPSMConfig(
@@ -968,7 +964,6 @@ def _cmd_profile_pipeline(args: argparse.Namespace) -> int:
         "stream_passwords": len(stream),
         "stream_distinct": stream_corpus.unique,
         "repeat": max(1, args.repeat),
-        "jobs": args.jobs,
     }
     if args.output:
         save_telemetry_report(report, args.output)

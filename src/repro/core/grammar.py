@@ -65,9 +65,9 @@ _T = TypeVar("_T", bound=Hashable)
 class ParseCounts(NamedTuple):
     """What a batch of counted flat parses adds to the count tables.
 
-    Built by :func:`count_parses` and added by
-    :meth:`FuzzyGrammar.fold`; plain dicts, ints and tuples, so a
-    training-pool worker returns it to the parent as it is.
+    Built by :func:`count_parses` from one training window's parses
+    and added by :meth:`FuzzyGrammar.fold`: plain dicts, ints and
+    tuples.
     """
 
     #: structure -> summed count, in first-seen order.

@@ -85,6 +85,10 @@ class FuzzyPSMConfig:
             wide sweeps, shrink it for memory-constrained deployments.
             A pure execution-strategy knob: count tables and scores do
             not depend on it.
+
+    Flags must be ``bool`` and sizes positive ``int`` (not ``bool``);
+    any other value raises ``ValueError`` naming the field, so a saved
+    model or CLI value of the wrong type fails at load, not in scoring.
     """
 
     min_base_length: int = 3
@@ -94,6 +98,24 @@ class FuzzyPSMConfig:
     allow_allcaps: bool = False
     auto_update: bool = False
     parse_cache_size: int = DEFAULT_TRAIN_WINDOW
+
+    def __post_init__(self) -> None:
+        # A string flag is truthy whatever it says, and a size that is
+        # no positive int fails later inside the trainer or the memo.
+        # Each field's default has the field's type.
+        for option in fields(self):
+            value = getattr(self, option.name)
+            if isinstance(option.default, bool):
+                if not isinstance(value, bool):
+                    raise ValueError(
+                        f"FuzzyPSMConfig.{option.name} must be a bool, "
+                        f"got {value!r}"
+                    )
+            elif not is_count(value):
+                raise ValueError(
+                    f"FuzzyPSMConfig.{option.name} must be a positive "
+                    f"integer, got {value!r}"
+                )
 
 
 def _load_config(saved: Dict[str, Any]) -> FuzzyPSMConfig:
@@ -210,7 +232,6 @@ def _build_fuzzypsm(cls: type, context: TrainContext) -> "FuzzyPSM":
         base_dictionary=context.base_dictionary,
         training=list(context.training),
         config=options.get("fuzzy_config"),
-        jobs=options.get("jobs"),
     )
 
 
@@ -266,8 +287,7 @@ class FuzzyPSM(ProbabilisticMeter):
     @classmethod
     def train(cls, base_dictionary: Iterable[str],
               training: Iterable[PasswordEntry],
-              config: Optional[FuzzyPSMConfig] = None,
-              jobs: Optional[int] = None) -> "FuzzyPSM":
+              config: Optional[FuzzyPSMConfig] = None) -> "FuzzyPSM":
         """Run the training phase and return a ready meter.
 
         Args:
@@ -276,16 +296,13 @@ class FuzzyPSM(ProbabilisticMeter):
             training: passwords from a *sensitive* service (optionally
                 ``(password, count)`` pairs).
             config: meter tunables; see :class:`FuzzyPSMConfig`.
-            jobs: worker processes for the training pass; ``N > 1``
-                parses slices in parallel and merges the count tables
-                exactly (see :func:`~repro.core.training.train_grammar`).
         """
         config = config or FuzzyPSMConfig()
         trie = build_base_trie(
             base_dictionary, min_length=config.min_base_length
         )
         parser = _build_parser(trie, config)
-        grammar = train_grammar(training, trie, parser=parser, jobs=jobs,
+        grammar = train_grammar(training, trie, parser=parser,
                                 window=config.parse_cache_size)
         return cls(grammar, trie, config)
 
@@ -295,7 +312,6 @@ class FuzzyPSM(ProbabilisticMeter):
         base_dictionary: Iterable[str],
         chunks: Iterable[Iterable[PasswordEntry]],
         config: Optional[FuzzyPSMConfig] = None,
-        jobs: Optional[int] = None,
     ) -> "FuzzyPSM":
         """Train from an out-of-core stream of entry chunks.
 
@@ -315,8 +331,7 @@ class FuzzyPSM(ProbabilisticMeter):
         )
         parser = _build_parser(trie, config)
         grammar = train_grammar_streaming(
-            chunks, trie, parser=parser, jobs=jobs,
-            window=config.parse_cache_size,
+            chunks, trie, parser=parser, window=config.parse_cache_size,
         )
         return cls(grammar, trie, config)
 

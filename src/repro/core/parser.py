@@ -294,7 +294,8 @@ class FuzzyParser:
     @property
     def flags(self) -> Dict[str, bool]:
         """Constructor keywords reproducing this parser's behaviour
-        (used to rebuild equivalent parsers in worker processes)."""
+        (:meth:`from_compiled` takes them to rebuild an equivalent
+        parser around given matchers)."""
         return {
             "allow_capitalization": self._allow_capitalization,
             "allow_leet": self._allow_leet,
@@ -318,22 +319,6 @@ class FuzzyParser:
         """The forward index, or None when not (yet) built."""
         return self._index
 
-    def ensure_compiled_matchers(
-        self,
-    ) -> Tuple[WordIndex, Optional[WordIndex]]:
-        """Materialise and return the indexes for broadcast.
-
-        The training pool publishes the :class:`WordIndex` columns into
-        a shared-memory segment **once** (DESIGN.md §16), instead of
-        letting every worker rebuild them from the word list.  Returns
-        ``(forward, reversed_or_None)``; the reversed index is built
-        only when the reverse extension is on.
-        """
-        reversed_index = (
-            self._reverse_matcher() if self._allow_reverse else None
-        )
-        return self._forward_matcher(), reversed_index
-
     @classmethod
     def from_compiled(
         cls,
@@ -342,16 +327,14 @@ class FuzzyParser:
         min_length: int,
         flags: Dict[str, bool],
     ) -> "FuzzyParser":
-        """Rebuild a parser around already-built indexes.
+        """A parser around already-built matchers.
 
-        The worker-side half of :meth:`ensure_compiled_matchers`: the
-        pool initializer receives the attached indexes and ``flags``
-        (the :attr:`flags` dict of the parent parser) and reconstructs
-        a parser that parses identically without ever touching a
-        pointer trie.  The backing :class:`PrefixTrie` is an empty
-        husk — only the given matchers are consulted, through their
-        ``match`` method, so the test-side pointer reference passes
-        pointer tries behind that method here.
+        ``flags`` is the :attr:`flags` dict of the parser to imitate.
+        The backing :class:`PrefixTrie` is an empty husk: only the
+        given matchers are consulted, through their ``match`` method,
+        which is how the tests' pointer-trie reference parser
+        (``tests/conftest.pointer_parser``) puts pointer tries behind
+        the parse loop.
         """
         parser = cls(PrefixTrie(min_length=min_length), **flags)
         parser._index = forward

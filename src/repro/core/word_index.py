@@ -36,17 +36,14 @@ text is admissible.
 
 One position costs at most one probe per distinct stored length under
 its prefix that fits in the rest of the password.  Building the index
-is one pass over the sorted word list; attaching a published copy
-(:meth:`WordIndex.from_arrays`) rebuilds both dicts from flat columns
-without touching the words one by one.
+is one pass over the sorted word list.
 """
 
 from __future__ import annotations
 
-from array import array
-from itertools import accumulate, chain, compress, count, repeat
-from operator import getitem, ne
-from typing import Any, Dict, Iterable, Optional, Set, Tuple
+from itertools import compress, count
+from operator import ne
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro import obs
 from repro.core.grammar import FlatSegment
@@ -162,73 +159,6 @@ class WordIndex:
         if telemetry.enabled:
             telemetry.incr("trie.compiled")
             telemetry.observe("trie.compiled.keys", float(len(held)))
-
-    # --- flat-column export / attach ----------------------------------
-
-    def to_arrays(self) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-        """``(meta, sections)`` flat columns for the snapshot plane.
-
-        ``keys`` and ``held`` join the words dict's keys and values,
-        ``prefixes`` the lengths dict's keys, each with a separator
-        character no stored word holds; ``lengths`` holds every length
-        tuple in turn and ``length_ends`` where each ends (``int64``).
-        All follow insertion order, so :meth:`from_arrays` rebuilds
-        identical dicts.  ``meta`` carries ``min_length``, ``size`` and
-        the ``separator``.
-        """
-        words = self._words
-        lengths = self._lengths
-        used = set("".join(words)) | set("".join(words.values()))
-        separator = next(ch for ch in map(chr, count()) if ch not in used)
-        sections: Dict[str, Any] = {
-            "keys": separator.join(words),
-            "held": separator.join(words.values()),
-            "prefixes": separator.join(lengths),
-            "length_ends": array(
-                "q", accumulate(map(len, lengths.values()))
-            ),
-            "lengths": array("q", chain.from_iterable(lengths.values())),
-        }
-        meta = {
-            "min_length": self._min_length,
-            "size": self._size,
-            "separator": separator,
-        }
-        return meta, sections
-
-    @classmethod
-    def from_arrays(
-        cls, meta: Dict[str, Any], sections: Dict[str, Any]
-    ) -> "WordIndex":
-        """Rebuild an index from :meth:`to_arrays` columns.
-
-        The attach half of the snapshot plane.  Keys and values come
-        from ``str.split`` over the blobs, the length tuples from
-        C-level ``map``s over the numeric columns (typically
-        ``memoryview`` casts into a shared segment), copied out with
-        ``tolist`` first, and each dict from one ``dict(zip(...))``:
-        no Python code runs per entry.
-        """
-        self = cls.__new__(cls)
-        separator = str(meta["separator"])
-        keys = sections["keys"]
-        prefixes = sections["prefixes"]
-        ends = sections["length_ends"].tolist()
-        flat = sections["lengths"].tolist()
-        self._words = dict(zip(
-            keys.split(separator), sections["held"].split(separator)
-        )) if keys else {}
-        self._lengths = dict(zip(
-            prefixes.split(separator),
-            map(tuple, map(getitem, repeat(flat),
-                           map(slice, chain((0,), ends), ends))),
-        )) if prefixes else {}
-        self._min_length = int(meta["min_length"])
-        self._size = int(meta["size"])
-        telemetry = obs.get()
-        if telemetry.enabled:
-            telemetry.incr("trie.attached")
-        return self
 
     # --- basic queries ------------------------------------------------
 

@@ -48,9 +48,9 @@ _SNIFF_LINES = 100
 #: ``_SNIFF_LINES``, so the sniffer sees its sample in the first block).
 _BLOCK_LINES = 8_192
 
-#: Default streaming batch size: large enough to amortise per-chunk
-#: messaging in the parallel trainer, small enough that a few in-flight
-#: chunks of 64-char-max passwords stay well under typical RSS budgets.
+#: Default streaming batch size: large enough to amortise the per-chunk
+#: cost of the loader and the trainer's window, small enough that a
+#: chunk of 64-char-max passwords stays well under typical RSS budgets.
 DEFAULT_STREAM_CHUNK = 50_000
 
 

@@ -50,9 +50,6 @@ class ExperimentConfig:
     markov_order: int = 3
     markov_smoothing: Smoothing = Smoothing.BACKOFF
     seed: int = 0
-    #: Worker processes for fuzzyPSM's training pass (None = serial);
-    #: parallel chunks merge to bit-identical count tables.
-    jobs: Optional[int] = None
     meters: Tuple[str, ...] = (
         "fuzzyPSM", "PCFG", "Markov", "Zxcvbn", "KeePSM", "NIST",
     )
@@ -127,7 +124,6 @@ def build_meters(base_corpus: PasswordCorpus,
         options={
             "markov_order": config.markov_order,
             "markov_smoothing": config.markov_smoothing,
-            "jobs": config.jobs,
         },
     )
     telemetry = obs.get()

@@ -186,7 +186,7 @@ class TrainContext:
         dictionary: the stock provisioning word list handed to
             rule-based meters (ranked most-common-first).
         options: meter-family tunables (``markov_order``,
-            ``markov_smoothing``, ``jobs``, ``fuzzy_config``).
+            ``markov_smoothing``, ``fuzzy_config``).
     """
 
     training: Sequence[Tuple[str, int]] = ()

@@ -102,10 +102,8 @@ register_namespace("meter")
 register_namespace("parser")
 register_namespace("profile")
 register_namespace("serve")
-register_namespace("shm")
 register_namespace("stream")
 register_namespace("train")
-register_namespace("training")
 register_namespace("trie")
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})

@@ -11,7 +11,7 @@ three primitive kinds:
   test can assert exact bucket placement without touching the wall
   clock;
 * **spans** — context-manager stage timers that observe their elapsed
-  time into a histogram (``with tel.timer("train.serial.seconds"):``).
+  time into a histogram (``with tel.timer("train.stream.seconds"):``).
 
 :class:`Telemetry` aggregates all three; :class:`NoopTelemetry` is the
 zero-overhead backend installed by default (every probe degrades to a
@@ -35,8 +35,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 Clock = Callable[[], float]
 
 #: The process-wide monotonic clock used when none is injected.  Other
-#: ``repro`` modules that need a raw timestamp (e.g. worker-side chunk
-#: timing in :mod:`repro.core.training`) import this name instead of
+#: ``repro`` modules that need a raw timestamp (e.g. per-chunk read
+#: timing in :mod:`repro.datasets.loaders`) import this name instead of
 #: calling :mod:`time` directly — the FPM009 lint rule forbids direct
 #: wall-clock calls outside ``obs/`` so every timing source stays
 #: swappable in one place.

@@ -172,9 +172,8 @@ def _binary_spec(meter: Meter) -> MeterSpec:
 def _save_meter_binary(meter: Meter, path: str) -> None:
     """Write the magic/header/aligned-sections binary layout.
 
-    The framing itself lives in :mod:`repro.util.sections` (shared
-    with the shared-memory snapshot plane); this function only
-    supplies the meter-file envelope fields.  Output bytes are
+    The framing itself lives in :mod:`repro.util.sections`; this
+    function only supplies the meter-file envelope fields.  Output bytes are
     identical to the pre-extraction writer.
     """
     spec = _binary_spec(meter)

@@ -1,14 +1,12 @@
-"""The section-directory codec shared by binary models and shm snapshots.
+"""The section-directory codec of the FPSMBIN1 binary model format.
 
-One layout, two consumers.  The FPSMBIN1 binary model format
-(:mod:`repro.persistence`) and the zero-copy shared-memory snapshot
-plane (:mod:`repro.core.shm`) both need the same thing: a handful of
+The binary model format (:mod:`repro.persistence`) is a handful of
 flat columns — ``int64`` count tables, ``float64`` probability tables,
 UTF-8 string blobs, raw byte flags — packed one after another behind a
 self-describing directory, such that a reader can ``memoryview.cast``
 the numeric columns straight out of the mapping without copying.  This
-module is that layout, factored out of ``persistence.py`` so the shm
-plane reuses it instead of inventing a second framing::
+module is that layout, apart from the meter-file envelope that
+``persistence.py`` supplies::
 
     magic | uint64 header length | header JSON | pad
     | section payloads (each 8-byte aligned)
@@ -17,9 +15,8 @@ The header is a sorted-keys JSON object carrying caller-supplied
 fields (format versions, meter metadata, …) plus the ``sections``
 directory: for every section its ``name``, ``dtype``, absolute
 ``offset``, byte ``length`` and element ``count``.  Packing is
-deterministic — same fields and sections, same bytes — which both
-consumers rely on (artefact diffing for model files, epoch-keyed reuse
-for segments).
+deterministic — same fields and sections, same bytes — which model
+files rely on (artefact diffing).
 
 Supported dtypes:
 
@@ -38,12 +35,11 @@ dtype      packed from             unpacked to
 its plain UTF-8 bytes.
 
 Foreign-endian input (a model file moved between hosts) falls back to
-a byteswapped copy for the numeric dtypes; shared-memory segments
-never cross hosts, so their unpack path is always the zero-copy cast.
+a byteswapped copy for the numeric dtypes.
 
 All structural failures raise :class:`SectionError` (a ``ValueError``)
-with the reason only; callers wrap it with their own context (file
-path, segment name).  :func:`check_partition` and
+with the reason only; callers wrap it with their own context (the
+file path).  :func:`check_partition` and
 :func:`check_parallel` are the checks callers make on the columns they
 decode: a length column must split its blob exactly, and parallel
 columns must be equally long.

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
@@ -89,43 +88,6 @@ def reference_scores(meter: FuzzyPSM, passwords) -> list:
         if password else 0.0
         for password in passwords
     ]
-
-
-def _snapshot_segments() -> set:
-    """Names of snapshot-plane segments currently in ``/dev/shm``."""
-    from repro.core.shm import SEGMENT_PREFIX
-
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
-        return set()
-    return {
-        name for name in os.listdir("/dev/shm")
-        if name.startswith(SEGMENT_PREFIX)
-    }
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _shm_leak_guard():
-    """Fail the session if shared-memory segments leak (DESIGN.md §16).
-
-    Every segment the suite creates must be unlinked by the code under
-    test — pool teardown, server stop, epoch swaps — or still be owned
-    by *this* process (those are swept by the ``atexit`` hook, which
-    runs after this fixture).  Anything else in ``/dev/shm`` is a leak:
-    a worker or server process died owning a segment nobody reclaims.
-    """
-    preexisting = _snapshot_segments()
-    yield
-    from repro.core import shm as shm_module
-
-    leaked = sorted(
-        name
-        for name in _snapshot_segments() - preexisting
-        if name not in shm_module._OWNED
-    )
-    assert not leaked, (
-        f"leaked shared-memory segments (unowned, never unlinked): "
-        f"{leaked}"
-    )
 
 
 @pytest.fixture(scope="session")

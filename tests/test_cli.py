@@ -324,6 +324,28 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["generate", "linkedin", "--output", "x.txt"])
 
+    @pytest.mark.parametrize("command", [
+        ["train", "--training", "t.txt", "--base", "b.txt",
+         "--output", "m.json"],
+        ["profile", "--base", "b.txt", "--train", "t.txt",
+         "--stream", "s.txt"],
+    ], ids=["train", "profile"])
+    @pytest.mark.parametrize("option", [
+        ["--jobs", "2"], ["--parse-cache-size", "0"],
+        ["--parse-cache-size", "-5"],
+    ], ids=["jobs", "cache-size-0", "cache-size-negative"])
+    def test_rejected_training_options_exit_2(self, command, option):
+        # Rejected before any file is read: none of these exists.
+        with pytest.raises(SystemExit) as exited:
+            main(command + option)
+        assert exited.value.code == 2
+
+    def test_lint_jobs_still_pools(self, capsys, tmp_path):
+        for name in ("a.py", "b.py"):
+            (tmp_path / name).write_text("VALUE = 1\n")
+        code, _, _ = run_cli(capsys, "lint", "--jobs", "2", str(tmp_path))
+        assert code == 0
+
 
 class TestServeModelSpecs:
     """``repro serve --model [NAME=]PATH`` spec parsing and validation."""

@@ -12,7 +12,6 @@ randomized fuzzy corpora (including leet-in-base words like
 from __future__ import annotations
 
 import random
-from array import array
 
 import pytest
 
@@ -73,14 +72,9 @@ def random_probes(rng: random.Random, words: list, count: int) -> list:
 
 
 def stored_words(index: WordIndex) -> list:
-    """Every word ``index`` holds, sorted, read from its columns."""
-    meta, columns = index.to_arrays()
-    if not columns["keys"]:
-        return []
-    separator = meta["separator"]
+    """Every word ``index`` holds, sorted, read from its words dict."""
     words = []
-    for key, held in zip(columns["keys"].split(separator),
-                         columns["held"].split(separator)):
+    for key, held in index._words.items():
         words += [held[at:at + len(key)] for at in range(0, len(held),
                                                           len(key))]
     return sorted(words)
@@ -230,9 +224,7 @@ class TestLayoutEdgeCases:
         # holds them in lexicographic order.
         words = ["p@ssword", "passw0rd", "password"]
         compiled = PrefixTrie(words).compile()
-        _, columns = compiled.to_arrays()
-        assert columns["keys"] == "password"
-        assert columns["held"] == "".join(sorted(words))
+        assert compiled._words == {"password": "".join(sorted(words))}
         assert stored_words(compiled) == sorted(words)
         for word in words:
             assert exact(compiled, word)
@@ -242,35 +234,7 @@ class TestLayoutEdgeCases:
 
 
 class TestColumns:
-    """The flat columns the training pool's segment publishes."""
-
-    @staticmethod
-    def _attached(index: WordIndex) -> WordIndex:
-        # The segment hands numeric columns over as memoryview casts.
-        meta, columns = index.to_arrays()
-        columns = {
-            name: memoryview(value.tobytes()).cast("q")
-            if isinstance(value, array) else value
-            for name, value in columns.items()
-        }
-        return WordIndex.from_arrays(meta, columns)
-
-    @pytest.mark.parametrize("words", [
-        [],
-        WORDS,
-        # A separator must be a character no stored word holds.
-        ["\x00ab", "a\x01c", "a\x00c", "\x02\x03\x04", "p@ss"],
-    ], ids=["empty", "words", "control-characters"])
-    def test_round_trip_answers_alike(self, words):
-        index = PrefixTrie(words).compile()
-        attached = self._attached(index)
-        assert len(attached) == len(index)
-        assert stored_words(attached) == stored_words(index) \
-            == sorted(words)
-        probes = [w + "1" for w in words] + ["P@ssword1", "abc", ""]
-        for probe in probes:
-            assert longest_match(attached, probe) \
-                == longest_match(index, probe), probe
+    """The words an index is built from."""
 
     def test_words_shorter_than_min_length_are_rejected(self):
         with pytest.raises(ValueError, match="at least 3"):

@@ -29,7 +29,16 @@ REMOVED_NAMES = (
     "parse_cached", "parse_flat_cached", "--score-jobs", "shared_segment",
     "PARALLEL_SCORABLE", "parallel-scorable", "PARALLEL_MIN_DISTINCT",
     "from_tables", "DeltaBuilder", "DeltaMerger", "GrammarDelta",
-    "CompiledTrie",
+    "CompiledTrie", "SharedScoringSegment", "MaterializedScoringState",
+    "_worker_attach", "WORKER_ATTACH_PREFIX", "REPRO_START_METHOD",
+    "_training_pool", "_worker_init_shared", "_count_slice",
+    "_train_windows", "_train_streaming_parallel", "_effective_jobs",
+    "_available_cpus", "_record_parallel_fallback", "PARALLEL_MIN_ENTRIES",
+    "STREAM_INFLIGHT_PER_JOB", "_iter_entries", "_train_grammar_serial",
+    "WordIndex.to_arrays", "WordIndex.from_arrays",
+    "ensure_compiled_matchers", "parallel_threshold",
+    "ExperimentConfig.jobs", "training_serial_vs_jobs2", "snapshot_attach",
+    "training_streaming_parallel",
 )
 
 
@@ -84,7 +93,8 @@ def test_setup_figures_match_the_bench(document):
 
 #: Bench entries that must carry the host block and report every
 #: repeated timing as median, min and max.  Entries only join this list.
-SPREAD_ENTRIES = ("frozen_refresh", "frozen_kernel", "model_setup")
+SPREAD_ENTRIES = ("frozen_refresh", "frozen_kernel", "model_setup",
+                  "training_serial", "training_streaming")
 HOST_KEYS = ("nproc", "python", "start_method", "git_sha")
 
 
@@ -133,26 +143,20 @@ RATIO_QUOTES = [
     ("frozen_kernel", "speedup",
      r"`+frozen_kernel`+:\s+([\d.]+)(?:\u00d7|x)",
      ("EXPERIMENTS.md",)),
-    ("snapshot_attach", "attach_median_ms",
-     r"`+snapshot_attach`+:\s+cold\s+attach\s+([\d.]+)\s+ms",
-     ("DESIGN.md", "EXPERIMENTS.md")),
     ("training_serial", "seconds_per_million",
      r"`+training_serial`+:\s+([\d.]+)\s+s\s+per\s+million",
      ("EXPERIMENTS.md",)),
 ] + [
-    # "`training_streaming_parallel`: in-memory 12.9 s, streamed 4.8 s,
-    # `jobs=2` 2.9 s (4.52x)": one pattern per quoted figure.
-    ("training_streaming_parallel", key,
-     r"`+training_streaming_parallel`+:\s+in-memory\s+" + prefix
-     + r"([\d.]+)", ("README.md", "EXPERIMENTS.md"))
+    # "`training_streaming`: reference 11.8 s, streamed 3.1 s (3.81x)":
+    # one pattern per quoted median.
+    ("training_streaming", key,
+     r"`+training_streaming`+:\s+reference\s+" + prefix + r"([\d.]+)",
+     ("README.md", "EXPERIMENTS.md"))
     for key, prefix in (
-        ("serial_seconds", ""),
-        ("streamed_serial_seconds", r"[\d.]+\s+s,\s+streamed\s+"),
-        ("streamed_parallel_seconds",
-         r"[\d.]+\s+s,\s+streamed\s+[\d.]+\s+s,\s+`+jobs=2`+\s+"),
-        ("parallel_speedup",
-         r"[\d.]+\s+s,\s+streamed\s+[\d.]+\s+s,\s+`+jobs=2`+\s+"
-         r"[\d.]+\s+s\s+\("),
+        ("reference_seconds_median", ""),
+        ("streamed_seconds_median", r"[\d.]+\s+s,\s+streamed\s+"),
+        ("speedup_median",
+         r"[\d.]+\s+s,\s+streamed\s+[\d.]+\s+s\s+\("),
     )
 ]
 

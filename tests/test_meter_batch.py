@@ -1,9 +1,8 @@
-"""Batch scoring and parallel-training APIs of :class:`FuzzyPSM`.
+"""Batch scoring APIs of :class:`FuzzyPSM`.
 
 The contract under test: every fast path (``probability_many``, the
-score memo, ``train_grammar(..., jobs=N)``) is an execution-strategy
-change only — results are bit-for-bit those of the serial per-call
-code.
+score memo) is an execution-strategy change only — results are
+bit-for-bit those of the per-call code.
 """
 
 from __future__ import annotations
@@ -11,12 +10,13 @@ from __future__ import annotations
 import gc
 import math
 import random
+from collections import OrderedDict
 
 import pytest
 
 from repro import obs
 from repro.core.word_index import WordIndex
-from repro.core.meter import FuzzyPSM, FuzzyPSMConfig
+from repro.core.meter import FuzzyPSM, FuzzyPSMConfig, score_many
 from repro.core.training import build_base_trie, train_grammar
 from repro.core.trie import _Node
 from repro.persistence import load_meter, save_meter
@@ -127,84 +127,23 @@ class TestScoreMemo:
             meter.probability_many(["dragon2"])
             assert telemetry.counter("meter.memo.miss") == 4
 
-    def test_size_zero_scores_identically_with_dedupe_in_a_call(self, rng):
-        meter = FuzzyPSM.train(
-            BASE_DICTIONARY, TRAINING_PASSWORDS,
-            config=FuzzyPSMConfig(parse_cache_size=0),
-        )
+    def test_size_zero_scores_identically_with_dedupe_in_a_call(
+        self, rng, fuzzy_meter
+    ):
+        # A meter's memo holds at least one score (parse_cache_size is
+        # positive); the batch loop itself still takes a size of zero.
+        parser, frozen = fuzzy_meter.parser, fuzzy_meter.frozen_grammar()
         probes = probe_stream(rng, 300) + [""]
+        memo: OrderedDict = OrderedDict()
         with obs.session() as telemetry:
-            scores = meter.probability_many(probes)
+            scores = score_many(parser, frozen, probes, memo, 0)
             parses = telemetry.counter("parser.parse")
-            assert meter.probability_many(probes) == scores
+            assert score_many(parser, frozen, probes, memo, 0) == scores
             hits = telemetry.counter("meter.memo.hit")
-        assert scores == reference_scores(meter, probes)
+        assert scores == reference_scores(fuzzy_meter, probes)
         assert parses == len(set(probes)) - 1  # "" never parses
         assert hits == 0
-        assert meter.score_memo_info() == {"size": 0, "capacity": 0}
-
-
-class TestParallelTraining:
-    @pytest.fixture(autouse=True)
-    def _force_pool(self, monkeypatch):
-        # The small-corpus fallback would route every fixture-sized
-        # corpus here through the serial path, and the CPU clamp would
-        # do the same on a single-core CI host (see
-        # tests/test_training_fallback.py for those behaviours); drop
-        # the cutoff and pretend to be multicore so the pool machinery
-        # itself stays under test.
-        monkeypatch.setattr(
-            "repro.core.training.PARALLEL_MIN_ENTRIES", 0
-        )
-        monkeypatch.setattr(
-            "repro.core.training._available_cpus", lambda: 2
-        )
-
-    def test_jobs2_equals_serial(self, rng):
-        trie = build_base_trie(BASE_DICTIONARY)
-        training = TRAINING_PASSWORDS * 20 + [
-            ("password1", 7), ("Dragon!", 3)
-        ] + probe_stream(rng, 400)
-        serial = train_grammar(training, trie)
-        parallel = train_grammar(training, trie, jobs=2)
-        assert parallel == serial
-
-    def test_jobs1_and_none_are_serial(self):
-        trie = build_base_trie(BASE_DICTIONARY)
-        expected = train_grammar(TRAINING_PASSWORDS, trie)
-        assert train_grammar(TRAINING_PASSWORDS, trie, jobs=1) == expected
-        assert train_grammar(TRAINING_PASSWORDS, trie, jobs=0) == expected
-
-    def test_meter_train_jobs(self, fuzzy_meter):
-        parallel = FuzzyPSM.train(
-            BASE_DICTIONARY, TRAINING_PASSWORDS, jobs=2
-        )
-        assert parallel.grammar == fuzzy_meter.grammar
-        assert (
-            parallel.probability("P@ssw0rd123")
-            == fuzzy_meter.probability("P@ssw0rd123")
-        )
-
-    def test_parallel_respects_flags(self):
-        config = FuzzyPSMConfig(allow_reverse=True, allow_allcaps=True)
-        serial = FuzzyPSM.train(
-            BASE_DICTIONARY, TRAINING_PASSWORDS + ["drowssap", "DRAGON"],
-            config=config,
-        )
-        parallel = FuzzyPSM.train(
-            BASE_DICTIONARY, TRAINING_PASSWORDS + ["drowssap", "DRAGON"],
-            config=config, jobs=2,
-        )
-        assert parallel.grammar == serial.grammar
-
-    def test_negative_jobs_rejected(self):
-        trie = build_base_trie(BASE_DICTIONARY)
-        with pytest.raises(ValueError, match="jobs"):
-            train_grammar(TRAINING_PASSWORDS, trie, jobs=-1)
-
-    def test_empty_training_parallel(self):
-        trie = build_base_trie(BASE_DICTIONARY)
-        assert train_grammar([], trie, jobs=2) == train_grammar([], trie)
+        assert not memo
 
 
 class TestCountValidation:
@@ -212,11 +151,6 @@ class TestCountValidation:
         trie = build_base_trie(BASE_DICTIONARY)
         with pytest.raises(ValueError, match="positive"):
             train_grammar([("password", 0)], trie)
-
-    def test_train_rejects_negative_count_parallel(self):
-        trie = build_base_trie(BASE_DICTIONARY)
-        with pytest.raises(ValueError, match="positive"):
-            train_grammar([("password", -3)], trie, jobs=2)
 
     def test_accept_rejects_bad_counts(self, base_dictionary,
                                        training_passwords):

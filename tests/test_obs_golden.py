@@ -158,7 +158,7 @@ class TestTrainingGolden:
         with obs.session() as telemetry:
             train_grammar(["password1", ("dragon", 5), ""], trie)
             counters = telemetry.snapshot()["counters"]
-            histogram = telemetry.histogram("train.serial.seconds")
+            histogram = telemetry.histogram("train.stream.seconds")
         # Two distinct entries trained: the empty string is skipped and
         # multiplicity does not inflate the pass count.
         assert counters["train.passwords"] == 2

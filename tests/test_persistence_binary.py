@@ -278,6 +278,38 @@ class TestErrorPaths:
         with pytest.raises(ValueError, match="not a valid binary meter"):
             load_meter(path)
 
+    @pytest.mark.parametrize("fmt", ["json", "binary"])
+    @pytest.mark.parametrize("field,value", [
+        ("parse_cache_size", -5), ("parse_cache_size", 0),
+        ("parse_cache_size", "x"), ("parse_cache_size", None),
+        ("parse_cache_size", True), ("min_base_length", 0),
+        ("allow_reverse", "false"), ("auto_update", 1),
+    ])
+    def test_malformed_config_rejected(self, fuzzy, tmp_path, fmt, field,
+                                       value):
+        # Each of these loaded: a bad size made every batch score raise
+        # a bare TypeError, and "false" switched the reverse rule on.
+        path = str(tmp_path / f"model.{fmt}")
+        save_meter(fuzzy, path, fmt=fmt)
+        if fmt == "json":
+            with open(path, encoding="utf-8") as handle:
+                document = json.load(handle)
+            document["model"]["config"][field] = value
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(document, handle)
+        else:
+            with open(path, "rb") as handle:
+                header = read_header(memoryview(handle.read()), BINARY_MAGIC)
+            meta, sections = fuzzy.to_buffers()
+            meta["config"][field] = value
+            fields = {key: entry for key, entry in header.items()
+                      if key != "sections"}
+            fields["meta"] = meta
+            with open(path, "wb") as handle:
+                handle.write(pack(BINARY_MAGIC, fields, sections))
+        with pytest.raises(ValueError, match=f"FuzzyPSMConfig.{field}"):
+            load_meter(path)
+
     def test_invalid_utf8_blob_rejected(self, binary_path, tmp_path):
         blob = bytearray(self._bytes(binary_path))
         header = read_header(memoryview(bytes(blob)), BINARY_MAGIC)

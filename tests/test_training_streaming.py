@@ -1,14 +1,15 @@
-"""Differential tests for the streaming/parallel training engine.
+"""Differential tests for the windowed training engine.
 
-``train_grammar_streaming`` must be an *execution-strategy* change
-only: whatever route a corpus takes — in-memory serial (the reference
-pass, one ``FuzzyGrammar.observe`` per entry), streamed chunked serial
-(one batch count and fold per window), or streamed through the
-persistent worker pool (slices counted in the workers, folded in
-submission order) — the resulting grammar must serialise to the very
-same bytes, because model files are compared byte-for-byte across PRs
-(``test_persistence.TestDeterministicBytes``) and the count tables'
-insertion order is part of that contract.
+The engine (one parse per distinct password per window, one batch
+count and fold per window) must be an *execution-strategy* change
+only: whether a corpus arrives as one in-memory list
+(``train_grammar``) or as a stream of chunks
+(``train_grammar_streaming``), and whatever the window size, the
+grammar must serialise to the very same bytes as the reference pass
+of ``tests/training_oracle.py`` (one ``FuzzyGrammar.observe`` per
+entry), because model files are compared byte-for-byte across
+versions (``test_persistence.TestDeterministicBytes``) and the count
+tables' insertion order is part of that contract.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import obs
 from repro.core import training
 from repro.core.grammar import FuzzyGrammar
 from repro.core.meter import FuzzyPSM
@@ -32,6 +32,7 @@ from repro.core.training import (
 )
 
 from tests.conftest import BASE_DICTIONARY, TRAINING_PASSWORDS
+from tests.training_oracle import train_reference
 
 
 @pytest.fixture(scope="module")
@@ -44,18 +45,6 @@ def parsers(trie):
     """Default flags, and the reverse and all-caps rules on."""
     return (FuzzyParser(trie),
             FuzzyParser(trie, allow_reverse=True, allow_allcaps=True))
-
-
-@pytest.fixture(scope="module")
-def multicore():
-    """Pretend the host has two cores: the CPU clamp must not silently
-    reroute the pool-differential tests below through the serial path
-    on a single-core CI machine.  (Module-scoped by hand because
-    ``monkeypatch`` is function-scoped, which hypothesis rejects.)"""
-    original = training._available_cpus
-    training._available_cpus = lambda: 2
-    yield
-    training._available_cpus = original
 
 
 def canonical(grammar: FuzzyGrammar) -> str:
@@ -82,7 +71,7 @@ class TestStreamedSerialEqualsInMemory:
     @given(passwords, st.integers(min_value=1, max_value=7))
     @settings(max_examples=25, deadline=None)
     def test_chunking_is_invisible(self, trie, pws, chunk_size):
-        serial = train_grammar(pws, trie)
+        serial = train_reference(pws, trie)
         streamed = train_grammar_streaming(chunked(pws, chunk_size), trie)
         assert canonical(streamed) == canonical(serial)
 
@@ -93,66 +82,25 @@ class TestStreamedSerialEqualsInMemory:
     ), min_size=1, max_size=30))
     @settings(max_examples=25, deadline=None)
     def test_counted_entries_survive_chunking(self, trie, entries):
-        serial = train_grammar(entries, trie)
+        serial = train_reference(entries, trie)
         streamed = train_grammar_streaming(chunked(entries, 3), trie)
         assert canonical(streamed) == canonical(serial)
 
     def test_empty_stream(self, trie):
         assert train_grammar_streaming(iter([]), trie) == FuzzyGrammar()
+        assert train_grammar([], trie) == FuzzyGrammar()
 
     def test_empty_passwords_skipped_across_chunks(self, trie):
         entries = ["password1", "", "dragon99", ""]
         assert canonical(
             train_grammar_streaming(chunked(entries, 2), trie)
-        ) == canonical(train_grammar(entries, trie))
+        ) == canonical(train_reference(entries, trie))
 
     def test_empty_password_raises_without_skip(self, trie):
         with pytest.raises(ValueError, match="empty"):
             train_grammar_streaming(
                 chunked(["password1", ""], 1), trie, skip_empty=False
             )
-
-
-@pytest.mark.usefixtures("multicore")
-class TestParallelEqualsSerial:
-    """The worker pool must reproduce the serial bytes exactly."""
-
-    def _both(self, trie, entries, chunk_size=4):
-        serial = train_grammar(entries, trie)
-        parallel = train_grammar_streaming(
-            chunked(entries, chunk_size), trie,
-            jobs=2, parallel_threshold=0,
-        )
-        return canonical(serial), canonical(parallel)
-
-    def test_fixed_corpus(self, trie):
-        entries = TRAINING_PASSWORDS + [
-            ("password1", 7), ("Dr@gon99", 3), ("PASSWORD1", 2),
-            ("1drowssap", 1), ("p@ssw0rd!", 4),
-        ]
-        serial, parallel = self._both(trie, entries)
-        assert parallel == serial
-
-    def test_duplicates_across_chunks(self, trie):
-        # The same password in different chunks lands in different
-        # slices' counts; fold order must still reproduce serial counts.
-        entries = ["monkey12", "dragon99", "monkey12", "monkey12",
-                   "dragon99", "shadow7!"] * 4
-        serial, parallel = self._both(trie, entries, chunk_size=3)
-        assert parallel == serial
-
-    @given(passwords)
-    @settings(max_examples=8, deadline=None)
-    def test_random_corpora(self, trie, pws):
-        serial, parallel = self._both(trie, pws)
-        assert parallel == serial
-
-    def test_in_memory_parallel_matches_too(self, trie):
-        entries = TRAINING_PASSWORDS * 3
-        serial = train_grammar(entries, trie)
-        parallel = train_grammar(entries, trie, jobs=2,
-                                 parallel_threshold=0)
-        assert canonical(parallel) == canonical(serial)
 
 
 #: Passwords on which the reverse and all-caps rules fire (with the
@@ -189,32 +137,22 @@ chunk_sizes = st.integers(min_value=1, max_value=50)
 DIFFERENTIAL = settings(derandomize=True, deadline=None)
 
 
-@pytest.mark.usefixtures("multicore")
 class TestWindowedEngine:
-    """Every window size, chunking and route equals the reference pass."""
+    """Every window size, chunking and entry point equals the
+    reference pass."""
 
     @given(corpora(), windows, chunk_sizes)
     @DIFFERENTIAL
     def test_serial_equals_reference(self, trie, parsers, entries, window,
                                      size):
         for parser in parsers:
-            reference = canonical(train_grammar(entries, trie, parser))
+            reference = canonical(train_reference(entries, trie, parser))
             streamed = train_grammar_streaming(
                 chunked(entries, size), trie, parser, window=window
             )
+            in_memory = train_grammar(entries, trie, parser, window=window)
             assert canonical(streamed) == reference
-
-    @given(corpora(), windows, chunk_sizes)
-    @settings(DIFFERENTIAL, max_examples=8)
-    def test_pool_equals_reference(self, trie, parsers, entries, window,
-                                   size):
-        for parser in parsers:
-            reference = canonical(train_grammar(entries, trie, parser))
-            pooled = train_grammar_streaming(
-                chunked(entries, size), trie, parser, jobs=2,
-                parallel_threshold=0, window=window,
-            )
-            assert canonical(pooled) == reference
+            assert canonical(in_memory) == reference
 
     @given(corpora(), windows, chunk_sizes)
     @DIFFERENTIAL
@@ -226,48 +164,24 @@ class TestWindowedEngine:
         assert feed.entries == sum(1 for entry in entries if entry != "")
 
     @given(corpora(), st.sampled_from([-2, -1, 0, 1.5, True]),
-           st.booleans(), windows, chunk_sizes, st.sampled_from([1, 2]))
+           st.booleans(), windows, chunk_sizes)
     @settings(DIFFERENTIAL, max_examples=30)
     def test_invalid_entries_raise_the_reference_error(
-        self, trie, entries, count, empty, window, size, jobs
+        self, trie, entries, count, empty, window, size
     ):
         bad = ("", 1) if empty else ("password1", count)
         entries = entries + [bad] + entries
         with pytest.raises(ValueError) as expected:
-            train_grammar(entries, trie, skip_empty=False)
+            train_reference(entries, trie, skip_empty=False)
         with pytest.raises(ValueError) as raised:
             train_grammar_streaming(
                 chunked(entries, size), trie, skip_empty=False,
-                jobs=jobs, parallel_threshold=0, window=window,
+                window=window,
             )
         assert str(raised.value) == str(expected.value)
-
-
-class TestStreamingFallback:
-    def test_small_stream_falls_back_to_serial(self, trie, monkeypatch):
-        def boom(*_args, **_kwargs):
-            raise AssertionError("pool started below the threshold")
-
-        monkeypatch.setattr(training, "_available_cpus", lambda: 2)
-        monkeypatch.setattr(training, "_train_streaming_parallel", boom)
-        with obs.session() as telemetry:
-            grammar = train_grammar_streaming(
-                chunked(TRAINING_PASSWORDS, 4), trie, jobs=2
-            )
-            counters = telemetry.snapshot()["counters"]
-        assert grammar == train_grammar(TRAINING_PASSWORDS, trie)
-        assert counters["train.fallback.serial"] == 1
-        assert counters["training.parallel.fallback"] == 1
-
-    def test_in_memory_fallback_shares_the_counter(self, trie):
-        with obs.session() as telemetry:
-            train_grammar(TRAINING_PASSWORDS, trie, jobs=2)
-            counters = telemetry.snapshot()["counters"]
-        assert counters["training.parallel.fallback"] == 1
-
-    def test_negative_jobs_rejected(self, trie):
-        with pytest.raises(ValueError, match="non-negative"):
-            train_grammar_streaming(iter([]), trie, jobs=-1)
+        with pytest.raises(ValueError) as raised:
+            train_grammar(entries, trie, skip_empty=False, window=window)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestMeterEntryPoint:
@@ -277,8 +191,13 @@ class TestMeterEntryPoint:
         streamed = FuzzyPSM.train_streaming(
             BASE_DICTIONARY, chunked(entries, 3)
         )
+        trie = build_base_trie(BASE_DICTIONARY)
+        reference = FuzzyPSM(train_reference(entries, trie), trie)
         assert json.dumps(streamed.to_dict()) == json.dumps(
-            in_memory.to_dict()
+            reference.to_dict()
+        )
+        assert json.dumps(in_memory.to_dict()) == json.dumps(
+            reference.to_dict()
         )
 
     def test_streamed_meter_scores_and_updates(self):
