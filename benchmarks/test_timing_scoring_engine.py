@@ -29,7 +29,7 @@ from itertools import islice
 
 import pytest
 
-from repro.core.frozen import FrozenGrammar, freeze
+from repro.core.frozen import FrozenGrammar
 from repro.core.grammar import FuzzyGrammar
 from repro.core.meter import FuzzyPSM
 from repro.persistence import load_meter, save_meter
@@ -78,7 +78,7 @@ def test_timing_frozen_kernel(meter, csdn_quarters, capsys):
     build, frozen_times, dict_times = [], [], []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        frozen = freeze(meter.grammar)
+        frozen = FrozenGrammar(meter.grammar)
         build.append(time.perf_counter() - start)
         frozen_values, seconds = timed(frozen.derivation_probability, flats)
         frozen_times.append(seconds)

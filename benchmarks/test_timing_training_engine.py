@@ -23,12 +23,15 @@ by more than :data:`_SPEEDUP_GATE` in the median of
 distinct password of a window is parsed once, so a Zipf-shaped corpus
 does a fraction of the parse work.
 
-Each configuration runs in a **fresh subprocess**: ``ru_maxrss`` is a
+Each configuration runs in a **fresh subprocess**: peak RSS is a
 per-process high-water mark (monotone within a process, so in-process
 ordering would contaminate later configs), and a cold process also
 gives every config the same allocator/import state for fair timing.
-The two configurations alternate which runs first from one repeat to
-the next.
+The child reads its peak from ``VmHWM`` where ``/proc`` exists:
+Linux carries ``ru_maxrss`` across ``execve``, so under ``make bench``
+a child would report the larger pytest process's peak instead of its
+own.  The two configurations alternate which runs first from one
+repeat to the next.
 
 Smoke mode shrinks the corpus, runs one repeat and keeps only the
 equivalence assert.
@@ -108,9 +111,17 @@ seconds = time.perf_counter() - start
 digest = hashlib.sha256(
     json.dumps(meter.to_dict()).encode("utf-8")
 ).hexdigest()
+rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    with open("/proc/self/status", encoding="ascii") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                rss_kib = int(line.split()[1])
+except OSError:
+    pass
 print(json.dumps({
     "seconds": seconds,
-    "rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    "rss_kib": rss_kib,
     "sha256": digest,
 }))
 """

@@ -4,7 +4,9 @@ A small AST-based linter that encodes the reproduction's non-style
 invariants as machine-checkable rules — log-safe probability math,
 seeded randomness, byte-stable serialization, picklable
 multiprocessing workers, and annotation coverage of the public API.
-Run it as ``repro lint src/repro`` or via ``make lint``.
+Run it as ``repro lint src/repro`` or via ``make lint``.  Every run
+is cold and two-pass: the whole-program index first, then the
+per-file rules against it.
 
 Public surface:
 

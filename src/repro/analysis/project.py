@@ -26,14 +26,12 @@ subclasses) need:
   bump the epoch (FPM013).
 
 Everything stored here is built from plain tuples/dicts so the index
-pickles cleanly into the parallel file pass and hashes stably into the
-incremental cache key.
+pickles cleanly into the parallel file pass.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import os
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -466,7 +464,6 @@ class ProjectIndex:
     worker_reachable: FrozenSet[str] = frozenset()
     epoch_guarded_classes: FrozenSet[str] = frozenset()
     registered_namespaces: FrozenSet[str] = frozenset()
-    digest: str = ""
 
     # --- lookups -------------------------------------------------------
 
@@ -652,11 +649,6 @@ class ProjectIndex:
         for module in self.modules.values():
             namespaces.update(module.namespaces)
         self.registered_namespaces = frozenset(namespaces)
-
-        hasher = hashlib.sha256()
-        for name in sorted(self.modules):
-            hasher.update(repr(self.modules[name]).encode("utf-8"))
-        self.digest = hasher.hexdigest()
 
 
 def build_project_index(

@@ -7,14 +7,11 @@ picks a reporter and turns the violation list into an exit code.
 
 The pipeline (DESIGN.md §13):
 
-1. discover files and hash their bytes;
-2. **fully-warm fast path** — when the incremental cache matches the
-   rule key and every file digest, serve the previous run's results
-   without parsing anything;
-3. otherwise build the pass-1 :class:`ProjectIndex` over all files
-   (one parse each, shared with pass 2), then lint each file whose
-   cached entry is stale — serially or across a process pool — and
-   refresh the cache.
+1. discover files and read their sources;
+2. build the pass-1 :class:`ProjectIndex` over all files (one parse
+   each, shared with pass 2);
+3. lint every file against the index — serially or across a process
+   pool.
 
 Discovery applies a per-directory *profile*: files under ``src`` get
 every rule; files under ``tests``/``benchmarks``/``tools``/
@@ -35,8 +32,6 @@ import sys
 from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from repro import obs
-from repro.analysis.cache import LintCache, file_digest
-from repro.analysis.cache import rule_key as compute_rule_key
 from repro.analysis.core import (
     SYNTAX_RULE_ID,
     LintContext,
@@ -77,14 +72,6 @@ _RELAXED_SEGMENTS = frozenset({"tests", "benchmarks", "tools", "examples"})
 #: hygiene rules stay on everywhere.
 _RELAXED_EXEMPT = frozenset(
     {"FPM001", "FPM002", "FPM003", "FPM008", "FPM010", "FPM011", "FPM014"}
-)
-
-#: Part of the cache's rule key: results depend on the profile map.
-_PROFILE_SIGNATURE = (
-    "relaxed="
-    + ",".join(sorted(_RELAXED_SEGMENTS))
-    + ";exempt="
-    + ",".join(sorted(_RELAXED_EXEMPT))
 )
 
 
@@ -227,16 +214,16 @@ def _lint_chunk(
 
 
 def _lint_parallel(
-    pending: List[str],
+    files: List[str],
     sources: Dict[str, str],
     select: Optional[Sequence[str]],
     index: ProjectIndex,
     jobs: int,
 ) -> Dict[str, List[Violation]]:
     workers = jobs if jobs > 0 else (os.cpu_count() or 1)
-    workers = max(1, min(workers, len(pending)))
+    workers = max(1, min(workers, len(files)))
     chunks = [
-        [(path, sources[path]) for path in pending[start::workers]]
+        [(path, sources[path]) for path in files[start::workers]]
         for start in range(workers)
     ]
     chunks = [chunk for chunk in chunks if chunk]
@@ -257,83 +244,41 @@ def lint_paths(
     paths: Sequence[str],
     select: Optional[Iterable[str]] = None,
     jobs: int = 1,
-    cache_path: Optional[str] = None,
 ) -> "tuple[List[Violation], int]":
     """Lint paths; returns ``(violations, files_checked)``.
 
     ``jobs`` > 1 (or 0 for the CPU count) fans the file pass over a
-    process pool.  ``cache_path`` enables the incremental cache (see
-    :mod:`repro.analysis.cache`); ``None`` — the library default —
-    always runs cold.
+    process pool.
     """
     selected = list(select) if select is not None else None
     if selected is not None:
         validate_select(selected)
-    telemetry = obs.get()
     files = discover_files(paths)
     sources: Dict[str, str] = {}
     for path in files:
         with open(path, "r", encoding="utf-8") as handle:
             sources[path] = handle.read()
-    digests = {path: file_digest(sources[path]) for path in files}
-    key = compute_rule_key(selected, _PROFILE_SIGNATURE)
-
-    cache: Optional[LintCache] = None
-    if cache_path:
-        cache = LintCache(cache_path)
-        cache.load()
-        if cache.matches_run(key, digests):
-            # Identical bytes + identical rules ⇒ identical index ⇒
-            # the whole previous run replays without a single parse.
-            telemetry.incr("lint.cache.warm_run")
-            violations = []
-            for path in files:
-                violations.extend(cache.cached_violations(path))
-            telemetry.observe("lint.files", len(files))
-            return sorted(violations), len(files)
 
     trees: Dict[str, ast.Module] = {}
     index = build_project_index(
         [(path, sources[path]) for path in files], trees
     )
 
-    results: Dict[str, List[Violation]] = {}
-    pending: List[str] = []
-    for path in files:
-        cached = (
-            cache.lookup(path, digests[path], key, index.digest)
-            if cache is not None
-            else None
-        )
-        if cached is not None:
-            telemetry.incr("lint.cache.hit")
-            results[path] = cached
-        else:
-            if cache is not None:
-                telemetry.incr("lint.cache.miss")
-            pending.append(path)
-
-    if jobs != 1 and len(pending) > 1:
-        results.update(
-            _lint_parallel(pending, sources, selected, index, jobs)
-        )
+    if jobs != 1 and len(files) > 1:
+        results = _lint_parallel(files, sources, selected, index, jobs)
     else:
-        for path in pending:
-            results[path] = _lint_file(
+        results = {
+            path: _lint_file(
                 sources[path],
                 path,
                 _effective_select(selected, path),
                 index,
                 trees.get(path),
             )
+            for path in files
+        }
 
-    if cache is not None:
-        cache.store(
-            key,
-            index.digest,
-            {path: (digests[path], results[path]) for path in files},
-        )
-    telemetry.observe("lint.files", len(files))
+    obs.get().observe("lint.files", len(files))
     violations = sorted(
         violation
         for file_violations in results.values()
@@ -348,15 +293,11 @@ def run(
     select: Optional[str] = None,
     stream: Optional[TextIO] = None,
     jobs: int = 1,
-    cache_path: Optional[str] = None,
-    fix: bool = False,
 ) -> int:
     """CLI driver: lint, report, and map the result to an exit code.
 
     Exit codes: 0 clean, 1 violations found, 2 usage error (unknown
-    rule id, missing path, unknown format).  ``fix`` applies the
-    mechanical autofixes (FPM007/FPM008) in place first, then reports
-    what remains.
+    rule id, missing path, unknown format).
     """
     stream = stream if stream is not None else sys.stdout
     reporter = REPORTERS.get(output_format)
@@ -374,41 +315,9 @@ def run(
             print(f"error: {error}", file=sys.stderr)
             return 2
 
-    if fix:
-        from repro.analysis.fixes import fix_source
-
-        try:
-            files = discover_files(paths)
-        except FileNotFoundError as error:
-            print(f"error: no such path: {error.args[0]}", file=sys.stderr)
-            return 2
-        fixed_files = 0
-        fix_count = 0
-        for path in files:
-            effective = _effective_select(selected, path)
-            allowed = (
-                frozenset(effective)
-                if effective is not None
-                else frozenset(all_rules())
-            ) & {"FPM007", "FPM008"}
-            if not allowed:
-                continue
-            with open(path, "r", encoding="utf-8") as handle:
-                original = handle.read()
-            fixed, count = fix_source(original, path, select=allowed)
-            if count:
-                with open(path, "w", encoding="utf-8") as handle:
-                    handle.write(fixed)
-                fixed_files += 1
-                fix_count += count
-        print(
-            f"fixed {fix_count} issue(s) in {fixed_files} file(s)",
-            file=sys.stderr,
-        )
-
     try:
         violations, files_checked = lint_paths(
-            paths, select=selected, jobs=jobs, cache_path=cache_path
+            paths, select=selected, jobs=jobs
         )
     except UnknownRuleError as error:
         print(f"error: {error}", file=sys.stderr)

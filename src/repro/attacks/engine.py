@@ -54,12 +54,13 @@ the width (amortized O(log width) per push).  Width eviction is lossy
 and probability mass are reported via ``attack.beam.*`` telemetry and
 :class:`EnumerationStats`.
 
-**Sampling.**  :class:`FrozenSampler` replaces the training-side
-``FuzzyGrammar.sample_derivation`` linear table scans with cumulative
-arrays + ``bisect``, keeping the canonical-parse rejection loop of
-``FuzzyPSM.sample`` and scoring accepted draws through the frozen
-kernel.  ``AttackEngine.sample`` delegates to it, so the engine plugs
-straight into :class:`~repro.metrics.guessnumber.MonteCarloEstimator`.
+**Sampling.**  :class:`FrozenSampler` draws derivations from
+cumulative arrays with ``bisect``, rejects draws that are not the
+canonical parse of their surface (``FuzzyPSM.sample``'s contract) and
+scores accepted draws through the frozen kernel.  It is the only
+sampler of the fuzzy grammar.  ``AttackEngine.sample`` delegates to
+it, so the engine plugs straight into
+:class:`~repro.metrics.guessnumber.MonteCarloEstimator`.
 
 All consumers receive a :class:`GuessStream` — a named iterator of
 ``(surface, probability)`` pairs in descending probability order —
@@ -783,15 +784,13 @@ class AttackEngine:
 class FrozenSampler:
     """Cumulative-table sampler over a frozen grammar snapshot.
 
-    ``FuzzyGrammar.sample_derivation`` draws structures and terminals
-    with a linear scan over count tables — O(table size) per draw,
-    which dominates Monte-Carlo estimation on trained grammars.  This
-    sampler compiles cumulative probability arrays once and draws with
-    ``bisect`` in O(log table size), keeping the same semantics as
-    ``FuzzyPSM.sample``: non-canonical draws (sampled derivation !=
-    the surface's canonical parse) are rejected and redrawn, and the
-    returned probability comes from the frozen kernel, so the pair is
-    always consistent with ``meter.probability``.
+    The sampler compiles cumulative probability arrays once and draws
+    structures and terminals with ``bisect`` in O(log table size),
+    with the semantics of ``FuzzyPSM.sample``: non-canonical draws
+    (sampled derivation != the surface's canonical parse) are rejected
+    and redrawn, and the returned probability comes from the frozen
+    kernel, so the pair is always consistent with
+    ``meter.probability``.
     """
 
     def __init__(

@@ -408,22 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the rule catalogue and exit",
     )
     lint.add_argument(
-        "--fix", action="store_true",
-        help="apply the mechanical autofixes (FPM007 mutable "
-        "defaults, FPM008 unambiguous -> None) before reporting",
-    )
-    lint.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="lint files across N processes (0 = CPU count)",
-    )
-    lint.add_argument(
-        "--cache", dest="cache_path", default=None, metavar="PATH",
-        help="incremental cache file (warm runs skip unchanged "
-        "files); see also --no-cache",
-    )
-    lint.add_argument(
-        "--no-cache", action="store_true",
-        help="force a cold run even when --cache is given",
     )
 
     return parser
@@ -996,10 +982,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    cache_path = None if args.no_cache else args.cache_path
     return run_lint(
         args.paths, output_format=args.output_format, select=args.select,
-        jobs=args.jobs, cache_path=cache_path, fix=args.fix,
+        jobs=args.jobs,
     )
 
 

@@ -2,8 +2,8 @@
 
 Layout (bottom-up):
 
-* :mod:`~repro.core.trie` — prefix trie over the base dictionary with
-  transformation-aware longest-prefix matching.
+* :mod:`~repro.core.trie` — the base dictionary's words, compiled
+  into the word index the parser probes.
 * :mod:`~repro.core.grammar` — the fuzzy PCFG rule tables
   (paper Tables IV-VI) and derivation probability arithmetic.
 * :mod:`~repro.core.word_index` — the base dictionary keyed by
@@ -16,7 +16,7 @@ Layout (bottom-up):
   public train / measure / update API.
 """
 
-from repro.core.trie import PrefixTrie, FuzzyMatch
+from repro.core.trie import PrefixTrie
 from repro.core.word_index import WordIndex
 from repro.core.grammar import FuzzyGrammar, Derivation, DerivedSegment
 from repro.core.parser import FuzzyParser, ParsedPassword, ParsedSegment, SegmentKind
@@ -37,7 +37,6 @@ from repro.core.suggestions import (
 
 __all__ = [
     "PrefixTrie",
-    "FuzzyMatch",
     "WordIndex",
     "FuzzyGrammar",
     "Derivation",

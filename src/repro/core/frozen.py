@@ -305,18 +305,3 @@ class FrozenGrammar:
             f"structures={self.structure_count}, "
             f"terminals={self.terminal_count})"
         )
-
-
-def freeze(grammar: FuzzyGrammar,
-           stale: Optional[FrozenGrammar] = None) -> FrozenGrammar:
-    """Snapshot ``grammar``, reusing ``stale`` when still current.
-
-    The lazy-invalidation helper: callers hold one snapshot of
-    ``grammar`` and call ``freeze(grammar, snapshot)`` before scoring;
-    a snapshot taken at the grammar's current epoch is returned as-is,
-    anything else is refreshed from it (``FrozenGrammar(grammar,
-    stale)``).
-    """
-    if stale is not None and stale.is_current(grammar):
-        return stale
-    return FrozenGrammar(grammar, stale)

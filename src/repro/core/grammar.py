@@ -20,19 +20,16 @@ every rule in its derivation (Fig. 11 of the paper).
 
 from __future__ import annotations
 
-import random
 from array import array
 from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
-    Hashable,
     Iterable,
     List,
     NamedTuple,
     Optional,
     Tuple,
-    TypeVar,
 )
 
 from repro.util.freqdist import FrequencyDistribution
@@ -58,8 +55,6 @@ FlatSegment = Tuple[str, bool, Tuple[int, ...], bool, bool, bool]
 #: (:func:`count_parses`) and the frozen scoring kernel take, so
 #: scoring and training build no object per segment.
 FlatParse = Tuple[Structure, Tuple[FlatSegment, ...]]
-
-_T = TypeVar("_T", bound=Hashable)
 
 
 class ParseCounts(NamedTuple):
@@ -483,58 +478,6 @@ class FuzzyGrammar:
                 )
         return rows
 
-    # --- sampling ---------------------------------------------------------
-
-    def sample(self, rng: random.Random) -> Tuple[str, float]:
-        """Draw one password from the grammar's distribution.
-
-        Returns ``(password, probability)``; used by the Monte-Carlo
-        guess-number estimator (Dell'Amico & Filippone, CCS'15).
-        ``rng`` is a :class:`random.Random`.
-        """
-        derivation, probability = self.sample_derivation(rng)
-        return derivation.surface(), probability
-
-    def sample_derivation(
-        self, rng: random.Random
-    ) -> Tuple[Derivation, float]:
-        """Draw one full derivation (not just its surface string).
-
-        Exposing the derivation lets callers check whether the sample is
-        *canonical* — i.e. whether the deterministic measuring parse of
-        the surface reproduces exactly this derivation — which the
-        meter's rejection sampler needs (see :meth:`FuzzyPSM.sample`).
-        """
-        if self.structures.total == 0:
-            raise ValueError("cannot sample from an untrained grammar")
-        structure = _sample_freqdist(self.structures, rng)
-        segments: List[DerivedSegment] = []
-        for length in structure:
-            base = _sample_freqdist(self.terminals[length], rng)
-            capitalized = (
-                rng.random() < self.capitalization_probability(True)
-            )
-            reversed_word = (
-                rng.random() < self.reverse_probability(True)
-            )
-            all_caps = (
-                not capitalized
-                and rng.random() < self.allcaps_probability(True)
-            )
-            toggles: List[int] = []
-            for offset, ch in enumerate(base):
-                rule = leet_rule_for_char(ch)
-                if rule is not None and rng.random() < self.leet_probability(
-                    rule, True
-                ):
-                    toggles.append(offset)
-            segments.append(
-                DerivedSegment(base, capitalized, tuple(toggles),
-                               reversed_word, all_caps)
-            )
-        derivation = Derivation(tuple(segments))
-        return derivation, self.derivation_probability(derivation)
-
     # --- serialisation -----------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
@@ -721,18 +664,3 @@ class FuzzyGrammar:
             grammar.leet[rule].add(False, counts["no"])
         return grammar
 
-
-def _sample_freqdist(
-    dist: "FrequencyDistribution[_T]", rng: random.Random
-) -> _T:
-    """Draw one item from a frequency distribution by its counts."""
-    target = rng.random() * dist.total
-    cumulative = 0
-    item: Optional[_T] = None
-    for item, count in dist.items():
-        cumulative += count
-        if cumulative > target:
-            return item
-    if item is None:
-        raise ValueError("cannot sample from an empty distribution")
-    return item  # numeric edge: fall through to the last item

@@ -599,10 +599,9 @@ class FuzzyPSM(ProbabilisticMeter):
         stays self-consistent.
 
         Draws run on the attack engine's
-        :class:`~repro.attacks.engine.FrozenSampler` — cumulative
-        tables + bisect instead of the training tables' linear scans —
-        and accepted probabilities come from the frozen kernel, which
-        is bit-identical to the dict path.
+        :class:`~repro.attacks.engine.FrozenSampler` (cumulative
+        tables + bisect), and accepted probabilities come from the
+        frozen kernel, which is bit-identical to the dict path.
         """
         return self.attack_engine().sample(rng, max_attempts=max_attempts)
 

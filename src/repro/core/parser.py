@@ -28,10 +28,11 @@ Performance notes (see DESIGN.md "Performance architecture"):
   probes a :class:`~repro.core.word_index.WordIndex` — the base
   dictionary keyed by canonical spelling — a few dict probes per
   segment start.  The index is built lazily on first parse and is the
-  only matcher a parse ever consults; the pointer :class:`PrefixTrie`
-  is build input and, behind the same ``match`` signature
-  (``tests.conftest.pointer_parser``), the reference the parse-level
-  differential tests compare against;
+  only matcher a parse ever consults; the :class:`PrefixTrie` is its
+  build input.  The tests' pointer trie (``tests/pointer_trie.py``),
+  behind the same ``match`` signature
+  (``tests.conftest.pointer_parser``), is the reference the
+  parse-level differential tests compare against;
 * the reversed-word index of the ``allow_reverse`` extension is also
   built lazily, on the first parse that needs it, so deserialising a
   reverse-enabled grammar that never parses costs nothing;

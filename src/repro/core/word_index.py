@@ -30,7 +30,8 @@ length whose words hold an admissible one is the match:
 Among a length's words the match is the exact word, else the one with
 the fewest toggles, then the smallest base.  Across the two readings
 the longer match wins, then the one with fewer transformations, then
-the smaller base: the choice of :meth:`PrefixTrie.longest_fuzzy_match`.
+the smaller base: the choice of the pointer-trie search the tests
+hold as the reference (``tests/pointer_trie.py``).
 With ``allow_leet=False`` only a word spelled exactly like the observed
 text is admissible.
 

@@ -292,26 +292,6 @@ def save_telemetry_report(report: dict, path: str) -> None:
         handle.write("\n")
 
 
-def load_telemetry_report(path: str) -> dict:
-    """Read back a report written by :func:`save_telemetry_report`."""
-    with open(path, encoding="utf-8") as handle:
-        document = json.load(handle)
-    version = document.get("format_version")
-    if version != TELEMETRY_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported telemetry format version {version!r} "
-            f"(this build reads version {TELEMETRY_FORMAT_VERSION})"
-        )
-    if document.get("kind") != "telemetry":
-        raise ValueError(
-            f"not a telemetry report: kind={document.get('kind')!r}"
-        )
-    report = document["report"]
-    if not isinstance(report, dict):
-        raise ValueError("telemetry report body must be an object")
-    return report
-
-
 # --- compiled mask sets -----------------------------------------------------
 
 #: On-disk format version for compiled mask sets (``repro attack masks``

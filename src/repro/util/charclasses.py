@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import re
 import string
-from typing import Iterator, List, NamedTuple
+from typing import List, NamedTuple
 
 #: The full 95 printable ASCII characters; the paper sets the password
 #: alphabet Sigma to this set in all cracking experiments (Sec. II-B).
@@ -149,16 +149,6 @@ def classify_composition(password: str) -> List[str]:
         for name, pattern in COMPOSITION_PATTERNS.items()
         if pattern.search(password)
     ]
-
-
-def iter_printable(password: str) -> Iterator[str]:
-    """Yield characters, raising on anything outside printable ASCII."""
-    for ch in password:
-        if ch not in PRINTABLE_ASCII:
-            raise ValueError(
-                f"character {ch!r} is outside the 95 printable ASCII alphabet"
-            )
-        yield ch
 
 
 def is_printable_ascii(password: str) -> bool:

@@ -13,6 +13,8 @@ from repro.core.word_index import canonical
 from repro.datasets import SyntheticEcosystem
 from repro.meters import MarkovMeter, PCFGMeter
 
+from tests.pointer_trie import PointerTrie
+
 #: A base dictionary resembling the paper's running examples.
 BASE_DICTIONARY = [
     "password", "p@ssword", "123456", "123qwe", "dragon", "iloveyou",
@@ -33,12 +35,13 @@ class PointerMatcher:
 
     The parse loop hands every matcher the password and its folded
     spelling; the pointer search needs only the password, and its
-    :class:`~repro.core.trie.FuzzyMatch` becomes the same forward flat
-    segment the index returns.
+    :class:`~tests.pointer_trie.FuzzyMatch` becomes the same forward
+    flat segment the index returns.  A plain :class:`PrefixTrie` is
+    copied into a :class:`~tests.pointer_trie.PointerTrie` first.
     """
 
     def __init__(self, trie: PrefixTrie) -> None:
-        self.trie = trie
+        self.trie = PointerTrie.of(trie)
 
     def match(self, text, folded, start, capitalization, leet):
         found = self.trie.longest_fuzzy_match(text, capitalization, leet,
@@ -62,13 +65,13 @@ def pointer_parser(trie: PrefixTrie, **flags) -> FuzzyParser:
     """The pointer-trie reference parser for the parse differentials.
 
     Production parses only ever probe the word index; this parser runs
-    the same parse loop over plain :class:`PrefixTrie` searches
+    the same parse loop over pointer-trie searches
     (:class:`PointerMatcher`), with the reverse rule's trie built the
     way the parser builds its own index.
     """
     reversed_matcher = None
     if flags.get("allow_reverse"):
-        reversed_trie = PrefixTrie(min_length=trie.min_length)
+        reversed_trie = PointerTrie(min_length=trie.min_length)
         for word in trie.iter_words():
             if word != word[::-1]:
                 reversed_trie.insert(word[::-1])

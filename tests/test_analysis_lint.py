@@ -1185,144 +1185,20 @@ class TestCli:
             assert rule_id in out
 
 
-class TestIncrementalCache:
-    """The content-hash cache: hits, misses, and both invalidations."""
+class TestParallelPass:
+    """``--jobs`` fans pass 2 over a pool; the report is the serial one."""
 
     FILES = {
         "alpha.py": 'VALUE: int = 1\n',
         "beta.py": FIXTURE,
     }
 
-    def _write(self, tmp_path):
+    def test_parallel_run_matches_serial(self, tmp_path):
         for name, source in self.FILES.items():
             (tmp_path / name).write_text(source)
-
-    def _lint(self, tmp_path, cache, **kwargs):
-        from repro import obs
-
-        with obs.session() as telemetry:
-            violations, files = lint_paths(
-                [str(tmp_path)], cache_path=str(cache), **kwargs
-            )
-            counters = telemetry.snapshot()["counters"]
-        return violations, files, counters
-
-    def test_warm_run_replays_identical_violations(self, tmp_path):
-        self._write(tmp_path)
-        cache = tmp_path / "cache.json"
-        cold, files, cold_counters = self._lint(tmp_path, cache)
-        assert cold_counters.get("lint.cache.miss") == files
-        warm, _, warm_counters = self._lint(tmp_path, cache)
-        assert warm == cold
-        # Byte-identical tree -> the fully-warm fast path, no parsing.
-        assert warm_counters.get("lint.cache.warm_run") == 1
-        assert "lint.cache.miss" not in warm_counters
-
-    def test_content_change_invalidates_only_that_file(self, tmp_path):
-        self._write(tmp_path)
-        cache = tmp_path / "cache.json"
-        self._lint(tmp_path, cache)
-        # An edit that leaves the project index unchanged (no new
-        # defs/imports/globals) so the sibling's per-file entry stays
-        # valid; the bare except is a fresh violation that a stale
-        # replay would miss.
-        (tmp_path / "alpha.py").write_text(
-            "VALUE: int = 1\ntry:\n    pass\nexcept:\n    pass\n"
-        )
-        violations, _, counters = self._lint(tmp_path, cache)
-        assert "FPM006" in {v.rule_id for v in violations}
-        assert counters.get("lint.cache.miss") == 1
-        assert counters.get("lint.cache.hit") == len(self.FILES) - 1
-
-    def test_any_content_change_is_never_replayed_stale(self, tmp_path):
-        self._write(tmp_path)
-        cache = tmp_path / "cache.json"
-        cold, _, _ = self._lint(tmp_path, cache)
-        (tmp_path / "alpha.py").write_text("def broken(:\n")
-        violations, _, _ = self._lint(tmp_path, cache)
-        assert "FPM900" in {v.rule_id for v in violations}
-        assert violations != cold
-
-    def test_rule_set_change_invalidates_the_run(self, tmp_path):
-        self._write(tmp_path)
-        cache = tmp_path / "cache.json"
-        self._lint(tmp_path, cache, select=["FPM006"])
-        violations, files, counters = self._lint(
-            tmp_path, cache, select=["FPM008"]
-        )
-        # Different select -> different rule key -> no hits at all.
-        assert "lint.cache.hit" not in counters
-        assert counters.get("lint.cache.miss") == files
-        assert {v.rule_id for v in violations} == {"FPM008"}
-
-    def test_corrupt_cache_is_treated_as_cold(self, tmp_path):
-        self._write(tmp_path)
-        cache = tmp_path / "cache.json"
-        cache.write_text("{not json")
-        violations, files, counters = self._lint(tmp_path, cache)
-        assert counters.get("lint.cache.miss") == files
-        assert {v.rule_id for v in violations} == {"FPM006", "FPM008"}
-
-    def test_parallel_run_matches_serial(self, tmp_path):
-        self._write(tmp_path)
         serial, _ = lint_paths([str(tmp_path)])
         parallel, _ = lint_paths([str(tmp_path)], jobs=2)
         assert parallel == serial
-
-
-class TestAutofix:
-    """``repro lint --fix`` rewrites FPM007/FPM008 mechanically."""
-
-    def test_fix_rewrites_mutable_default_and_return(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text(textwrap.dedent('''
-            """Module."""
-
-
-            def collect(items, bucket=[]):
-                """Gather."""
-                bucket.extend(items)
-                return bucket
-
-
-            def announce(message: str):
-                print(message)
-        '''))
-        code = cli_main(
-            ["lint", "--select", "FPM007", str(path), "--fix"]
-        )
-        assert code == 0
-        fixed = path.read_text()
-        assert "bucket=None" in fixed
-        assert "if bucket is None:" in fixed
-        assert "bucket = []" in fixed
-        # The rewrite parses and the FPM007 violation is gone for good.
-        import ast as ast_module
-
-        ast_module.parse(fixed)
-        assert check_source(fixed, select=["FPM007"]) == []
-
-    def test_fix_adds_none_return_annotation(self, tmp_path):
-        path = tmp_path / "mod.py"
-        path.write_text(textwrap.dedent('''
-            def announce(message: str):
-                print(message)
-        '''))
-        cli_main(["lint", "--select", "FPM008", str(path), "--fix"])
-        assert "def announce(message: str) -> None:" in path.read_text()
-
-    def test_fix_skips_value_returning_functions(self, tmp_path):
-        path = tmp_path / "mod.py"
-        source = textwrap.dedent('''
-            def pick(value: int):
-                return value
-        ''')
-        path.write_text(source)
-        # Cannot infer the return type: report, do not rewrite.
-        assert cli_main(
-            ["lint", "--select", "FPM008", str(path), "--fix"]
-        ) == 1
-        assert path.read_text() == source
 
 
 class TestRepoIsClean:

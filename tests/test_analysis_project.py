@@ -4,8 +4,8 @@ The :class:`ProjectIndex` is pass 1 of the two-pass linter: a symbol
 table, import graph, approximate call graph and multiprocessing-use
 map over every discovered file.  These tests pin the index internals
 the cross-module rules (FPM012-015) lean on — module naming, symbol
-resolution, static MRO walks, the worker-reachability closure — plus
-the digest the incremental cache keys on.
+resolution, static MRO walks, the worker-reachability closure — and
+that the index pickles into the parallel file pass.
 """
 
 from __future__ import annotations
@@ -272,21 +272,6 @@ class TestProjectIndex:
             }
         )
         assert index.epoch_guarded_classes == {"pkg.grammar.Guarded"}
-
-    def test_digest_tracks_semantic_content_only(self):
-        base = {"src/pkg/a.py": "def f(x):\n    return x\n"}
-        same = {
-            "src/pkg/a.py": "def f(x):\n    # comment\n    return x\n"
-        }
-        different = {"src/pkg/a.py": "def g(x):\n    return x\n"}
-        digest = build_project_index(list(base.items())).digest
-        assert digest
-        assert (
-            build_project_index(list(same.items())).digest == digest
-        )
-        assert (
-            build_project_index(list(different.items())).digest != digest
-        )
 
     def test_index_is_picklable(self):
         # The parallel pass ships the index to pool workers.

@@ -340,6 +340,21 @@ class TestParser:
             main(command + option)
         assert exited.value.code == 2
 
+    @pytest.mark.parametrize("option", [
+        ["--fix"], ["--cache", "lint-cache.json"], ["--no-cache"],
+    ], ids=["fix", "cache", "no-cache"])
+    def test_removed_lint_options_exit_2(self, option, tmp_path,
+                                         monkeypatch):
+        # Rejected before linting: no file is rewritten or written.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.py").write_text("def f(x=[]):\n    return x\n")
+        with pytest.raises(SystemExit) as exited:
+            main(["lint", *option, "a.py"])
+        assert exited.value.code == 2
+        assert [path.name for path in tmp_path.iterdir()] == ["a.py"]
+        assert (tmp_path / "a.py").read_text() == \
+            "def f(x=[]):\n    return x\n"
+
     def test_lint_jobs_still_pools(self, capsys, tmp_path):
         for name in ("a.py", "b.py"):
             (tmp_path / name).write_text("VALUE = 1\n")

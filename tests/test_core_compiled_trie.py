@@ -4,7 +4,8 @@
 :class:`~repro.core.word_index.WordIndex`, an execution-strategy change
 only — every :meth:`~repro.core.word_index.WordIndex.match` must be
 bit-for-bit the pointer trie's search behind the same signature
-(:class:`~tests.conftest.PointerMatcher`).  These tests drive both with
+(:class:`~tests.conftest.PointerMatcher` over
+:class:`~tests.pointer_trie.PointerTrie`).  These tests drive both with
 randomized fuzzy corpora (including leet-in-base words like
 ``p@ssword``) and assert identical results.
 """
@@ -21,6 +22,7 @@ from repro.core.word_index import WordIndex
 from repro.util.leet import LEET_BY_LETTER
 
 from tests.conftest import PointerMatcher, longest_match, pointer_parser
+from tests.pointer_trie import PointerTrie
 
 
 WORDS = [
@@ -90,7 +92,7 @@ def exact(index: WordIndex, word: str) -> bool:
 def tries():
     rng = random.Random(20160628)
     words = random_words(rng, 3000)
-    pointer = PrefixTrie(words)
+    pointer = PointerTrie(words)
     return pointer, pointer.compile(), words, rng
 
 
@@ -172,7 +174,7 @@ class TestFuzzyEquivalence:
     def test_tie_breaks_match_pointer_trie(self):
         # Same length, same transformation count -> lexicographic base.
         words = ["abc", "a8c", "obo", "0b0"]
-        pointer = PrefixTrie(words)
+        pointer = PointerTrie(words)
         compiled = pointer.compile()
         for probe in ("abc1", "a8c1", "obo!", "0b0!", "Abc", "ObO"):
             assert (
@@ -198,7 +200,7 @@ class TestLayoutEdgeCases:
     def test_digit_only_alphabet_rejects_symbol_partners(self):
         # Over digit-only words the '@'->'a' toggle must be a miss:
         # folding '@' gives a letter no stored word holds.
-        pointer = PrefixTrie(["111", "000"])
+        pointer = PointerTrie(["111", "000"])
         compiled = pointer.compile()
         for probe in ("@11", "11@", "ooo", "0o0", "aaa"):
             assert (
@@ -208,7 +210,7 @@ class TestLayoutEdgeCases:
 
     def test_unicode_words(self):
         words = ["пароль", "密码密码", "motdepasse"]
-        pointer = PrefixTrie(words)
+        pointer = PointerTrie(words)
         compiled = pointer.compile()
         assert stored_words(compiled) == sorted(words)
         for word in words:

@@ -1,7 +1,6 @@
 """Unit tests for the fuzzy PCFG grammar tables and derivations."""
 
 import json
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,21 +152,6 @@ class TestRuleTable:
             by_lhs[lhs] += probability
         for lhs, total in by_lhs.items():
             assert total == pytest.approx(1.0), lhs
-
-
-class TestSampling:
-    def test_sample_probability_matches_measure(self):
-        grammar = FuzzyGrammar()
-        grammar.observe(derivation(DerivedSegment("password")).flat(), count=5)
-        grammar.observe(derivation(DerivedSegment("dragon1")).flat(), count=5)
-        rng = random.Random(3)
-        for _ in range(50):
-            _, probability = grammar.sample(rng)
-            assert probability > 0
-
-    def test_sample_untrained_raises(self):
-        with pytest.raises(ValueError):
-            FuzzyGrammar().sample(random.Random(0))
 
 
 class TestSerialisation:

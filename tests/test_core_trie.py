@@ -1,8 +1,11 @@
-"""Unit tests for the prefix trie and fuzzy longest-prefix matching."""
+"""Unit tests for the prefix trie and the pointer trie's fuzzy
+longest-prefix search (the reference the word index is tested against)."""
 
 import pytest
 
-from repro.core.trie import PrefixTrie, toggle_partner
+from repro.core.trie import PrefixTrie
+
+from tests.pointer_trie import PointerTrie, toggle_partner
 
 
 class TestInsertLookup:
@@ -39,7 +42,7 @@ class TestInsertLookup:
         assert ["abc"] not in PrefixTrie(["abc"])
 
     def test_insert_after_a_pointer_query_keeps_nodes_in_step(self):
-        trie = PrefixTrie(["pass"])
+        trie = PointerTrie(["pass"])
         assert trie.longest_exact_prefix("password") == "pass"
         assert trie.insert("password")
         assert not trie.insert("password")
@@ -50,15 +53,15 @@ class TestInsertLookup:
 
 class TestExactPrefix:
     def test_longest_exact(self):
-        trie = PrefixTrie(["pass", "password"])
+        trie = PointerTrie(["pass", "password"])
         assert trie.longest_exact_prefix("password123") == "password"
 
     def test_shorter_fallback(self):
-        trie = PrefixTrie(["pass", "password"])
+        trie = PointerTrie(["pass", "password"])
         assert trie.longest_exact_prefix("passw1") == "pass"
 
     def test_no_match(self):
-        trie = PrefixTrie(["abc"])
+        trie = PointerTrie(["abc"])
         assert trie.longest_exact_prefix("xyz") is None
 
 
@@ -75,7 +78,7 @@ class TestTogglePartner:
 
 class TestFuzzyMatching:
     def test_exact_match_found(self):
-        trie = PrefixTrie(["password"])
+        trie = PointerTrie(["password"])
         match = trie.longest_fuzzy_match("password123")
         assert match.base == "password"
         assert match.length == 8
@@ -83,18 +86,18 @@ class TestFuzzyMatching:
         assert match.toggled_offsets == ()
 
     def test_capitalization_at_offset_zero(self):
-        trie = PrefixTrie(["password"])
+        trie = PointerTrie(["password"])
         match = trie.longest_fuzzy_match("Password123")
         assert match.base == "password"
         assert match.capitalized
 
     def test_capitalization_not_mid_segment(self):
-        trie = PrefixTrie(["password"])
+        trie = PointerTrie(["password"])
         # "pAssword": uppercase beyond offset 0 cannot match.
         assert trie.longest_fuzzy_match("pAssword") is None
 
     def test_leet_toggle(self):
-        trie = PrefixTrie(["password"])
+        trie = PointerTrie(["password"])
         match = trie.longest_fuzzy_match("p@ssw0rd")
         assert match.base == "password"
         assert match.toggled_offsets == (1, 5)
@@ -102,32 +105,32 @@ class TestFuzzyMatching:
     def test_leet_toggle_reverse_direction(self):
         # Base dictionaries can contain substitute characters
         # (Table IV has B8 -> p@ssword); "a" then matches stored "@".
-        trie = PrefixTrie(["p@ssword"])
+        trie = PointerTrie(["p@ssword"])
         match = trie.longest_fuzzy_match("password")
         assert match.base == "p@ssword"
         assert match.toggled_offsets == (1,)
 
     def test_combined_cap_and_leet(self):
-        trie = PrefixTrie(["password"])
+        trie = PointerTrie(["password"])
         match = trie.longest_fuzzy_match("P@ssw0rd!!!")
         assert match.capitalized
         assert match.toggled_offsets == (1, 5)
         assert match.transformations == 3
 
     def test_longest_wins(self):
-        trie = PrefixTrie(["pass", "password"])
+        trie = PointerTrie(["pass", "password"])
         match = trie.longest_fuzzy_match("password")
         assert match.base == "password"
 
     def test_fewest_transformations_breaks_ties(self):
         # Both "p@ss" (0 toggles) and "pass" (1 toggle) match "p@ss".
-        trie = PrefixTrie(["pass", "p@ss"])
+        trie = PointerTrie(["pass", "p@ss"])
         match = trie.longest_fuzzy_match("p@ssXYZ")
         assert match.base == "p@ss"
         assert match.transformations == 0
 
     def test_flags_disable_transformations(self):
-        trie = PrefixTrie(["password"])
+        trie = PointerTrie(["password"])
         assert trie.longest_fuzzy_match(
             "Password", allow_capitalization=False
         ) is None
@@ -136,15 +139,15 @@ class TestFuzzyMatching:
         ) is None
 
     def test_all_matches_enumerated(self):
-        trie = PrefixTrie(["pass", "password", "p@ss"])
+        trie = PointerTrie(["pass", "password", "p@ss"])
         matches = trie.fuzzy_matches("p@ssword")
         bases = {m.base for m in matches}
         assert bases == {"pass", "password", "p@ss"}
 
     def test_no_match_returns_none(self):
-        trie = PrefixTrie(["abc"])
+        trie = PointerTrie(["abc"])
         assert trie.longest_fuzzy_match("zzz") is None
 
     def test_empty_text(self):
-        trie = PrefixTrie(["abc"])
+        trie = PointerTrie(["abc"])
         assert trie.longest_fuzzy_match("") is None

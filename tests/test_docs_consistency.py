@@ -38,7 +38,12 @@ REMOVED_NAMES = (
     "WordIndex.to_arrays", "WordIndex.from_arrays",
     "ensure_compiled_matchers", "parallel_threshold",
     "ExperimentConfig.jobs", "training_serial_vs_jobs2", "snapshot_attach",
-    "training_streaming_parallel",
+    "training_streaming_parallel", "LintCache", "file_digest", "rule_key",
+    "ANALYZER_VERSION", "DEFAULT_CACHE_PATH", "fix_source", "--no-cache",
+    "cache_path", "_PROFILE_SIGNATURE", "lint.cache.", "repro_lint_cache",
+    "index.digest", "lint_incremental_cache", "sample_derivation",
+    "FuzzyGrammar.sample", "grammar._sample_freqdist", "frozen.freeze",
+    "load_telemetry_report", "iter_printable",
 )
 
 

@@ -18,7 +18,6 @@ from repro import obs
 from repro.core.word_index import WordIndex
 from repro.core.meter import FuzzyPSM, FuzzyPSMConfig, score_many
 from repro.core.training import build_base_trie, train_grammar
-from repro.core.trie import _Node
 from repro.persistence import load_meter, save_meter
 from repro.util.freqdist import FrequencyDistribution
 
@@ -29,6 +28,7 @@ from tests.conftest import (
     longest_match,
     reference_scores,
 )
+from tests.pointer_trie import PointerTrie, _Node
 
 
 def probe_stream(rng: random.Random, count: int) -> list:
@@ -231,9 +231,9 @@ class TestPointerNodes:
             if type(o) is _Node and id(o) not in known
         ]
         assert built == []
-        # A pointer query builds them and answers as the compiled
-        # matcher does, and so does one after an insert.
-        trie = meter.trie
+        # A pointer trie over the loaded words answers as the compiled
+        # matcher does, and still does after an insert.
+        trie = PointerTrie.of(meter.trie)
         assert scores == reference_scores(meter, probes)
         compiled = trie.compile()
         for probe in probes:

