@@ -59,6 +59,8 @@ attack-smoke:
 perf-selftest:
 	python3 perfbench/selftest.py
 
+# Runs every script in examples/ and stops at the first failure; no
+# test imports them, so this is what keeps them working.
 examples:
 	@for script in examples/*.py; do \
 		echo "=== $$script ==="; \

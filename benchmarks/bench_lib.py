@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
 import subprocess
 
 #: Entries per generated test corpus (paper corpora are ~10^6-10^7).
@@ -56,6 +57,15 @@ def host() -> dict:
         "python": platform.python_version(),
         "start_method": mp_context().get_start_method(),
         "git_sha": sha,
+    }
+
+
+def spread(name: str, values, scale: float = 1.0) -> dict:
+    """``{name_median, name_min, name_max}`` of ``values`` times ``scale``."""
+    return {
+        f"{name}_median": statistics.median(values) * scale,
+        f"{name}_min": min(values) * scale,
+        f"{name}_max": max(values) * scale,
     }
 
 

@@ -10,23 +10,30 @@ interned flat arrays with one global heap over per-length variant
 lattices.
 
 The bench takes the same number of guesses through both paths on a
-full-scale trained meter, asserts they agree (same surfaces, same
+full-scale trained meter, :data:`REPEATS` times with the two paths
+alternating which runs first, asserts they agree (same surfaces, same
 probabilities to 1e-9 — the engine path is additionally asserted
 *bit-identical* to the frozen kernel in ``tests/test_attacks_engine``),
-then records the speedup.  The acceptance floor is 5x: below that the
-engine has fallen off its compiled arrays.
+then records each path's median, min and max and the speedup, the
+ratio of the two medians.  The acceptance floor is 5x on that ratio:
+below it the engine has fallen off its compiled arrays.
 """
 
+import statistics
 import time
 
+from repro.attacks.engine import AttackEngine
 from repro.core.meter import FuzzyPSM
 
-from bench_lib import SMOKE, emit, record
+from bench_lib import SMOKE, emit, record, spread
 from tests.enumeration_oracle import reference_guesses as enumerate_reference
 
 #: Guesses materialized per path.  The reference path is the slow side
 #: at any scale; smoke keeps the same comparison at toy size.
 GUESSES = 500 if SMOKE else 20_000
+
+#: Timed engine/reference pairs.
+REPEATS = 1 if SMOKE else 5
 
 _MIN_SPEEDUP = 5.0
 
@@ -38,28 +45,41 @@ def test_timing_attack_enumeration(corpora, csdn_quarters, capsys):
         training=list(train.items()),
     )
 
-    # Engine first: its one-off costs — the table build, timed
-    # separately, and the lazy variant-lattice materialization, paid by
-    # an untimed warm-up pass (the standard bench idiom; the lattices
-    # are cached for the meter's lifetime, so steady state is what a
-    # 10^7-guess session actually runs at).
-    start = time.perf_counter()
-    engine = meter.attack_engine()
-    build_seconds = time.perf_counter() - start
+    meter.frozen_grammar()  # the snapshot both paths read, built once
 
-    list(engine.guesses(limit=GUESSES))  # untimed lattice warm-up
+    def run_engine():
+        # The engine's one-off costs — the table build, timed
+        # separately, and the lazy variant-lattice materialization, paid
+        # by an untimed warm-up pass (the standard bench idiom; the
+        # lattices are cached for the engine's lifetime, so steady
+        # state is what a 10^7-guess session actually runs at).
+        start = time.perf_counter()
+        engine = AttackEngine(meter)
+        build_seconds.append(time.perf_counter() - start)
+        list(engine.guesses(limit=GUESSES))  # untimed lattice warm-up
+        start = time.perf_counter()
+        guesses = list(engine.guesses(limit=GUESSES))
+        engine_seconds.append(time.perf_counter() - start)
+        return guesses
 
-    start = time.perf_counter()
-    engine_guesses = list(engine.guesses(limit=GUESSES))
-    engine_seconds = time.perf_counter() - start
+    def run_reference():
+        start = time.perf_counter()
+        guesses = []
+        for item in enumerate_reference(meter):
+            guesses.append(item)
+            if len(guesses) >= GUESSES:
+                break
+        reference_seconds.append(time.perf_counter() - start)
+        return guesses
 
-    start = time.perf_counter()
-    reference_guesses = []
-    for item in enumerate_reference(meter):
-        reference_guesses.append(item)
-        if len(reference_guesses) >= GUESSES:
-            break
-    reference_seconds = time.perf_counter() - start
+    build_seconds, engine_seconds, reference_seconds = [], [], []
+    for repeat in range(REPEATS):
+        if repeat % 2:
+            reference_guesses = run_reference()
+            engine_guesses = run_engine()
+        else:
+            engine_guesses = run_engine()
+            reference_guesses = run_reference()
 
     # Equivalence: same stream, whichever path produced it.  (The
     # reference includes zero-probability tail entries only after every
@@ -75,20 +95,27 @@ def test_timing_attack_enumeration(corpora, csdn_quarters, capsys):
     ):
         assert abs(engine_p - reference_p) <= 1e-9 * reference_p
 
-    speedup = reference_seconds / engine_seconds
+    engine_median = statistics.median(engine_seconds)
+    reference_median = statistics.median(reference_seconds)
+    speedup = reference_median / engine_median
     emit(
         capsys,
-        f"(timing) attack enumeration, {len(engine_guesses):,} guesses:\n"
-        f"  reference {reference_seconds:7.3f} s\n"
-        f"  engine    {engine_seconds:7.3f} s   {speedup:5.2f}x "
-        f"(+ {build_seconds:.3f} s one-off build)",
+        f"(timing) attack enumeration, {len(engine_guesses):,} guesses, "
+        f"median of {REPEATS}:\n"
+        f"  reference {reference_median:7.3f} s "
+        f"[{min(reference_seconds):.3f}, {max(reference_seconds):.3f}]\n"
+        f"  engine    {engine_median:7.3f} s "
+        f"[{min(engine_seconds):.3f}, {max(engine_seconds):.3f}]   "
+        f"{speedup:5.2f}x "
+        f"(+ {statistics.median(build_seconds):.3f} s one-off build)",
     )
     record(
         "attack_enumeration",
         guesses=len(engine_guesses),
-        reference_seconds=reference_seconds,
-        engine_seconds=engine_seconds,
-        build_seconds=build_seconds,
+        repeats=REPEATS,
+        **spread("reference_seconds", reference_seconds),
+        **spread("engine_seconds", engine_seconds),
+        **spread("build_seconds", build_seconds),
         speedup=speedup,
     )
     if SMOKE:

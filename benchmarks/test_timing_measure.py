@@ -82,12 +82,21 @@ def test_timing_measure_single_password(benchmark, meter,
             passwords[next(index) % len(passwords)]
         )
 
+    # pytest-benchmark sizes its rounds from the first call, which
+    # would otherwise build the parser's word index: warm it first.
+    measure_one()
     benchmark(measure_one)
-    mean_seconds = benchmark.stats["mean"]
-    emit(capsys, f"(timing) one measurement: {mean_seconds * 1e3:.4f} ms "
-                 "(paper budget: < 2 ms)")
-    record("measure_single", mean_ms=mean_seconds * 1e3)
-    assert SMOKE or mean_seconds < 0.002
+    stats = benchmark.stats
+    emit(capsys, f"(timing) one measurement: mean "
+                 f"{stats['mean'] * 1e3:.4f} ms, median "
+                 f"{stats['median'] * 1e3:.4f} ms over {stats['rounds']:,} "
+                 f"rounds [{stats['min'] * 1e3:.4f}, "
+                 f"{stats['max'] * 1e3:.4f}] (paper budget: < 2 ms)")
+    record("measure_single", rounds=stats["rounds"],
+           mean_ms=stats["mean"] * 1e3,
+           **{f"{statistic}_ms": stats[statistic] * 1e3
+              for statistic in ("median", "min", "max")})
+    assert SMOKE or stats["mean"] < 0.002
 
 
 def test_timing_training_throughput(benchmark, corpora, csdn_quarters,

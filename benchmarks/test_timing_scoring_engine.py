@@ -34,7 +34,7 @@ from repro.core.grammar import FuzzyGrammar
 from repro.core.meter import FuzzyPSM
 from repro.persistence import load_meter, save_meter
 
-from bench_lib import SMOKE, emit, record
+from bench_lib import SMOKE, emit, record, spread
 
 #: Updates timed by the refresh bench (one refresh + one full build each).
 REFRESH_REPEATS = 9
@@ -42,15 +42,6 @@ REFRESH_REPEATS = 9
 REPEATS = 7
 #: Passwords in the first scored block of the set-up bench.
 FIRST_BLOCK = 4096
-
-
-def _spread(name, values, scale=1.0):
-    """``{name_median, name_min, name_max}`` of ``values`` times ``scale``."""
-    return {
-        f"{name}_median": statistics.median(values) * scale,
-        f"{name}_min": min(values) * scale,
-        f"{name}_max": max(values) * scale,
-    }
 
 
 @pytest.fixture(scope="module")
@@ -98,9 +89,9 @@ def test_timing_frozen_kernel(meter, csdn_quarters, capsys):
         f"snapshot build {statistics.median(build) * 1e3:.2f} ms)",
     )
     record("frozen_kernel", derivations=len(derivations), repeats=REPEATS,
-           **_spread("dict_seconds", dict_times),
-           **_spread("frozen_seconds", frozen_times),
-           **_spread("build_ms", build, 1e3), speedup=speedup)
+           **spread("dict_seconds", dict_times),
+           **spread("frozen_seconds", frozen_times),
+           **spread("build_ms", build, 1e3), speedup=speedup)
     assert SMOKE or speedup >= 1.5
 
 
@@ -197,6 +188,6 @@ def test_timing_model_setup(meter, csdn_quarters, tmp_path, capsys):
     )
     spreads = {}
     for stage, values in stages.items():
-        spreads.update(_spread(f"{stage}_ms", values, 1e3))
+        spreads.update(spread(f"{stage}_ms", values, 1e3))
     record("model_setup", repeats=REPEATS, first_block=len(block),
            terminals=meter.frozen_grammar().terminal_count, **spreads)

@@ -27,11 +27,11 @@ Each configuration runs in a **fresh subprocess**: peak RSS is a
 per-process high-water mark (monotone within a process, so in-process
 ordering would contaminate later configs), and a cold process also
 gives every config the same allocator/import state for fair timing.
-The child reads its peak from ``VmHWM`` where ``/proc`` exists:
-Linux carries ``ru_maxrss`` across ``execve``, so under ``make bench``
-a child would report the larger pytest process's peak instead of its
-own.  The two configurations alternate which runs first from one
-repeat to the next.
+The child reads its peak through ``repro.obs.core.peak_rss_kib``
+(``VmHWM`` where ``/proc`` exists): Linux carries ``ru_maxrss`` across
+``execve``, so under ``make bench`` a child would otherwise report the
+larger pytest process's peak instead of its own.  The two
+configurations alternate which runs first from one repeat to the next.
 
 Smoke mode shrinks the corpus, runs one repeat and keeps only the
 equivalence assert.
@@ -46,7 +46,7 @@ import sys
 
 import pytest
 
-from bench_lib import SMOKE, emit, record
+from bench_lib import SMOKE, emit, record, spread
 
 #: Corpus shape (full scale / smoke scale).
 _TOTAL = 20_000 if SMOKE else 1_000_000
@@ -77,7 +77,7 @@ _SEED_WORDS = [
 #: One training configuration, run cold.  argv: mode corpus base chunk;
 #: prints a single JSON object on stdout.
 _CHILD = """
-import hashlib, json, resource, sys, time
+import hashlib, json, sys, time
 
 mode, corpus_path, base_path = sys.argv[1], sys.argv[2], sys.argv[3]
 chunk_size = int(sys.argv[4])
@@ -86,6 +86,7 @@ from repro.core import FuzzyPSM
 from repro.core.training import build_base_trie
 from repro.datasets.loaders import iter_password_entries, \\
     stream_corpus_chunks
+from repro.obs.core import peak_rss_kib
 from tests.training_oracle import train_reference
 
 with open(base_path, encoding="utf-8") as handle:
@@ -111,17 +112,9 @@ seconds = time.perf_counter() - start
 digest = hashlib.sha256(
     json.dumps(meter.to_dict()).encode("utf-8")
 ).hexdigest()
-rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-try:
-    with open("/proc/self/status", encoding="ascii") as status:
-        for line in status:
-            if line.startswith("VmHWM:"):
-                rss_kib = int(line.split()[1])
-except OSError:
-    pass
 print(json.dumps({
     "seconds": seconds,
-    "rss_kib": rss_kib,
+    "rss_kib": peak_rss_kib(),
     "sha256": digest,
 }))
 """
@@ -174,11 +167,6 @@ def training_files(tmp_path_factory, corpora):
     return corpus, base, total
 
 
-def _spread(name: str, values) -> dict:
-    return {f"{name}_median": statistics.median(values),
-            f"{name}_min": min(values), f"{name}_max": max(values)}
-
-
 def test_timing_streaming_training(training_files, capsys):
     corpus, base, total = training_files
 
@@ -219,9 +207,9 @@ def test_timing_streaming_training(training_files, capsys):
         distinct=_DISTINCT,
         chunk_size=_CHUNK,
         repeats=_REPEATS,
-        **_spread("reference_seconds", seconds["reference"]),
-        **_spread("streamed_seconds", seconds["streamed"]),
-        **_spread("speedup", ratios),
+        **spread("reference_seconds", seconds["reference"]),
+        **spread("streamed_seconds", seconds["streamed"]),
+        **spread("speedup", ratios),
         reference_rss_kib=max(rss["reference"]),
         streamed_rss_kib=max(rss["streamed"]),
     )

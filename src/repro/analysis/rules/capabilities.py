@@ -7,8 +7,8 @@ backing method was renamed in a refactor, slips through until the
 first runtime use.  This rule re-runs the same contract statically:
 each capability declared in a ``@register_meter`` decoration must be
 backed by a method that actually exists somewhere on the static MRO
-(resolved through the pass-1 index, so inherited implementations such
-as ``Meter.probability_many`` count).
+(resolved through the pass-1 index, so inherited implementations
+count).
 
 The required-method table is imported from
 :mod:`repro.meters.registry` itself — one source of truth, so the

@@ -56,16 +56,19 @@ and probability mass are reported via ``attack.beam.*`` telemetry and
 
 **Sampling.**  :class:`FrozenSampler` draws derivations from
 cumulative arrays with ``bisect``, rejects draws that are not the
-canonical parse of their surface (``FuzzyPSM.sample``'s contract) and
-scores accepted draws through the frozen kernel.  It is the only
+canonical parse of their surface (``FuzzyPSM.sample``'s contract; at
+most :data:`SAMPLE_ATTEMPTS` draws per sample) and scores accepted
+draws through the frozen kernel.  It is the only
 sampler of the fuzzy grammar.  ``AttackEngine.sample`` delegates to
 it, so the engine plugs straight into
 :class:`~repro.metrics.guessnumber.MonteCarloEstimator`.
 
 All consumers receive a :class:`GuessStream` — a named iterator of
-``(surface, probability)`` pairs in descending probability order —
-which is also what baseline meters' ``iter_guesses`` wrap into, so
-simulators and crossover curves are meter-agnostic.
+``(surface, probability)`` pairs in descending probability order, each
+surface once — which is also what baseline meters' ``iter_guesses``
+wrap into, so simulators and crossover curves are meter-agnostic.  The
+raw stream, where distinct derivations of one surface each appear, is
+:meth:`AttackEngine.derivations`.
 """
 
 from __future__ import annotations
@@ -101,6 +104,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Pops between telemetry flushes: per-guess probe calls would eat the
 #: very speedup the engine exists for (same stance as batch scoring).
 _FLUSH_EVERY = 4096
+
+#: Draws :meth:`FrozenSampler.sample` makes before it gives up on a
+#: canonical one and returns the last surface with its measured
+#: probability.
+SAMPLE_ATTEMPTS = 1000
 
 
 @dataclass(frozen=True)
@@ -265,26 +273,20 @@ class AttackEngine:
         self,
         limit: Optional[int] = None,
         beam: Optional[Beam] = None,
-        dedupe: bool = True,
-        max_seen: Optional[int] = None,
     ) -> GuessStream:
-        """Guesses in decreasing probability order.
+        """Guesses in decreasing probability order, each surface once.
+
+        A repeated surface is dropped, keeping its first (most
+        probable) occurrence — the meter-facing semantics; the raw
+        derivation-level stream is :meth:`derivations`.
 
         Args:
             limit: stop after this many guesses (``None`` = exhaustive).
             beam: optional :class:`Beam` bounding the frontier.
-            dedupe: drop repeated surfaces, keeping the first (most
-                probable) occurrence — the meter-facing semantics.
-                Disable for raw derivation-level streams.
-            max_seen: bound on the dedup seen-set (forwarded to
-                :func:`~repro.metrics.enumeration.deduplicate_guesses`).
         """
-        if max_seen is not None and max_seen < 1:
-            raise ValueError("max_seen must be >= 1")
         stats = EnumerationStats()
         stream = self._finalize(
-            self._enumerate(beam, stats, surfaces=True),
-            dedupe, max_seen, limit,
+            self._enumerate(beam, stats, surfaces=True), limit
         )
         return GuessStream(stream, name=self._meter.name, stats=stats)
 
@@ -315,15 +317,13 @@ class AttackEngine:
             if limit is not None and count >= limit:
                 return
 
-    def sample(
-        self, rng: random.Random, max_attempts: int = 1000
-    ) -> Tuple[str, float]:
+    def sample(self, rng: random.Random) -> Tuple[str, float]:
         """Draw ``(password, probability)`` from the model distribution.
 
         Duck-type compatible with ``ProbabilisticMeter.sample`` /
         ``MonteCarloEstimator``; see :class:`FrozenSampler`.
         """
-        return self.sampler().sample(rng, max_attempts=max_attempts)
+        return self.sampler().sample(rng)
 
     def sampler(self) -> "FrozenSampler":
         """The engine's cumulative-table sampler (built lazily)."""
@@ -336,41 +336,23 @@ class AttackEngine:
     @staticmethod
     def _finalize(
         stream: Iterator[Tuple[str, float]],
-        dedupe: bool,
-        max_seen: Optional[int],
         limit: Optional[int],
     ) -> Iterator[Tuple[str, float]]:
         """Surface-level post-processing in a single generator frame.
 
-        Dedup (first occurrence wins, seen-set boundable — the exact
-        semantics and ``enum.dedup.seen_capped`` telemetry of
+        Dedup (first occurrence wins — the semantics of
         :func:`~repro.metrics.enumeration.deduplicate_guesses`) and the
         guess limit are folded into one wrapper, so the hot path pays
         one frame here instead of one per concern.
         """
         remaining = limit
-        if not dedupe:
-            if remaining is None:
-                yield from stream
-                return
-            for item in stream:
-                yield item
-                remaining -= 1
-                if remaining <= 0:
-                    return
-            return
         seen: set = set()
         add = seen.add
-        capped = False
         for item in stream:
             surface = item[0]
             if surface in seen:
                 continue
-            if max_seen is None or len(seen) < max_seen:
-                add(surface)
-            elif not capped:
-                capped = True
-                obs.get().incr("enum.dedup.seen_capped")
+            add(surface)
             yield item
             if remaining is not None:
                 remaining -= 1
@@ -793,13 +775,9 @@ class FrozenSampler:
     ``meter.probability``.
     """
 
-    def __init__(
-        self, meter: "FuzzyPSM", frozen: Optional[FrozenGrammar] = None
-    ) -> None:
+    def __init__(self, meter: "FuzzyPSM", frozen: FrozenGrammar) -> None:
         self._meter = meter
-        self._frozen = frozen if frozen is not None else (
-            meter.frozen_grammar()
-        )
+        self._frozen = frozen
         items = sorted(
             self._frozen.structure_table().items(),
             key=lambda item: (-item[1], item[0]),
@@ -830,14 +808,13 @@ class FrozenSampler:
             self._terminal_cumulative[length] = tables
         return tables
 
-    def sample(
-        self, rng: random.Random, max_attempts: int = 1000
-    ) -> Tuple[str, float]:
+    def sample(self, rng: random.Random) -> Tuple[str, float]:
         """Draw ``(password, probability)``; canonical-parse rejection.
 
-        After ``max_attempts`` non-canonical draws the last surface is
-        returned with its canonical (measured) probability, exactly
-        like ``FuzzyPSM.sample`` — the pair stays self-consistent.
+        After :data:`SAMPLE_ATTEMPTS` non-canonical draws the last
+        surface is returned with its canonical (measured) probability,
+        exactly like ``FuzzyPSM.sample`` — the pair stays
+        self-consistent.
         """
         from bisect import bisect_right
 
@@ -848,7 +825,7 @@ class FrozenSampler:
         meter = self._meter
         frozen = self._frozen
         surface = ""
-        for attempt in range(max_attempts):
+        for attempt in range(SAMPLE_ATTEMPTS):
             derivation = self._draw(rng, bisect_right)
             if derivation is None:
                 break

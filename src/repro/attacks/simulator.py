@@ -28,10 +28,6 @@ from typing import Iterable, Iterator, Optional, Tuple
 from repro import obs
 from repro.datasets.corpus import PasswordCorpus
 
-#: Legacy alias: attacks accept any iterable of ``(guess, probability)``
-#: pairs; the engine's ``GuessStream`` class satisfies it.
-GuessStream = Iterator[Tuple[str, float]]
-
 
 def _run_guessing_session(
     guesses: Iterable[Tuple[str, float]],
@@ -132,7 +128,7 @@ class OnlineAttack:
     def __init__(self, policy: Optional[LockoutPolicy] = None) -> None:
         self.policy = policy or LockoutPolicy()
 
-    def run(self, guesses: GuessStream,
+    def run(self, guesses: Iterable[Tuple[str, float]],
             accounts: PasswordCorpus) -> AttackOutcome:
         if accounts.total == 0:
             raise ValueError("no accounts to attack")
@@ -214,7 +210,7 @@ class OfflineAttack:
             total_hashes /= account_count
         return max(1, int(total_hashes))
 
-    def run(self, guesses: GuessStream,
+    def run(self, guesses: Iterable[Tuple[str, float]],
             accounts: PasswordCorpus) -> AttackOutcome:
         if accounts.total == 0:
             raise ValueError("no accounts to attack")
@@ -236,7 +232,8 @@ class OfflineAttack:
 
 
 def head_guess_stream(corpus: PasswordCorpus,
-                      limit: Optional[int] = None) -> GuessStream:
+                      limit: Optional[int] = None
+                      ) -> Iterator[Tuple[str, float]]:
     """A guess stream from a training corpus's popularity head —
     the classic wordlist attacker, for baselining model streams."""
     total = corpus.total

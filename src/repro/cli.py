@@ -374,13 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8042,
                        help="bind port (0 = ephemeral)")
     serve.add_argument(
-        "--batch-window", type=float, default=0.0, metavar="SECS",
-        help="micro-batch coalescing window for /check "
-        "(0 = self-clocking: batch whatever arrives mid-dispatch)",
-    )
-    serve.add_argument(
         "--max-batch", type=int, default=256, metavar="N",
-        help="most /check requests folded into one scoring call",
+        help="most /check requests folded into one scoring call "
+        "(batches form from whatever arrives mid-dispatch)",
     )
     serve.add_argument(
         "--max-body", type=int, default=64 * 1024, metavar="BYTES",
@@ -1041,7 +1037,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServeConfig(
         host=args.host,
         port=args.port,
-        batch_window=args.batch_window,
         max_batch=args.max_batch,
         max_body=args.max_body,
     )

@@ -72,10 +72,6 @@ class FuzzyPSMConfig:
         allow_allcaps: model whole-word capitalization — the paper's
             limitation-#2 extension ("it only considers the
             capitalization of the first letter"); off by default.
-        auto_update: when True, :meth:`FuzzyPSM.probability` feeds every
-            measured password back through the update phase.  The paper
-            updates on *accepted* passwords, so this defaults to False
-            and :meth:`FuzzyPSM.update` is the explicit entry point.
         parse_cache_size: the most distinct passwords training
             counts per parse window (one parse each, see
             :mod:`repro.core.training`) and the capacity of the meter's
@@ -96,7 +92,6 @@ class FuzzyPSMConfig:
     allow_leet: bool = True
     allow_reverse: bool = False
     allow_allcaps: bool = False
-    auto_update: bool = False
     parse_cache_size: int = DEFAULT_TRAIN_WINDOW
 
     def __post_init__(self) -> None:
@@ -123,8 +118,9 @@ def _load_config(saved: Dict[str, Any]) -> FuzzyPSMConfig:
 
     Only keys naming a current field are read.  Model files written
     before an option was retired still carry its key (older files name
-    the trie matcher, which never changed a parse); it is dropped here,
-    so such files load and re-save without it.
+    the trie matcher, which never changed a parse, and the
+    measure-time update switch, which was always off); it is dropped
+    here, so such files load and re-save without it.
     """
     known = {option.name for option in fields(FuzzyPSMConfig)}
     return FuzzyPSMConfig(**{
@@ -241,7 +237,6 @@ def _build_fuzzypsm(cls: type, context: TrainContext) -> "FuzzyPSM":
         Capability.TRAINABLE,
         Capability.STREAM_TRAINABLE,
         Capability.UPDATABLE,
-        Capability.BATCH_SCORABLE,
         Capability.PERSISTABLE,
         Capability.BINARY_PERSISTABLE,
     ),
@@ -422,20 +417,18 @@ class FuzzyPSM(ProbabilisticMeter):
 
         Unseen structures or terminals yield 0.0 — under trawling
         guessing, a password the model cannot derive is out of reach of
-        the modelled attacker.
+        the modelled attacker.  Measuring never changes the grammar:
+        the paper updates on *accepted* passwords, through
+        :meth:`update`.
         """
         telemetry = obs.get()
         if telemetry.enabled:
             telemetry.incr("meter.probability")
         if not password:
             return 0.0
-        parsed = self.parse(password)
-        probability = self._grammar.derivation_probability(
-            parsed.to_derivation()
+        return self._grammar.derivation_probability(
+            self.parse(password).to_derivation()
         )
-        if self._config.auto_update:
-            self._grammar.observe(parsed.flat)
-        return probability
 
     def probability_many(self, passwords: Iterable[str]) -> List[float]:
         """Bulk :meth:`probability`, returning one value per input.
@@ -444,13 +437,7 @@ class FuzzyPSM(ProbabilisticMeter):
         dict, the meter's score memo for the current epoch, frozen
         scoring kernel (:meth:`frozen_grammar`).  Results are exactly
         the per-call values, in order.
-
-        With ``auto_update`` on, every measurement mutates the grammar,
-        so each value depends on all earlier ones — that mode falls
-        back to the plain sequential loop.
         """
-        if self._config.auto_update:
-            return [self.probability(pw) for pw in passwords]
         return score_many(
             self._parser, self.frozen_grammar(), passwords,
             self._score_memo, self._config.parse_cache_size,
@@ -584,8 +571,7 @@ class FuzzyPSM(ProbabilisticMeter):
 
     # --- probabilistic-meter extras -----------------------------------------
 
-    def sample(self, rng: random.Random,
-               max_attempts: int = 1000) -> Tuple[str, float]:
+    def sample(self, rng: random.Random) -> Tuple[str, float]:
         """Draw ``(password, probability)`` consistent with ``probability``.
 
         The grammar can emit several derivations for the same surface
@@ -594,16 +580,17 @@ class FuzzyPSM(ProbabilisticMeter):
         the distribution that ``probability`` defines, draws whose
         canonical parse differs from the sampled derivation are
         rejected and redrawn.  Non-canonical draws are rare in trained
-        grammars; if ``max_attempts`` are exhausted the last surface is
-        returned with its canonical (measured) probability so the pair
-        stays self-consistent.
+        grammars; after
+        :data:`~repro.attacks.engine.SAMPLE_ATTEMPTS` of them the last
+        surface is returned with its canonical (measured) probability
+        so the pair stays self-consistent.
 
         Draws run on the attack engine's
         :class:`~repro.attacks.engine.FrozenSampler` (cumulative
         tables + bisect), and accepted probabilities come from the
         frozen kernel, which is bit-identical to the dict path.
         """
-        return self.attack_engine().sample(rng, max_attempts=max_attempts)
+        return self.attack_engine().sample(rng)
 
     def iter_guesses(self, limit: Optional[int] = None
                      ) -> Iterator[Tuple[str, float]]:

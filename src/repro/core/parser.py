@@ -304,15 +304,6 @@ class FuzzyParser:
             "allow_allcaps": self._allow_allcaps,
         }
 
-    def config_key(self) -> Tuple:
-        """Hashable identity of the parse behaviour: two parsers with
-        equal keys and equal tries produce identical parses, so
-        ``(password, config_key)`` fully determines a parse."""
-        return (
-            self._allow_capitalization, self._allow_leet,
-            self._allow_reverse, self._allow_allcaps,
-        )
-
     # --- lazy matcher construction ------------------------------------
 
     @property

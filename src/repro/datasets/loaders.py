@@ -33,12 +33,11 @@ line whose count is anything else (``² sup``) is malformed and dropped.
 from __future__ import annotations
 
 import os
-import resource
 from itertools import chain, islice
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro import obs
-from repro.obs.core import now as _now
+from repro.obs.core import now as _now, peak_rss_kib
 from repro.datasets.corpus import PasswordCorpus
 
 #: Lines inspected by the ``auto`` format sniffer (both regimes).
@@ -149,10 +148,7 @@ def stream_corpus_chunks(
             telemetry.observe("stream.chunk.seconds", _now() - start)
             telemetry.incr("stream.chunks")
             telemetry.incr("stream.entries", len(chunk))
-            telemetry.observe(
-                "stream.rss_kib",
-                float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
-            )
+            telemetry.observe("stream.rss_kib", float(peak_rss_kib()))
         yield chunk
 
 

@@ -159,10 +159,10 @@ def evaluate_meters(meters: Sequence[Meter], test_corpus: PasswordCorpus,
         raise ValueError(
             f"fewer than two test passwords with frequency >= {min_frequency}"
         )
-    # Batched scoring: every meter is batch-scorable through
-    # Meter.probability_many — vectorised overrides (fuzzyPSM's parse
-    # cache, the PCFG/Markov memos) serve the whole list at once, the
-    # base-class default is the same per-call loop as before.
+    # Batched scoring: every meter answers Meter.probability_many —
+    # vectorised overrides (fuzzyPSM's score memo, the PCFG/Markov
+    # memos) serve the whole list at once, the base-class default is
+    # the same per-call loop as before.
     telemetry = obs.get()
     ideal_scores = ideal.probability_many(passwords)
     curves = []

@@ -21,7 +21,6 @@ Six meters, all sharing the :class:`~repro.meters.base.Meter` interface:
 
 from repro.meters.base import Meter, ProbabilisticMeter, entropy_to_probability
 from repro.meters.registry import (
-    BatchScorable,
     Capability,
     MeterSpec,
     Persistable,
@@ -45,7 +44,6 @@ __all__ = [
     "Meter",
     "ProbabilisticMeter",
     "entropy_to_probability",
-    "BatchScorable",
     "Capability",
     "MeterSpec",
     "Persistable",

@@ -57,7 +57,7 @@ class Meter(abc.ABC):
         """Batch :meth:`probability` — the bulk-scoring entry point.
 
         The base implementation is a plain per-password loop, so every
-        meter is batch-scorable by construction; meters with a cheaper
+        meter scores in bulk by construction; meters with a cheaper
         vectorised path override this.  Overrides must stay
         bit-identical to the loop: the batch API is an
         execution-strategy change, never a semantics change.
@@ -70,10 +70,6 @@ class Meter(abc.ABC):
             probability_to_entropy(probability)
             for probability in self.probability_many(passwords)
         ]
-
-    def probabilities(self, passwords: Iterable[str]) -> List[float]:
-        """Vectorised convenience wrapper (alias of ``probability_many``)."""
-        return self.probability_many(passwords)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.meters.base import ProbabilisticMeter
-from repro.meters.registry import Capability, TrainContext, register_meter
+from repro.meters.registry import TrainContext, register_meter
 from repro.util.freqdist import FrequencyDistribution
 
 #: Below this frequency the empirical estimate is too noisy for the
@@ -30,7 +30,6 @@ def _build_ideal(cls: type, context: TrainContext) -> "IdealMeter":
 
 @register_meter(
     "ideal",
-    capabilities=(Capability.BATCH_SCORABLE,),
     summary="Empirical-frequency benchmark meter (paper Sec. II-B)",
     builder=_build_ideal,
 )

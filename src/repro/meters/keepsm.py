@@ -26,7 +26,7 @@ import math
 from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.meters.base import Meter, entropy_to_probability
-from repro.meters.registry import Capability, TrainContext, register_meter
+from repro.meters.registry import TrainContext, register_meter
 
 #: Character-class sizes used for plain-character costs (KeePass uses
 #: the same class partition: lower, upper, digit, special, high-ANSI).
@@ -52,7 +52,6 @@ def _char_cost(ch: str) -> float:
 
 @register_meter(
     "keepsm",
-    capabilities=(Capability.BATCH_SCORABLE,),
     summary="KeePass 2.x min-cost pattern-cover entropy estimator",
     builder=_build_keepsm,
 )

@@ -63,7 +63,6 @@ def _build_markov(cls: type, context: TrainContext) -> "MarkovMeter":
     capabilities=(
         Capability.TRAINABLE,
         Capability.UPDATABLE,
-        Capability.BATCH_SCORABLE,
         Capability.PERSISTABLE,
     ),
     summary="Character-level Markov model meter with smoothing",

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Container, Dict, FrozenSet, Iterable, List, Optional
 
 from repro.meters.base import Meter, entropy_to_probability
-from repro.meters.registry import Capability, TrainContext, register_meter
+from repro.meters.registry import TrainContext, register_meter
 
 
 def nist_entropy(password: str,
@@ -63,7 +63,6 @@ def _build_nist(cls: type, context: TrainContext) -> "NISTMeter":
 
 @register_meter(
     "nist",
-    capabilities=(Capability.BATCH_SCORABLE,),
     summary="NIST SP-800-63 rule-based entropy meter",
     builder=_build_nist,
 )

@@ -55,7 +55,6 @@ def structure_string(slots: Tuple[Slot, ...]) -> str:
     capabilities=(
         Capability.TRAINABLE,
         Capability.UPDATABLE,
-        Capability.BATCH_SCORABLE,
         Capability.PERSISTABLE,
     ),
     summary="Traditional PCFG meter (Weir et al.) trained by counting",

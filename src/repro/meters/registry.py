@@ -34,10 +34,11 @@ The capability protocols name the unified lifecycle verbs
 * :class:`Trainable` — ``train(...)`` builds a meter from a corpus;
 * :class:`Updatable` — ``update(password, count)`` folds an accepted
   password into the model;
-* :class:`BatchScorable` — ``probability_many``/``entropy_many``
-  (every :class:`~repro.meters.base.Meter` satisfies this through the
-  base-class loop; trained meters override it with vectorised paths);
 * :class:`Persistable` — ``to_dict``/``from_dict`` snapshots.
+
+Bulk scoring is no capability: every :class:`~repro.meters.base.Meter`
+answers ``probability_many``/``entropy_many`` through the base-class
+loop, and trained meters override it with vectorised paths.
 
 Dispatching on concrete meter classes or kind string literals outside
 this module is forbidden by lint rule FPM010; capability checks
@@ -81,8 +82,6 @@ class Capability(enum.Enum):
     TRAINABLE = "trainable"
     #: ``update(password, count)`` — the online update phase.
     UPDATABLE = "updatable"
-    #: ``probability_many``/``entropy_many`` bulk scoring.
-    BATCH_SCORABLE = "batch-scorable"
     #: ``to_dict``/``from_dict`` snapshot round-trips.
     PERSISTABLE = "persistable"
     #: ``to_buffers``/``from_buffers`` flat-column snapshots — the
@@ -107,17 +106,6 @@ class Updatable(Protocol):
     """A meter with the online update phase (paper Sec. IV-C)."""
 
     def update(self, password: str, count: int = 1) -> None:
-        ...
-
-
-@runtime_checkable
-class BatchScorable(Protocol):
-    """A meter scoring whole password streams in one call."""
-
-    def probability_many(self, passwords: Iterable[str]) -> List[float]:
-        ...
-
-    def entropy_many(self, passwords: Iterable[str]) -> List[float]:
         ...
 
 
@@ -165,7 +153,6 @@ class StreamTrainable(Protocol):
 _CAPABILITY_METHODS: Dict[Capability, Tuple[str, ...]] = {
     Capability.TRAINABLE: ("train",),
     Capability.UPDATABLE: ("update",),
-    Capability.BATCH_SCORABLE: ("probability_many", "entropy_many"),
     Capability.PERSISTABLE: ("to_dict", "from_dict"),
     Capability.BINARY_PERSISTABLE: ("to_buffers", "from_buffers"),
     Capability.STREAM_TRAINABLE: ("train_streaming",),

@@ -23,7 +23,7 @@ from repro.meters.base import (
     entropy_to_probability,
     probability_to_entropy,
 )
-from repro.meters.registry import Capability, register_meter
+from repro.meters.registry import register_meter
 from repro.meters.zxcvbn.matching import MatchCollector, Match
 from repro.meters.zxcvbn.scoring import (
     MatchSequence,
@@ -35,7 +35,6 @@ from repro.meters.zxcvbn.crack_time import StrengthReport, strength_report
 
 @register_meter(
     "zxcvbn",
-    capabilities=(Capability.BATCH_SCORABLE,),
     summary="zxcvbn minimum-entropy pattern-cover estimator",
 )
 class ZxcvbnMeter(Meter):

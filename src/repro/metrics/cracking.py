@@ -109,7 +109,7 @@ def guess_number_scatter(estimator: MonteCarloEstimator, meter: Meter,
     ranked = test_corpus.most_common(max_rank)
     # One batched probability pass (fuzzyPSM answers it through its
     # score memo), then map each score to a guess number.
-    probabilities = meter.probabilities(
+    probabilities = meter.probability_many(
         password for password, _ in ranked
     )
     points: List[ScatterPoint] = []

@@ -15,7 +15,14 @@ Two generic primitives live here:
   weighted by structure probability).
 
 Both are lazy: memory is bounded by the heap frontier, not the product
-space, so ``10**6``-guess sessions are cheap.
+space, so ``10**6``-guess sessions are cheap.  Two structures grow
+with the session, without a cap: a :class:`LazyDescendingList` keeps
+every item read so far, and :func:`deduplicate_guesses` keeps every
+distinct guess it has yielded.
+
+Factors are trusted to be sorted descending with non-negative
+probabilities; every caller builds them that way from a model's
+tables, and :func:`descending_products` does not check.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from typing import (
-    Callable,
     Generic,
     Iterable,
     Iterator,
@@ -49,34 +55,17 @@ class LazyDescendingList(Generic[T]):
 
     Items are pulled from the underlying iterator on demand and cached,
     so several consumers (e.g. the slot of length 8 appearing in many
-    base structures) can share one enumeration.
-
-    The buffer grows with the deepest index requested; long sessions
-    can bound it with ``max_buffer`` — reads past the bound behave as
-    if the stream ended there (counted by ``enum.lazy.truncated``).
+    base structures) can share one enumeration.  The buffer grows with
+    the deepest index requested.
     """
 
-    def __init__(
-        self,
-        stream: Iterator[Tuple[T, float]],
-        max_buffer: Optional[int] = None,
-    ) -> None:
-        if max_buffer is not None and max_buffer < 1:
-            raise ValueError("max_buffer must be >= 1")
+    def __init__(self, stream: Iterator[Tuple[T, float]]) -> None:
         self._stream = stream
         self._buffer: List[Tuple[T, float]] = []
         self._exhausted = False
-        self._max_buffer = max_buffer
-        self._truncated = False
 
     def get(self, index: int) -> Optional[Tuple[T, float]]:
         """The ``index``-th item, or ``None`` when the stream is shorter."""
-        maximum = self._max_buffer
-        if maximum is not None and index >= maximum:
-            if not self._truncated:
-                self._truncated = True
-                obs.get().incr("enum.lazy.truncated")
-            return None
         while len(self._buffer) <= index and not self._exhausted:
             item = next(self._stream, None)
             if item is None:
@@ -104,21 +93,8 @@ def _factor_item(
     return None
 
 
-def _validate_factor(factor: Factor) -> None:
-    if not factor:
-        raise ValueError("factors must be non-empty")
-    previous = None
-    for _, probability in factor:
-        if probability < 0:
-            raise ValueError("factor probabilities must be non-negative")
-        if previous is not None and probability > previous + 1e-12:
-            raise ValueError("factor lists must be sorted descending")
-        previous = probability
-
-
 def descending_products(
     factors: "Sequence[FactorLike[T]]",
-    validate: bool = False,
 ) -> Iterator[Tuple[Tuple[T, ...], float]]:
     """Enumerate the product of sorted factors in decreasing order.
 
@@ -130,10 +106,6 @@ def descending_products(
     >>> [(v, round(p, 2)) for v, p in descending_products([letters, digits])]
     [(('a', '1'), 0.63), (('b', '1'), 0.27), (('a', '2'), 0.07), (('b', '2'), 0.03)]
     """
-    if validate:
-        for factor in factors:
-            if not isinstance(factor, LazyDescendingList):
-                _validate_factor(factor)
     if not factors:
         yield (), 1.0
         return
@@ -238,33 +210,17 @@ def merge_weighted_descending(
 
 def deduplicate_guesses(
     guesses: Iterator[Tuple[str, float]],
-    key: Callable[[str], str] = lambda s: s,
-    max_seen: Optional[int] = None,
 ) -> Iterator[Tuple[str, float]]:
     """Drop repeated surface strings, keeping the first (most probable).
 
     Distinct derivations occasionally produce the same password; a
     cracking session tries each string once, so enumeration-based guess
-    numbers must deduplicate.
-
-    The seen-set otherwise grows with every distinct guess; 10^7-scale
-    sessions can bound it with ``max_seen``.  Once full, *known*
-    duplicates are still dropped but new markers are no longer
-    recorded, so repeats of guesses first seen after the cap can leak
-    through — best-effort dedup, flagged once via
-    ``enum.dedup.seen_capped``.
+    numbers must deduplicate.  The seen-set grows with every distinct
+    guess.
     """
-    if max_seen is not None and max_seen < 1:
-        raise ValueError("max_seen must be >= 1")
     seen: Set[str] = set()
-    capped = False
     for guess, probability in guesses:
-        marker = key(guess)
-        if marker in seen:
+        if guess in seen:
             continue
-        if max_seen is None or len(seen) < max_seen:
-            seen.add(marker)
-        elif not capped:
-            capped = True
-            obs.get().incr("enum.dedup.seen_capped")
+        seen.add(guess)
         yield guess, probability

@@ -26,6 +26,7 @@ wall-clock time.
 
 from __future__ import annotations
 
+import resource
 import time
 from bisect import bisect_right
 from types import TracebackType
@@ -41,6 +42,24 @@ Clock = Callable[[], float]
 #: wall-clock calls outside ``obs/`` so every timing source stays
 #: swappable in one place.
 now: Clock = time.perf_counter
+
+
+def peak_rss_kib() -> int:
+    """This process's resident-set high-water mark, in KiB.
+
+    Read from ``VmHWM`` in ``/proc/self/status`` where that exists:
+    Linux carries ``ru_maxrss`` across ``execve``, so a process started
+    from a larger one would report its parent's peak instead of its
+    own.  Without ``/proc`` it is ``ru_maxrss``.
+    """
+    try:
+        with open("/proc/self/status", "rb") as status:
+            for line in status:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:  # no procfs: fall back to getrusage below
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
 def log_spaced_bounds(

@@ -66,10 +66,6 @@ BINARY_MAGIC = b"FPSMBIN1"
 #: header envelope.
 BINARY_FORMAT_VERSION = 1
 
-#: Backwards-compatible alias: any registered meter can be persisted
-#: as long as its registry entry declares :data:`Capability.PERSISTABLE`.
-TrainedMeter = Meter
-
 
 def _persistable_spec(meter: Meter) -> MeterSpec:
     """The registry spec for a meter, verified persistable.

@@ -88,20 +88,17 @@ class ServeConfig:
     Attributes:
         host: bind address (loopback by default).
         port: bind port; ``0`` picks an ephemeral port.
-        batch_window: micro-batch coalescing window in seconds; ``0``
-            (the default) is self-clocking — batches form from
+        max_batch: most requests folded into one scoring call
+            (``1`` disables coalescing entirely).  Batches form from
             requests arriving while the previous dispatch is in
             flight, adding no latency (see
             :mod:`repro.serve.batcher`).
-        max_batch: most requests folded into one scoring call
-            (``1`` disables coalescing entirely).
         max_body: request-body byte cap (413 beyond it).
         idle_timeout: seconds a keep-alive connection may sit idle.
     """
 
     host: str = "127.0.0.1"
     port: int = 0
-    batch_window: float = 0.0
     max_batch: int = 256
     max_body: int = 64 * 1024
     idle_timeout: float = 30.0
@@ -205,7 +202,6 @@ class ReproServer:
             runtime.lock = asyncio.Lock()
             runtime.batcher = MicroBatcher(
                 partial(self._score_batch, runtime),
-                window=config.batch_window,
                 max_batch=config.max_batch,
                 telemetry=self._telemetry,
             )
@@ -596,7 +592,6 @@ class ReproServer:
             "latency": self._latency_summary(),
             "batcher": (
                 {
-                    "window": batcher.window,
                     "max_batch": batcher.max_batch,
                     "pending": batcher.pending,
                 }

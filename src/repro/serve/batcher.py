@@ -4,25 +4,20 @@ Scoring one password costs microseconds; *dispatching* one password —
 an HTTP round trip, the model lock and two thread hops — costs far
 more.  The batcher recovers the batch
 economics the scoring engine already has (``probability_many``):
-requests arriving within a small window are collected into one batch
-and scored with a single backend call, then fanned back out to their
-waiting handlers.
+requests that arrive while a batch is in flight are collected into
+the next batch and scored with a single backend call, then fanned
+back out to their waiting handlers.
 
-The flush discipline: the first pending request arms the window; when
-it expires (or immediately, with ``window=0``), up to ``max_batch``
-pending requests are cut into one batch and dispatched as an
-independent task, so a slow batch never blocks the next window.
-
-``window=0`` — the default — is *self-clocking* batching: the first
-arrival dispatches at once, and everything arriving while that batch
-is in flight coalesces into the next one.  Batches form from
-backpressure with zero added latency; under 64 concurrent clients the
-mean batch settles near the concurrency level.  A positive window
-adds its full duration to every request's latency and, in lockstep
-traffic, opens a throughput bubble while the backend sits idle — use
-one only to bound the dispatch rate itself.  With ``max_batch=1`` the
-batcher degrades to strict one-request-per-call dispatch — the
-unbatched comparator used by ``benchmarks/test_timing_serving.py``.
+The flush discipline is *self-clocking*: the first arrival dispatches
+at once, and up to ``max_batch`` pending requests are cut into one
+batch and dispatched as an independent task, so a slow batch never
+blocks the next one.  Batches form from backpressure with zero added
+latency; under 64 concurrent clients the mean batch settles near the
+concurrency level.  There is no coalescing window: a request never
+waits for company, so under light load, when the backend keeps up
+with arrivals, most batches hold one request.  With ``max_batch=1`` the batcher degrades to strict one-request-per-call
+dispatch — the unbatched comparator used by
+``benchmarks/test_timing_serving.py``.
 
 Telemetry reconciles by construction: every submitted request is
 counted into ``serve.batch.requests`` and every resolved future into
@@ -48,16 +43,12 @@ class MicroBatcher:
     def __init__(
         self,
         score_batch: ScoreBatch,
-        window: float = 0.0,
         max_batch: int = 256,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
-        if window < 0:
-            raise ValueError(f"batch window must be >= 0, got {window}")
         if max_batch < 1:
             raise ValueError(f"max batch must be >= 1, got {max_batch}")
         self._score_batch = score_batch
-        self._window = window
         self._max_batch = max_batch
         self._telemetry = telemetry if telemetry is not None else obs.get()
         self._pending: List[Tuple[str, "asyncio.Future[Tuple[int, float]]"]] = []
@@ -66,10 +57,6 @@ class MicroBatcher:
         self._dispatches: Set["asyncio.Task[None]"] = set()
 
     # --- introspection -------------------------------------------------
-
-    @property
-    def window(self) -> float:
-        return self._window
 
     @property
     def max_batch(self) -> int:
@@ -139,9 +126,6 @@ class MicroBatcher:
         telemetry = self._telemetry
         while True:
             await wakeup.wait()
-            if self._window > 0:
-                # Arm the coalescing window off the first arrival.
-                await asyncio.sleep(self._window)
             items = self._pending[:self._max_batch]
             del self._pending[:len(items)]
             telemetry.observe(

@@ -1,10 +1,10 @@
 """The section-directory codec of the FPSMBIN1 binary model format.
 
 The binary model format (:mod:`repro.persistence`) is a handful of
-flat columns — ``int64`` count tables, ``float64`` probability tables,
-UTF-8 string blobs, raw byte flags — packed one after another behind a
-self-describing directory, such that a reader can ``memoryview.cast``
-the numeric columns straight out of the mapping without copying.  This
+flat columns — ``int64`` count and length tables and UTF-8 string
+blobs — packed one after another behind a self-describing directory,
+such that a reader can ``memoryview.cast`` the integer columns
+straight out of the mapping without copying.  This
 module is that layout, apart from the meter-file envelope that
 ``persistence.py`` supplies::
 
@@ -18,24 +18,23 @@ directory: for every section its ``name``, ``dtype``, absolute
 deterministic — same fields and sections, same bytes — which model
 files rely on (artefact diffing).
 
-Supported dtypes:
+Supported dtypes — the two a meter's ``to_buffers`` writes:
 
-=========  ======================  =============================
-dtype      packed from             unpacked to
-=========  ======================  =============================
-``i64``    ``array('q')``          zero-copy ``memoryview('q')``
-``f64``    ``array('d')``          zero-copy ``memoryview('d')``
-``utf8``   ``str``                 ``str``
-``bytes``  ``bytes``/``bytearray`` zero-copy ``memoryview('B')``
-           /``memoryview``         (or ``bytes`` with ``copy=True``)
-=========  ======================  =============================
+========  ================  =============================
+dtype     packed from       unpacked to
+========  ================  =============================
+``i64``   ``array('q')``    zero-copy ``memoryview('q')``
+``utf8``  ``str``           ``str``
+========  ================  =============================
+
+A directory naming any other dtype fails to decode.
 
 ``utf8`` sections are coded with ``surrogatepass``: a lone surrogate
 (JSON's ``"\ud800"`` decodes to one) round-trips, and valid text keeps
 its plain UTF-8 bytes.
 
 Foreign-endian input (a model file moved between hosts) falls back to
-a byteswapped copy for the numeric dtypes.
+a byteswapped copy for ``i64`` columns.
 
 All structural failures raise :class:`SectionError` (a ``ValueError``)
 with the reason only; callers wrap it with their own context (the
@@ -52,12 +51,9 @@ import sys
 from array import array
 from typing import Any, Dict, List, Mapping, Sequence, Sized, Tuple
 
-#: Payload sections are padded to this alignment so ``int64``/``float64``
-#: columns can be cast straight out of the mapping.
+#: Payload sections are padded to this alignment so ``int64`` columns
+#: can be cast straight out of the mapping.
 ALIGN = 8
-
-#: ``array`` typecode per numeric dtype tag.
-_NUMERIC_TYPECODES = {"i64": "q", "f64": "d"}
 
 
 class SectionError(ValueError):
@@ -66,24 +62,17 @@ class SectionError(ValueError):
 
 def encode_section(value: Any) -> Tuple[str, bytes, int]:
     """``(dtype, payload, count)`` for one section value."""
-    if isinstance(value, array):
-        if value.typecode == "q":
-            return "i64", value.tobytes(), len(value)
-        if value.typecode == "d":
-            return "f64", value.tobytes(), len(value)
-        raise TypeError(
-            f"binary sections must be array('q') or array('d'), got "
-            f"array({value.typecode!r})"
-        )
+    if isinstance(value, array) and value.typecode == "q":
+        return "i64", value.tobytes(), len(value)
     if isinstance(value, str):
         payload = value.encode("utf-8", "surrogatepass")
         return "utf8", payload, len(payload)
-    if isinstance(value, (bytes, bytearray, memoryview)):
-        payload = bytes(value)
-        return "bytes", payload, len(payload)
+    described = (
+        f"array({value.typecode!r})" if isinstance(value, array)
+        else type(value).__name__
+    )
     raise TypeError(
-        f"binary sections must be array('q'), array('d'), str or "
-        f"bytes, got {type(value).__name__}"
+        f"binary sections must be array('q') or str, got {described}"
     )
 
 
@@ -96,8 +85,8 @@ def pack(
 
     ``header_fields`` is merged into the header object verbatim (it
     must be JSON-serialisable and must not contain a ``sections`` key);
-    ``byteorder`` is stamped by the caller when it matters (model
-    files) and omitted when it does not (same-host segments).
+    the caller stamps ``byteorder`` there (model files do), and
+    :func:`decode_sections` assumes this host's order without it.
     """
     if "sections" in header_fields:
         raise ValueError("'sections' is a reserved header field")
@@ -171,18 +160,13 @@ def read_header(view: memoryview, magic: bytes) -> Dict[str, Any]:
 
 
 def decode_sections(
-    header: Mapping[str, Any],
-    view: memoryview,
-    copy: bool = False,
+    header: Mapping[str, Any], view: memoryview
 ) -> Dict[str, Any]:
     """Materialise every directory entry of ``header`` out of ``view``.
 
-    Numeric columns come back as zero-copy casts of the underlying
+    ``i64`` columns come back as zero-copy casts of the underlying
     buffer unless the recorded ``byteorder`` disagrees with this host
-    (then a byteswapped ``array`` copy) or ``copy=True`` is passed
-    (then plain ``array`` copies, for callers about to release the
-    buffer).  ``bytes`` sections are zero-copy ``memoryview('B')``
-    slices under the same rule.
+    (then a byteswapped ``array`` copy).
     """
     swap = header.get("byteorder", sys.byteorder) != sys.byteorder
     sections: Dict[str, Any] = {}
@@ -194,20 +178,18 @@ def decode_sections(
             raise SectionError(f"truncated section {name!r}")
         raw = view[offset:offset + length]
         dtype = entry["dtype"]
-        typecode = _NUMERIC_TYPECODES.get(dtype)
-        if typecode is not None:
+        if dtype == "i64":
             if length % 8:
                 raise SectionError(
                     f"misaligned {dtype} section {name!r}"
                 )
-            if swap or copy:
-                column = array(typecode)
+            if swap:
+                column = array("q")
                 column.frombytes(raw)
-                if swap:
-                    column.byteswap()
+                column.byteswap()
                 sections[name] = column
             else:
-                sections[name] = raw.cast(typecode)
+                sections[name] = raw.cast("q")
         elif dtype == "utf8":
             try:
                 sections[name] = bytes(raw).decode(
@@ -217,8 +199,6 @@ def decode_sections(
                 raise SectionError(
                     f"corrupt utf8 section {name!r}: {error}"
                 ) from error
-        elif dtype == "bytes":
-            sections[name] = bytes(raw) if copy else raw
         else:
             raise SectionError(f"unknown section dtype {dtype!r}")
     return sections

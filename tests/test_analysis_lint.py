@@ -810,20 +810,20 @@ METER_FIXTURE = """
         def probability(self, password: str) -> float:
             return 0.0
 
-        def entropy_many(self, passwords):
-            return []
+        def from_dict(self, data):
+            return None
 
 
     @register_meter(
         "toyfixture",
         capabilities=(
             Capability.UPDATABLE,
-            Capability.BATCH_SCORABLE,
+            Capability.PERSISTABLE,
         ),
     )
     class FixtureMeter(MeterBase):
-        def probability_many(self, passwords):
-            return [0.0 for _ in passwords]
+        def to_dict(self):
+            return {}
 """
 
 
@@ -832,8 +832,8 @@ class TestCapabilityConformance:
 
     def test_missing_method_is_caught(self, tmp_path):
         # The MRO terminates locally (MeterBase -> object), so the
-        # missing update() is provable; the batch methods are defined,
-        # one on the class and one on its base.
+        # missing update() is provable; the persistence methods are
+        # defined, one on the class and one on its base.
         violations = lint_project(
             tmp_path, {"meter.py": METER_FIXTURE}, select=["FPM015"]
         )
@@ -841,14 +841,14 @@ class TestCapabilityConformance:
         assert "update" in violations[0].message
 
     def test_inherited_methods_satisfy_capabilities(self, tmp_path):
-        # update() and entropy_many() on the base class: conformance is
+        # update() and from_dict() on the base class: conformance is
         # resolved over the static MRO, not just the registered class
         # body.
         fixed = METER_FIXTURE.replace(
-            "def entropy_many(self, passwords):\n"
-            "            return []",
-            "def entropy_many(self, passwords):\n"
-            "            return []\n\n"
+            "def from_dict(self, data):\n"
+            "            return None",
+            "def from_dict(self, data):\n"
+            "            return None\n\n"
             "        def update(self, password, count=1):\n"
             "            return None",
         )
@@ -881,8 +881,8 @@ class TestIndexBackedDispatch:
             {
                 "meter.py": METER_FIXTURE.replace(
                     "Capability.UPDATABLE,\n"
-                    "            Capability.BATCH_SCORABLE,",
-                    "Capability.BATCH_SCORABLE,",
+                    "            Capability.PERSISTABLE,",
+                    "Capability.PERSISTABLE,",
                 ),
                 "consumer.py": """
                     def dispatch(meter, kind):

@@ -149,14 +149,14 @@ class TestBeam:
     def test_floor_beam_equals_full_stream_above_floor(self):
         meter = trained_meter()
         engine = meter.attack_engine()
-        full = list(engine.guesses(limit=300, dedupe=False))
+        full = list(engine.derivations(limit=300))
         floor = full[min(len(full), 150) - 1][1]
         expected = []
-        for item in engine.guesses(dedupe=False):
+        for item in engine.derivations():
             if item[1] < floor:
                 break
             expected.append(item)
-        beamed = list(engine.guesses(beam=Beam(floor=floor), dedupe=False))
+        beamed = list(engine.derivations(beam=Beam(floor=floor)))
         assert beamed == expected
 
     @given(st.lists(small_passwords, min_size=1, max_size=5))
@@ -164,18 +164,16 @@ class TestBeam:
     def test_floor_beam_differential_on_arbitrary_grammars(self, pws):
         meter = FuzzyPSM.train(base_dictionary=pws, training=pws)
         engine = meter.attack_engine()
-        full = list(engine.guesses(limit=120, dedupe=False))
+        full = list(engine.derivations(limit=120))
         if not full:
             return
         floor = full[len(full) // 2][1]
         expected = []
-        for item in engine.guesses(dedupe=False):
+        for item in engine.derivations():
             if item[1] < floor:
                 break
             expected.append(item)
-        beamed = list(
-            engine.guesses(beam=Beam(floor=floor), dedupe=False)
-        )
+        beamed = list(engine.derivations(beam=Beam(floor=floor)))
         assert beamed == expected
 
     def test_floor_drops_are_counted(self):
@@ -189,12 +187,15 @@ class TestBeam:
     def test_width_beam_yields_descending_subset(self):
         meter = trained_meter()
         engine = meter.attack_engine()
-        full = set(engine.guesses(dedupe=False))
-        stream = engine.guesses(beam=Beam(width=2), dedupe=False)
-        narrowed = list(stream)
+        full = {(s, p) for s, p, _ in engine.derivations()}
+        narrowed = [
+            (s, p) for s, p, _ in engine.derivations(beam=Beam(width=2))
+        ]
         probabilities = [p for _, p in narrowed]
         assert probabilities == sorted(probabilities, reverse=True)
         assert set(narrowed) <= full
+        stream = engine.guesses(beam=Beam(width=2))
+        assert set(stream) <= set(narrowed)
         assert stream.stats.width_dropped > 0
 
     def test_beam_validation(self):
@@ -316,13 +317,6 @@ class TestEngineLifecycle:
         assert len(head) == 10
         assert stream.yielded == 10
         assert stream.name == meter.name
-
-    def test_max_seen_bound_is_forwarded(self):
-        meter = trained_meter()
-        with obs.session() as telemetry:
-            list(meter.attack_engine().guesses(max_seen=2))
-            counters = telemetry.snapshot()["counters"]
-        assert counters.get("enum.dedup.seen_capped") == 1
 
 
 class TestGuessStreamFor:

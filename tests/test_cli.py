@@ -140,8 +140,8 @@ class TestMeters:
         for kind in self.SEED_KINDS:
             assert kind in out
         # The capability column uses the registry's value spellings.
-        assert "batch-scorable" in out
-        assert "persistable" in out
+        assert "binary-persistable" in out
+        assert "stream-trainable" in out
 
     def test_json_listing(self, capsys):
         import json as json_module
@@ -151,7 +151,7 @@ class TestMeters:
         assert set(self.SEED_KINDS) <= set(listing)
         fuzzy = listing["fuzzypsm"]
         assert fuzzy["capabilities"] == [
-            "batch-scorable", "binary-persistable",
+            "binary-persistable",
             "persistable", "stream-trainable", "trainable", "updatable",
         ]
         assert fuzzy["requires_base_dictionary"] is True
@@ -360,6 +360,15 @@ class TestParser:
             (tmp_path / name).write_text("VALUE = 1\n")
         code, _, _ = run_cli(capsys, "lint", "--jobs", "2", str(tmp_path))
         assert code == 0
+
+    @pytest.mark.parametrize("option", [
+        ["--batch-window", "0.01"], ["--workers", "2"],
+    ], ids=["batch-window", "workers"])
+    def test_removed_serve_options_exit_2(self, option):
+        # Rejected by the parser, before the model file (absent) is read.
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--model", "m.json", "--port", "0", *option])
+        assert exited.value.code == 2
 
 
 class TestServeModelSpecs:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core import FuzzyPSM, FuzzyPSMConfig
+from repro.core import FuzzyPSM
 from repro.core.training import build_base_trie, train_grammar
 
 
@@ -60,7 +60,7 @@ class TestMeasuring:
 
     def test_probabilities_batch(self, fuzzy_meter):
         passwords = ["password", "123456", "nosuchpw"]
-        values = fuzzy_meter.probabilities(passwords)
+        values = fuzzy_meter.probability_many(passwords)
         assert values == [fuzzy_meter.probability(pw) for pw in passwords]
 
     def test_measurement_is_pure_by_default(self, base_dictionary,
@@ -70,15 +70,6 @@ class TestMeasuring:
         for _ in range(5):
             meter.probability("password")
         assert meter.probability("password") == before
-
-    def test_auto_update_config(self, base_dictionary, training_passwords):
-        meter = FuzzyPSM.train(
-            base_dictionary, training_passwords,
-            config=FuzzyPSMConfig(auto_update=True),
-        )
-        before = meter.probability("password")
-        meter.probability("password")
-        assert meter.probability("password") > before
 
 
 class TestExplain:

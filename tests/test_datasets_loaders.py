@@ -1,7 +1,12 @@
 """Unit tests for corpus file loading/saving (plain and counted)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.datasets.corpus import PasswordCorpus
 from repro.datasets.loaders import (
     iter_password_entries,
@@ -232,6 +237,38 @@ class TestStreamingEntries:
         assert snapshot["counters"]["stream.entries"] == 10
         assert snapshot["histograms"]["stream.chunk.seconds"]["count"] == 3
         assert snapshot["histograms"]["stream.rss_kib"]["count"] == 3
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"),
+        reason="a process's own peak is read from /proc/self/status",
+    )
+    def test_stream_rss_is_the_process_own_peak(self, tmp_path):
+        # Linux carries ru_maxrss across execve, so a child started
+        # while this process holds 64 MiB would record at least that.
+        path = tmp_path / "plain.txt"
+        path.write_text("\n".join(f"pw{i}" for i in range(10)) + "\n")
+        child = (
+            "import sys\n"
+            "from repro import obs\n"
+            "from repro.datasets.loaders import stream_corpus_chunks\n"
+            "with obs.session() as telemetry:\n"
+            "    list(stream_corpus_chunks(sys.argv[1], chunk_size=4))\n"
+            "    print(telemetry.histogram('stream.rss_kib').maximum)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(
+            os.path.dirname(repro.__file__)
+        )
+        held_kib = 64 * 1024
+        held = b"\x01" * (held_kib * 1024)  # written, so resident
+        completed = subprocess.run(
+            [sys.executable, "-c", child, str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+            check=False,
+        )
+        del held
+        assert completed.returncode == 0, completed.stderr
+        assert 0 < float(completed.stdout) < held_kib
 
     def test_corpus_iter_chunks(self, corpus):
         chunks = list(corpus.iter_chunks(2))

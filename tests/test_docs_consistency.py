@@ -43,7 +43,12 @@ REMOVED_NAMES = (
     "cache_path", "_PROFILE_SIGNATURE", "lint.cache.", "repro_lint_cache",
     "index.digest", "lint_incremental_cache", "sample_derivation",
     "FuzzyGrammar.sample", "grammar._sample_freqdist", "frozen.freeze",
-    "load_telemetry_report", "iter_printable",
+    "load_telemetry_report", "iter_printable", "auto_update",
+    "batch_window", "--batch-window", "max_seen", "max_buffer",
+    "_validate_factor", "enum.lazy.truncated", "enum.dedup.seen_capped",
+    "max_attempts", "BATCH_SCORABLE", "BatchScorable", "batch-scorable",
+    "persistence.TrainedMeter", "config_key", "Meter.probabilities",
+    "dedupe=", "validate=",
 )
 
 
@@ -99,7 +104,9 @@ def test_setup_figures_match_the_bench(document):
 #: Bench entries that must carry the host block and report every
 #: repeated timing as median, min and max.  Entries only join this list.
 SPREAD_ENTRIES = ("frozen_refresh", "frozen_kernel", "model_setup",
-                  "training_serial", "training_streaming")
+                  "training_serial", "training_streaming",
+                  "attack_enumeration", "measure_single",
+                  "serve_throughput")
 HOST_KEYS = ("nproc", "python", "start_method", "git_sha")
 
 

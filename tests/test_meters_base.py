@@ -60,10 +60,10 @@ class TestMeterInterface:
 
     def test_probabilities_vectorised(self):
         meter = _ConstantMeter(0.5)
-        assert meter.probabilities(["a", "b", "c"]) == [0.5, 0.5, 0.5]
+        assert meter.probability_many(["a", "b", "c"]) == [0.5, 0.5, 0.5]
 
     def test_probabilities_empty(self):
-        assert _ConstantMeter(0.5).probabilities([]) == []
+        assert _ConstantMeter(0.5).probability_many([]) == []
 
     def test_abstract_meter_cannot_instantiate(self):
         with pytest.raises(TypeError):

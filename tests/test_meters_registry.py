@@ -17,7 +17,6 @@ from repro.meters import PCFGMeter
 from repro.meters import registry
 from repro.meters.base import Meter
 from repro.meters.registry import (
-    BatchScorable,
     Capability,
     Persistable,
     TrainContext,
@@ -43,7 +42,7 @@ class TestCatalogue:
     def test_fuzzypsm_declares_full_lifecycle(self):
         spec = registry.get_spec("fuzzypsm")
         assert spec.capability_names() == [
-            "batch-scorable", "binary-persistable",
+            "binary-persistable",
             "persistable", "stream-trainable", "trainable", "updatable",
         ]
         assert spec.requires_base_dictionary
@@ -53,7 +52,6 @@ class TestCatalogue:
             spec = registry.get_spec(kind)
             assert not spec.has(Capability.TRAINABLE)
             assert not spec.has(Capability.PERSISTABLE)
-            assert spec.has(Capability.BATCH_SCORABLE)
 
     def test_kinds_with_intersects_capabilities(self):
         trainable_persistable = registry.kinds_with(
@@ -84,7 +82,6 @@ class TestCatalogue:
     def test_capability_protocols_are_runtime_checkable(self, pcfg_meter):
         assert isinstance(pcfg_meter, Trainable)
         assert isinstance(pcfg_meter, Updatable)
-        assert isinstance(pcfg_meter, BatchScorable)
         assert isinstance(pcfg_meter, Persistable)
 
 
@@ -211,7 +208,6 @@ def toy_registered():
         capabilities=(
             Capability.TRAINABLE,
             Capability.UPDATABLE,
-            Capability.BATCH_SCORABLE,
             Capability.PERSISTABLE,
         ),
         summary="Unit-frequency lookup meter (test plugin)",

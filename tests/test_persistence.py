@@ -130,11 +130,11 @@ class TestDocumentFormat:
 
     def test_envelope_carries_capability_list(self, fuzzy, pcfg):
         assert meter_to_dict(fuzzy)["capabilities"] == [
-            "batch-scorable", "binary-persistable",
+            "binary-persistable",
             "persistable", "stream-trainable", "trainable", "updatable",
         ]
         assert meter_to_dict(pcfg)["capabilities"] == [
-            "batch-scorable", "persistable", "trainable", "updatable",
+            "persistable", "trainable", "updatable",
         ]
 
 
@@ -168,8 +168,10 @@ class TestModelsSavedByEarlierVersions:
     Earlier versions saved ``use_compiled_trie`` in every fuzzyPSM
     config, JSON and FPSMBIN1 alike: ``true`` by default, ``false``
     from ``repro train --no-compile``.  Later ones listed the retired
-    ``parallel-scorable`` capability in every fuzzyPSM envelope.  Such
-    files must still load, score bit-identically to the same meter
+    ``parallel-scorable`` capability in every fuzzyPSM envelope.  The
+    versions after those saved ``auto_update`` (always ``false``) in
+    every config and listed the retired ``batch-scorable`` capability.
+    Such files must still load, score bit-identically to the same meter
     saved by the current code, and re-save as the current code saves.
     """
 
@@ -177,36 +179,47 @@ class TestModelsSavedByEarlierVersions:
 
     @staticmethod
     def _save_as_before(monkeypatch, value):
-        """Make saves write what an earlier version wrote; return its mark.
+        """Make saves write what an earlier version wrote; return its marks.
 
-        ``True``/``False`` write the retired config key exactly where
-        it was; ``"parallel-scorable"`` adds the retired capability to
-        the envelope's sorted list.
+        ``True``/``False`` write the retired ``use_compiled_trie`` key
+        exactly where it was; ``"parallel-scorable"`` adds that retired
+        capability to the envelope's sorted list; ``"batch-scorable"``
+        does both at once, with ``auto_update: false`` for the key.
         """
-        if value == "parallel-scorable":
+        marks = []
+        if value in ("parallel-scorable", "batch-scorable"):
             names = MeterSpec.capability_names
             monkeypatch.setattr(
                 MeterSpec, "capability_names",
                 lambda spec: sorted([*names(spec), value]),
             )
-            return b'"parallel-scorable"'
+            marks.append(f'"{value}"'.encode("ascii"))
+            if value == "parallel-scorable":
+                return marks
+        key, setting = (
+            ("auto_update", False) if value == "batch-scorable"
+            else ("use_compiled_trie", value)
+        )
         to_dict, to_buffers = FuzzyPSM.to_dict, FuzzyPSM.to_buffers
 
         def legacy_dict(self):
             data = to_dict(self)
-            data["config"]["use_compiled_trie"] = value
+            data["config"][key] = setting
             return data
 
         def legacy_buffers(self):
             meta, sections = to_buffers(self)
-            meta["config"]["use_compiled_trie"] = value
+            meta["config"][key] = setting
             return meta, sections
 
         monkeypatch.setattr(FuzzyPSM, "to_dict", legacy_dict)
         monkeypatch.setattr(FuzzyPSM, "to_buffers", legacy_buffers)
-        return b"use_compiled_trie"
+        marks.append(f'"{key}"'.encode("ascii"))
+        return marks
 
-    @pytest.mark.parametrize("value", [True, False, "parallel-scorable"])
+    @pytest.mark.parametrize(
+        "value", [True, False, "parallel-scorable", "batch-scorable"]
+    )
     @pytest.mark.parametrize("fmt", ["json", "binary"])
     def test_loads_scores_identically_and_resaves_without_key(
         self, fuzzy, tmp_path, monkeypatch, fmt, value
@@ -215,9 +228,9 @@ class TestModelsSavedByEarlierVersions:
         save_meter(fuzzy, str(current), fmt=fmt)
         legacy = tmp_path / "legacy"
         with monkeypatch.context() as patch:
-            mark = self._save_as_before(patch, value)
+            marks = self._save_as_before(patch, value)
             save_meter(fuzzy, str(legacy), fmt=fmt)
-        assert mark in legacy.read_bytes()
+        assert all(mark in legacy.read_bytes() for mark in marks)
 
         old, new = load_meter(str(legacy)), load_meter(str(current))
         assert old.config == new.config
@@ -228,7 +241,7 @@ class TestModelsSavedByEarlierVersions:
 
         resaved = tmp_path / "resaved"
         save_meter(old, str(resaved), fmt=fmt)
-        assert mark not in resaved.read_bytes()
+        assert not any(mark in resaved.read_bytes() for mark in marks)
         assert resaved.read_bytes() == current.read_bytes()
 
 

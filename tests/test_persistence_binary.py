@@ -183,6 +183,24 @@ def _corrupt(path: str, tmp_path, blob: bytes) -> str:
     return out
 
 
+def _rewrite_header(blob: bytes, edit) -> bytes:
+    """``blob`` with ``edit(header)`` applied to its header object.
+
+    The edited header is written compactly and padded with spaces to
+    the old byte length, so every section offset stays put.
+    """
+    start = len(BINARY_MAGIC) + 8
+    header_length = struct.unpack("<Q", blob[len(BINARY_MAGIC):start])[0]
+    header = json.loads(blob[start:start + header_length])
+    edit(header)
+    new_header = json.dumps(
+        header, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+    assert len(new_header) <= header_length
+    return (blob[:start] + new_header.ljust(header_length, b" ")
+            + blob[start + header_length:])
+
+
 class TestErrorPaths:
     def _bytes(self, binary_path) -> bytes:
         with open(binary_path, "rb") as handle:
@@ -218,23 +236,29 @@ class TestErrorPaths:
 
     def test_future_binary_version_rejected(self, binary_path,
                                             tmp_path):
-        blob = self._bytes(binary_path)
-        start = len(BINARY_MAGIC) + 8
-        header_length = struct.unpack(
-            "<Q", blob[len(BINARY_MAGIC):start]
-        )[0]
-        header = json.loads(blob[start:start + header_length])
-        header["binary_format_version"] = 9
-        new_header = json.dumps(header, sort_keys=True).encode("utf-8")
-        # Same digit count as the real version: the byte length (and
-        # with it every section offset) stays put.
-        new_header = new_header.ljust(header_length, b" ")
-        assert len(new_header) == header_length
-        mangled = (blob[:len(BINARY_MAGIC)]
-                   + struct.pack("<Q", header_length)
-                   + new_header + blob[start + header_length:])
+        mangled = _rewrite_header(
+            self._bytes(binary_path),
+            lambda header: header.update(binary_format_version=9),
+        )
         path = _corrupt(binary_path, tmp_path, mangled)
         with pytest.raises(ValueError, match="version"):
+            load_meter(path)
+
+    @pytest.mark.parametrize("section,dtype", [
+        ("base_lens", "f64"), ("base_blob", "bytes"),
+    ], ids=["f64", "bytes"])
+    def test_unwritten_dtype_rejected(self, binary_path, tmp_path,
+                                      section, dtype):
+        # No meter writes these dtypes; a directory naming one is not
+        # a model this build can read.
+        def retag(header):
+            entry, = [entry for entry in header["sections"]
+                      if entry["name"] == section]
+            entry["dtype"] = dtype
+
+        mangled = _rewrite_header(self._bytes(binary_path), retag)
+        path = _corrupt(binary_path, tmp_path, mangled)
+        with pytest.raises(ValueError, match="not a valid binary meter"):
             load_meter(path)
 
     @pytest.mark.parametrize("mutate", [
@@ -283,7 +307,7 @@ class TestErrorPaths:
         ("parse_cache_size", -5), ("parse_cache_size", 0),
         ("parse_cache_size", "x"), ("parse_cache_size", None),
         ("parse_cache_size", True), ("min_base_length", 0),
-        ("allow_reverse", "false"), ("auto_update", 1),
+        ("allow_reverse", "false"),
     ])
     def test_malformed_config_rejected(self, fuzzy, tmp_path, fmt, field,
                                        value):

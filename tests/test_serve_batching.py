@@ -1,10 +1,10 @@
 """Hypothesis differential for the micro-batcher.
 
 The batcher must be *score-invisible*: for any interleaving of
-concurrent submissions, any coalescing window and any ``max_batch``,
-the results are exactly what one-call-per-password would produce, and
-the telemetry reconciles — every request in becomes exactly one
-response out, with no batch ever exceeding ``max_batch``.
+concurrent submissions and any ``max_batch``, the results are exactly
+what one-call-per-password would produce, and the telemetry
+reconciles — every request in becomes exactly one response out, with
+no batch ever exceeding ``max_batch``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ def fake_score(password: str) -> float:
 
 def drive_batcher(
     submissions: List[Tuple[str, float]],
-    window: float,
     max_batch: int,
 ) -> Tuple[List[Tuple[int, float]], Telemetry, List[int]]:
     """Run one interleaving; returns (results, telemetry, batch sizes)."""
@@ -48,8 +47,7 @@ def drive_batcher(
 
     async def main():
         batcher = MicroBatcher(
-            backend, window=window, max_batch=max_batch,
-            telemetry=telemetry,
+            backend, max_batch=max_batch, telemetry=telemetry,
         )
         await batcher.start()
         try:
@@ -75,12 +73,11 @@ def drive_batcher(
         ),
         min_size=1, max_size=40,
     ),
-    window=st.sampled_from([0.0, 0.0005, 0.002]),
     max_batch=st.sampled_from([1, 2, 3, 7, 256]),
 )
-def test_micro_batched_equals_unbatched(submissions, window, max_batch):
+def test_micro_batched_equals_unbatched(submissions, max_batch):
     results, telemetry, batch_sizes = drive_batcher(
-        submissions, window, max_batch
+        submissions, max_batch
     )
     # Differential: coalescing never changes any score, and every
     # result carries the backend's epoch.
@@ -110,7 +107,7 @@ def test_batched_scores_match_real_meter_exactly():
         return frozen.epoch, score_many(parser, frozen, batch)
 
     async def main():
-        batcher = MicroBatcher(backend, window=0.001, max_batch=8)
+        batcher = MicroBatcher(backend, max_batch=8)
         await batcher.start()
         try:
             passwords = SERVE_PASSWORDS * 3
@@ -137,10 +134,9 @@ def test_failed_batch_fails_only_its_requests():
         return 1, [fake_score(pw) for pw in batch]
 
     async def main():
-        # window=0 and max_batch=1 so each request is its own batch:
-        # the failure isolates deterministically.
-        batcher = MicroBatcher(backend, window=0.0, max_batch=2,
-                               telemetry=telemetry)
+        # One request at a time, so each is its own batch: the
+        # failure isolates deterministically.
+        batcher = MicroBatcher(backend, max_batch=2, telemetry=telemetry)
         await batcher.start()
         try:
             with pytest.raises(RuntimeError, match="batch scoring"):
@@ -160,10 +156,13 @@ def test_stop_fails_queued_requests_cleanly():
         return 1, [0.0] * len(batch)
 
     async def main():
-        batcher = MicroBatcher(backend, window=30.0, max_batch=256)
+        batcher = MicroBatcher(backend, max_batch=256)
         await batcher.start()
         waiter = asyncio.ensure_future(batcher.submit("queued"))
-        await asyncio.sleep(0.01)  # enqueue before the stop
+        # One loop step runs the submit, which queues the request and
+        # wakes the flush loop; the stop comes before the loop's turn.
+        await asyncio.sleep(0)
+        assert batcher.pending == 1
         await batcher.stop()
         with pytest.raises(RuntimeError, match="stopped"):
             await waiter
@@ -175,8 +174,6 @@ def test_batcher_rejects_bad_parameters():
     async def backend(batch):  # pragma: no cover - never started
         return 1, [0.0] * len(batch)
 
-    with pytest.raises(ValueError, match="window"):
-        MicroBatcher(backend, window=-1.0)
     with pytest.raises(ValueError, match="batch"):
         MicroBatcher(backend, max_batch=0)
     with pytest.raises(RuntimeError, match="not running"):

@@ -56,8 +56,7 @@ def reference_scores(meter):
 
 def test_check_scores_byte_identical_to_direct(meter, reference_scores):
     async def main():
-        config = ServeConfig(batch_window=0.001)
-        async with running_server(meter, config) as server:
+        async with running_server(meter, ServeConfig()) as server:
             async with ServeClient(server.port) as client:
                 for password, expected in reference_scores.items():
                     payload = await client.check(password)
@@ -79,8 +78,7 @@ def test_concurrent_clients_all_score_correctly(meter, reference_scores):
                         == reference_scores[password])
 
     async def main():
-        config = ServeConfig(batch_window=0.002)
-        async with running_server(meter, config) as server:
+        async with running_server(meter, ServeConfig()) as server:
             await asyncio.gather(*[
                 client_loop(server.port, i % len(SERVE_PASSWORDS))
                 for i in range(16)
@@ -100,7 +98,7 @@ def test_concurrent_clients_all_score_correctly(meter, reference_scores):
 def test_unicode_capitals_do_not_fail_their_batch(meter):
     """U+0130 lower-cases to two code points and the Kelvin sign to a
     Latin ``k``: neither reads as a capitalised letter, so a ``/check``
-    holding one scores like any other, and the micro-batch it shares
+    holding one scores like any other, and any micro-batch it shares
     with ordinary passwords answers every request."""
     passwords = [
         "\u0130stanbul", "password123", "a\u013012", "iloveyou1",
@@ -109,8 +107,7 @@ def test_unicode_capitals_do_not_fail_their_batch(meter):
     expected = reference_path_scores(meter, passwords)
 
     async def main():
-        config = ServeConfig(batch_window=0.01)
-        async with running_server(meter, config) as server:
+        async with running_server(meter, ServeConfig()) as server:
             return await asyncio.gather(*[
                 one_shot(server.port, "POST", "/check",
                          {"password": password})
@@ -431,8 +428,7 @@ def test_server_scores_through_frozen_kernel_batch_path():
 
     with obs.session() as telemetry:
         async def wrapped():
-            config = ServeConfig(batch_window=0.002)
-            async with running_server(fresh, config) as server:
+            async with running_server(fresh, ServeConfig()) as server:
                 await main(server)
         run(wrapped())
         assert telemetry.counter("meter.batch.calls") >= 1

@@ -65,8 +65,7 @@ def test_hot_reload_mid_traffic_consistent_and_lossless():
                     )
 
     async def main():
-        config = ServeConfig(batch_window=0.001)
-        async with running_server(meter, config) as server:
+        async with running_server(meter, ServeConfig()) as server:
             clients = [
                 asyncio.ensure_future(traffic_loop(server.port, 6))
                 for _ in range(4)

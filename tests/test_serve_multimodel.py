@@ -160,8 +160,7 @@ class TestMultiModelLifecycle:
         post_reference = post_meter.probability("zebra42!")
 
         async def main():
-            config = ServeConfig(batch_window=0.001)
-            server = ReproServer(registry, config)
+            server = ReproServer(registry, ServeConfig())
             await server.start()
             try:
                 port = server.port
